@@ -56,7 +56,7 @@ print("=" * 72)
 for a, b in [(1.0, 3.0), (2.0, 3.0), (0.5, 30.0)]:
     q = BetaKotzParams(a, b)
     level = risk.var_numeric(q, ALPHA)
-    identity = risk._tail_expectation_cvar(q, ALPHA, risk.DEFAULT_ROOT_CONFIG, level)
+    identity = risk._tail_expectation_cvar(q, ALPHA, level)
     quadrature = risk._quadrature_cvar(q, ALPHA, risk.DEFAULT_ROOT_CONFIG)
     print(f"shapes ({a:g}, {b:g}): identity {identity:.12f}   "
           f"quadrature {quadrature:.12f}   gap {abs(identity - quadrature):.1e}")

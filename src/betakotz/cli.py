@@ -12,10 +12,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import credit, estimation, risk
-from .distribution import BetaKotzParams, ConfidenceLevel, mean
+from .distribution import BetaKotzParams, ConfidenceLevel
 from .specfun import ConvergenceError, EvalTolerances
 
 EXIT_OK = 0
@@ -24,6 +24,9 @@ EXIT_INCONSISTENT = 3
 EXIT_NUMERIC = 4
 
 ALPHA_ENV_VAR = "BETAKOTZ_ALPHA"
+
+_METHODS = {"closed": risk.SolveMethod.CLOSED_FORM, "numeric": risk.SolveMethod.NUMERIC,
+            "both": risk.SolveMethod.BOTH_AGREEING}
 
 # Reference (a, b) grids: the closed-form table rows and the numeric
 # grid (integer rows plus the non-integer extension rows).
@@ -58,18 +61,13 @@ class CliConfig:
             alpha=ConfidenceLevel(alpha),
             method=getattr(args, "method", "both"),
             output_format=getattr(args, "output_format", "table"),
-            root_config=risk.RootSolveConfig(
-                abs_tol=args.abs_tol,
-                max_iters=args.max_iters,
-                bracket_lo=args.bracket_lo,
-                bracket_hi=args.bracket_hi,
-            ),
-            eval_tol=EvalTolerances(
-                series_rel_tol=args.series_rel_tol,
-                max_series_terms=args.max_series_terms,
-                cf_max_iters=args.cf_max_iters,
-            ),
+            root_config=_config_from_args(risk.RootSolveConfig, args),
+            eval_tol=_config_from_args(EvalTolerances, args),
         )
+
+
+def _config_from_args(config_cls, args):
+    return config_cls(**{f.name: getattr(args, f.name) for f in fields(config_cls)})
 
 
 def _add_common_options(parser):
@@ -81,18 +79,15 @@ def _add_common_options(parser):
         "--output-format", choices=("table", "csv", "json"), default="table",
         help="rendering of the result (default: table)",
     )
+    # One flag per solver-config field; the dataclasses hold the defaults
+    # and the help text.
     solver = parser.add_argument_group("solver overrides")
-    solver.add_argument("--abs-tol", type=float, default=1e-13,
-                        help="root-solve residual tolerance")
-    solver.add_argument("--max-iters", type=int, default=200,
-                        help="root-solve iteration cap")
-    solver.add_argument("--bracket-lo", type=float, default=0.0)
-    solver.add_argument("--bracket-hi", type=float, default=1.0)
-    solver.add_argument("--series-rel-tol", type=float, default=1e-15,
-                        help="series truncation tolerance")
-    solver.add_argument("--max-series-terms", type=int, default=10_000)
-    solver.add_argument("--cf-max-iters", type=int, default=500,
-                        help="continued-fraction iteration cap")
+    for config_cls in (risk.RootSolveConfig, EvalTolerances):
+        for f in fields(config_cls):
+            solver.add_argument(
+                "--" + f.name.replace("_", "-"), type=type(f.default),
+                default=f.default, help=f.metadata.get("help"),
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     measures.add_argument("--a", type=float, required=True, dest="shape_a")
     measures.add_argument("--b", type=float, required=True, dest="shape_b")
     measures.add_argument(
-        "--method", choices=("closed", "numeric", "both"), default="both",
+        "--method", choices=tuple(_METHODS), default="both",
         help="closed form only, numeric only, or both with cross-check",
     )
     _add_common_options(measures)
@@ -151,30 +146,8 @@ def _render_rows(header, rows, fmt, out):
 
 
 def cmd_measures(cfg: CliConfig, shape_a: float, shape_b: float, out) -> int:
-    p = BetaKotzParams(shape_a, shape_b)
-    if cfg.method == "both":
-        result = risk.report(p, cfg.alpha, cfg.root_config, cfg.eval_tol)
-    elif cfg.method == "numeric":
-        v = risk.var_numeric(p, cfg.alpha, cfg.root_config, cfg.eval_tol)
-        m = mean(p)
-        result = risk.RiskReport(
-            alpha=cfg.alpha, var=v,
-            cvar=risk.cvar(p, cfg.alpha, cfg.root_config, cfg.eval_tol),
-            ec=v - m, mean=m, method=risk.SolveMethod.NUMERIC,
-        )
-    else:  # closed
-        v = risk.var_closed(p, cfg.alpha)
-        c = risk.cvar_closed(p, cfg.alpha)
-        if v is None or c is None:
-            raise ValueError(
-                f"no closed form for (a={shape_a}, b={shape_b}); "
-                "use --method numeric"
-            )
-        m = mean(p)
-        result = risk.RiskReport(
-            alpha=cfg.alpha, var=v, cvar=c, ec=v - m, mean=m,
-            method=risk.SolveMethod.CLOSED_FORM,
-        )
+    result = risk.report(BetaKotzParams(shape_a, shape_b), cfg.alpha,
+                         cfg.root_config, cfg.eval_tol, _METHODS[cfg.method])
     if cfg.output_format == "json":
         out.write(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
     else:
@@ -278,28 +251,23 @@ def cmd_portfolio(cfg: CliConfig, path: str, label: str, out) -> int:
     else:
         d = result.to_rendered_dict()
         header = ["field", "value"]
-        rows = [[k, f"{v:,.2f}" if k in (
-            "total_exposure", "expected_loss", "var", "ec", "cvar"
-        ) else str(v)] for k, v in d.items()]
+        rows = [[k, f"{v:,.2f}" if k in credit.CURRENCY_FIELDS else str(v)]
+                for k, v in d.items()]
         _render_rows(header, rows, "table", out)
     return EXIT_OK
 
 
 def cmd_tables(cfg: CliConfig, which: str, out) -> int:
     header = ["a", "b", "var", "cvar", "ec"]
-    values = []
     if which == "analytic":
-        for a, b in ANALYTIC_ROWS:
-            p = BetaKotzParams(a, b)
-            v = risk.var_closed(p, cfg.alpha)
-            c = risk.cvar_closed(p, cfg.alpha)
-            values.append((a, b, v, c, v - mean(p)))
+        shapes, method = ANALYTIC_ROWS, risk.SolveMethod.CLOSED_FORM
     else:
-        for a, b in NUMERIC_ROWS:
-            p = BetaKotzParams(a, b)
-            v = risk.var_numeric(p, cfg.alpha, cfg.root_config, cfg.eval_tol)
-            c = risk.cvar(p, cfg.alpha, cfg.root_config, cfg.eval_tol)
-            values.append((a, b, v, c, v - mean(p)))
+        shapes, method = NUMERIC_ROWS, risk.SolveMethod.NUMERIC
+    values = []
+    for a, b in shapes:
+        r = risk.report(BetaKotzParams(a, b), cfg.alpha, cfg.root_config,
+                        cfg.eval_tol, method)
+        values.append((a, b, r.var, r.cvar, r.ec))
     if cfg.output_format == "json":
         # Machine form carries full precision; text forms round for eyes.
         out.write(json.dumps([dict(zip(header, row)) for row in values],

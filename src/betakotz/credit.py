@@ -253,6 +253,12 @@ def loss_rates(
     return [expected_loss(o, pd, lgd) / total for o in portfolio]
 
 
+# Rendered fields of a PortfolioReport: money at 2 decimals, rate-domain
+# values at 9 significant digits.
+CURRENCY_FIELDS = ("total_exposure", "expected_loss", "var", "ec", "cvar")
+RATE_FIELDS = ("fitted_a", "fitted_b", "alpha")
+
+
 @dataclass(frozen=True)
 class PortfolioReport:
     """One period's credit-risk report in currency units."""
@@ -295,9 +301,9 @@ class PortfolioReport:
     def to_rendered_dict(self) -> dict:
         """Wire form: currency at 2 decimals, rates at 9 significant digits."""
         d = self.to_dict()
-        for key in ("total_exposure", "expected_loss", "var", "ec", "cvar"):
+        for key in CURRENCY_FIELDS:
             d[key] = round(d[key], 2)
-        for key in ("fitted_a", "fitted_b", "alpha"):
+        for key in RATE_FIELDS:
             d[key] = float(f"{d[key]:.9g}")
         return d
 
@@ -347,7 +353,7 @@ def period_report(
         ec=var_cur - el,
         cvar=cvar_cur,
         fitted=fitted,
-        alpha=ConfidenceLevel(risk._alpha_value(alpha)),
+        alpha=measures.alpha,
         obligor_count=len(portfolio),
     )
 
@@ -441,15 +447,9 @@ def report_to_json(report: PortfolioReport) -> str:
 def report_to_csv(report: PortfolioReport) -> str:
     """Rendered single-record CSV wire form of a period report."""
     d = report.to_rendered_dict()
-    fields = list(d.keys())
-    header = ",".join(fields)
-    values = []
-    for key in fields:
-        v = d[key]
-        if key in ("total_exposure", "expected_loss", "var", "ec", "cvar"):
-            values.append(f"{v:.2f}")
-        elif key in ("fitted_a", "fitted_b", "alpha"):
-            values.append(f"{v:.9g}")
-        else:
-            values.append(str(v))
-    return header + "\n" + ",".join(values) + "\n"
+    values = [
+        f"{v:.2f}" if k in CURRENCY_FIELDS else f"{v:.9g}" if k in RATE_FIELDS
+        else str(v)
+        for k, v in d.items()
+    ]
+    return ",".join(d) + "\n" + ",".join(values) + "\n"

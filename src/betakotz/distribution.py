@@ -98,18 +98,17 @@ def pdf(p: BetaKotzParams, x: float) -> float:
     """
     if not math.isfinite(x) or x < 0.0 or x > 1.0:
         raise ValueError(f"pdf requires 0 <= x <= 1, got {x}")
-    c = math.exp(p.log_norm_const)
     if x == 0.0:
         if p.a > 1.0:
             return 0.0
         if p.a == 1.0:
-            return c
+            return math.exp(p.log_norm_const)
         raise OverflowError(f"density diverges at x=0 for a={p.a} < 1")
     if x == 1.0:
         if p.b > 1.0:
             return 0.0
         if p.b == 1.0:
-            return c
+            return math.exp(p.log_norm_const)
         raise OverflowError(f"density diverges at x=1 for b={p.b} < 1")
     return math.exp(
         p.log_norm_const

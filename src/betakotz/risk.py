@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from .distribution import BetaKotzParams, ConfidenceLevel, cdf, mean, pdf
 from .specfun import (
     ConvergenceError,
     EvalTolerances,
+    _std_normal_pdf,
     ln_gamma,
     reg_inc_beta,
     std_normal_quantile,
@@ -67,8 +66,9 @@ class SolveMethod(enum.Enum):
 class RootSolveConfig:
     """Budget and bracket for CDF root solves."""
 
-    abs_tol: float = 1e-13
-    max_iters: int = 200
+    abs_tol: float = field(default=1e-13,
+                           metadata={"help": "root-solve residual tolerance"})
+    max_iters: int = field(default=200, metadata={"help": "root-solve iteration cap"})
     bracket_lo: float = 0.0
     bracket_hi: float = 1.0
 
@@ -89,7 +89,27 @@ DEFAULT_ROOT_CONFIG = RootSolveConfig()
 _BRACKET_EPS = 1e-15
 _CLOSED_VS_NUMERIC_TOL = 1e-10
 _CVAR_CROSSCHECK_TOL = 1e-8
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _gauss_legendre(n):
+    """Ascending n-point Gauss-Legendre nodes and weights on [-1, 1]: five
+    Newton steps on the Legendre three-term recurrence from each root's
+    cosine asymptote (full precision for n <= 128), w = 2/((1-x^2) P_n'^2)."""
+    nodes, weights = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(5):
+            p_prev, p = 1.0, x
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            dp = n * (x * p - p_prev) / (x * x - 1.0)
+            x -= p / dp
+        nodes[i], nodes[n - 1 - i] = -x, x
+        weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - x * x) * dp * dp)
+    return nodes, weights
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(64)
 
 
 def _alpha_value(alpha) -> float:
@@ -156,17 +176,12 @@ def _quantile(p: BetaKotzParams, prob: float, cfg: RootSolveConfig,
         return lo
     if fhi == 0.0:
         return hi
-    if flo > 0.0:
-        # Root below the clamp: saturated when the caller asked for the
+    if flo > 0.0 or fhi < 0.0:
+        # Root outside the clamp: saturated when the caller asked for the
         # full interval, a genuine bracketing mistake otherwise.
-        if cfg.bracket_lo <= _BRACKET_EPS:
+        if flo > 0.0 and cfg.bracket_lo <= _BRACKET_EPS:
             return lo
-        raise ValueError(
-            f"bracket [{cfg.bracket_lo}, {cfg.bracket_hi}] does not "
-            f"contain the quantile at level {prob}"
-        )
-    if fhi < 0.0:
-        if cfg.bracket_hi >= 1.0 - _BRACKET_EPS:
+        if fhi < 0.0 and cfg.bracket_hi >= 1.0 - _BRACKET_EPS:
             return hi
         raise ValueError(
             f"bracket [{cfg.bracket_lo}, {cfg.bracket_hi}] does not "
@@ -318,7 +333,7 @@ def var_closed(p: BetaKotzParams, alpha) -> float | None:
 # CVaR / EC
 # ---------------------------------------------------------------------------
 
-def _tail_expectation_cvar(p, a_level, cfg, q, eval_tol=None):
+def _tail_expectation_cvar(p, a_level, q, eval_tol=None):
     # E[X | X > q] through I_q(a+1, b); exact up to the quantile itself.
     return mean(p) * (1.0 - reg_inc_beta(p.a + 1.0, p.b, q, eval_tol)) / (1.0 - a_level)
 
@@ -362,7 +377,12 @@ def cvar(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
     a_level = _alpha_value(alpha)
     cfg = cfg or DEFAULT_ROOT_CONFIG
     q = _quantile(p, a_level, cfg, eval_tol=eval_tol)
-    identity = _tail_expectation_cvar(p, a_level, cfg, q, eval_tol)
+    return _checked_cvar(p, a_level, q, cfg, eval_tol)
+
+
+def _checked_cvar(p, a_level, q, cfg, eval_tol):
+    # cvar() given the level-alpha quantile q, so report() solves it once.
+    identity = _tail_expectation_cvar(p, a_level, q, eval_tol)
     quadrature = _quadrature_cvar(p, a_level, cfg, eval_tol)
     if abs(identity - quadrature) > _CVAR_CROSSCHECK_TOL:
         raise InternalConsistencyError(
@@ -385,8 +405,9 @@ def cvar_closed(p: BetaKotzParams, alpha) -> float | None:
     if ib == 1 and ia is not None and ia >= 1:
         if ia == 1:
             return 0.5 * (1.0 + a_level)
+        # expm1 keeps 1 - alpha^((ia+1)/ia) exact as alpha nears 1.
         return (
-            ia * (1.0 - a_level ** ((ia + 1.0) / ia))
+            ia * -math.expm1((ia + 1.0) / ia * math.log(a_level))
             / ((ia + 1.0) * (1.0 - a_level))
         )
     if ia == 1 and ib == 2:
@@ -408,27 +429,38 @@ def ec(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
 
 
 def report(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
-           eval_tol: EvalTolerances | None = None) -> "RiskReport":
-    """Bundle VaR, CVaR, EC and the mean, with method provenance."""
+           eval_tol: EvalTolerances | None = None,
+           method: SolveMethod = SolveMethod.BOTH_AGREEING) -> "RiskReport":
+    """Bundle VaR, CVaR, EC and the mean, with method provenance.
+
+    `method` is CLOSED_FORM (closed forms only), NUMERIC (root solve and
+    cross-checked CVaR) or BOTH_AGREEING: NUMERIC plus the closed-form
+    quantile, checked against the root, wherever one exists.
+    """
     a_level = _alpha_value(alpha)
-    cfg = cfg or DEFAULT_ROOT_CONFIG
-    numeric = var_numeric(p, a_level, cfg, eval_tol)
-    closed = var_closed(p, a_level)
-    if closed is None:
-        v, method = numeric, SolveMethod.NUMERIC
+    if method is SolveMethod.CLOSED_FORM:
+        v, c = var_closed(p, a_level), cvar_closed(p, a_level)
+        if v is None or c is None:
+            raise ValueError(
+                f"no closed form for (a={p.a}, b={p.b}); use --method numeric"
+            )
     else:
-        if abs(closed - numeric) > _CLOSED_VS_NUMERIC_TOL:
+        cfg = cfg or DEFAULT_ROOT_CONFIG
+        q = var_numeric(p, a_level, cfg, eval_tol)
+        v = var_closed(p, a_level) if method is SolveMethod.BOTH_AGREEING else None
+        if v is None:
+            v, method = q, SolveMethod.NUMERIC
+        elif abs(v - q) > _CLOSED_VS_NUMERIC_TOL:
             raise InternalConsistencyError(
                 f"closed-form and numeric quantiles disagree: "
-                f"{closed!r} vs {numeric!r} for (a={p.a}, b={p.b}, "
-                f"alpha={a_level})"
+                f"{v!r} vs {q!r} for (a={p.a}, b={p.b}, alpha={a_level})"
             )
-        v, method = closed, SolveMethod.BOTH_AGREEING
+        c = _checked_cvar(p, a_level, q, cfg, eval_tol)
     m = mean(p)
     return RiskReport(
         alpha=ConfidenceLevel(a_level),
         var=v,
-        cvar=cvar(p, a_level, cfg, eval_tol),
+        cvar=c,
         ec=v - m,
         mean=m,
         method=method,
@@ -481,13 +513,6 @@ class RiskReport:
 # ---------------------------------------------------------------------------
 # location-scale baselines
 # ---------------------------------------------------------------------------
-
-_LN_SQRT_2PI = 0.9189385332046727
-
-
-def _std_normal_pdf(z):
-    return math.exp(-0.5 * z * z - _LN_SQRT_2PI)
-
 
 def var_normal(mu: float, sigma: float, alpha) -> float:
     """Normal quantile mu + sigma * Phi^{-1}(alpha)."""

@@ -11,7 +11,7 @@ global state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "EvalTolerances",
@@ -43,9 +43,11 @@ class ConvergenceError(ArithmeticError):
 class EvalTolerances:
     """Evaluation budget for the series and continued-fraction kernels."""
 
-    series_rel_tol: float = 1e-15
+    series_rel_tol: float = field(default=1e-15,
+                                  metadata={"help": "series truncation tolerance"})
     max_series_terms: int = 10_000
-    cf_max_iters: int = 500
+    cf_max_iters: int = field(default=500,
+                              metadata={"help": "continued-fraction iteration cap"})
 
     def __post_init__(self):
         if not 0.0 < self.series_rel_tol < 1e-6:
@@ -63,7 +65,6 @@ class EvalTolerances:
 DEFAULT_TOLERANCES = EvalTolerances()
 
 _LN_SQRT_2PI = 0.9189385332046727  # ln(sqrt(2*pi))
-_SQRT_2PI = 2.5066282746310002
 
 # Lanczos g=7, 9-term coefficient set; ~1 ulp relative accuracy for
 # gamma over the positive axis.
@@ -325,6 +326,10 @@ def _std_normal_cdf(z):
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+def _std_normal_pdf(z):
+    return math.exp(-0.5 * z * z - _LN_SQRT_2PI)
+
+
 def std_normal_quantile(alpha: float) -> float:
     """Inverse of the standard normal CDF on (0, 1)."""
     if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
@@ -351,5 +356,5 @@ def std_normal_quantile(alpha: float) -> float:
                  + 1.0))
     # One Halley step: e = Phi(z) - p, u = e / phi(z).
     e = _std_normal_cdf(z) - p
-    u = e * _SQRT_2PI * math.exp(0.5 * z * z)
+    u = e / _std_normal_pdf(z)
     return z - u / (1.0 + 0.5 * z * u)

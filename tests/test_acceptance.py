@@ -242,7 +242,7 @@ def test_criterion_4_cvar_dual_method():
         q = risk.var_numeric(p, alpha)
         worst_resid = max(worst_resid, abs(cdf(p, q) - alpha))
         assert abs(cdf(p, q) - alpha) <= 1e-12
-        identity = risk._tail_expectation_cvar(p, alpha, risk.DEFAULT_ROOT_CONFIG, q)
+        identity = risk._tail_expectation_cvar(p, alpha, q)
         quadrature = risk._quadrature_cvar(p, alpha, risk.DEFAULT_ROOT_CONFIG)
         gap = abs(identity - quadrature)
         worst = max(worst, gap)

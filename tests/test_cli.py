@@ -1,6 +1,8 @@
 """CLI tests: subcommand output, exit codes, env overrides, determinism."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from betakotz import cli, risk
 from betakotz.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from betakotz.distribution import BetaKotzParams
 from betakotz.risk import RiskReport
+from betakotz.specfun import EvalTolerances
 
 
 def run_cli(capsys, *argv):
@@ -281,3 +284,21 @@ def test_tables_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "a,b,var,cvar,ec"
     assert len(lines) == 1 + 6
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+def test_solver_flag_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(["measures", "--a", "1", "--b", "2"])
+    cfg = cli.CliConfig.from_args(args)
+    assert cfg.root_config == risk.RootSolveConfig()
+    assert cfg.eval_tol == EvalTolerances()
+
+
+def test_cli_import_does_not_load_numpy(child_env):
+    code = "import sys, betakotz.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=child_env)
+    assert done.stdout.strip() == "False"

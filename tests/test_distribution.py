@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.stats
 
 from betakotz.distribution import (
     BetaKotzParams,
@@ -101,6 +102,15 @@ def test_pdf_domain_error():
         pdf(BetaKotzParams(2.0, 2.0), 1.2)
     with pytest.raises(ValueError):
         pdf(BetaKotzParams(2.0, 2.0), -0.1)
+
+
+def test_pdf_large_shapes_match_scipy():
+    # The normalizing constant exp(log C) overflows here; only the
+    # density itself has to be representable.
+    for a, b, x in [(800, 800, 0.5), (1500, 600, 0.7), (300, 2000, 0.13)]:
+        assert pdf(BetaKotzParams(a, b), x) == pytest.approx(
+            scipy.stats.beta.pdf(x, a, b), rel=1e-10
+        )
 
 
 def test_pdf_integrates_to_one():

@@ -3,6 +3,7 @@ economic capital, and the location-scale baselines."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
@@ -208,14 +209,20 @@ def test_cvar_dual_route_agreement():
         p = BetaKotzParams(rng.uniform(0.2, 40.0), rng.uniform(0.2, 40.0))
         alpha = rng.uniform(0.01, 0.999)
         q = var_numeric(p, alpha)
-        identity = risk_mod._tail_expectation_cvar(p, alpha, DEFAULT_ROOT_CONFIG, q)
+        identity = risk_mod._tail_expectation_cvar(p, alpha, q)
         quadrature = risk_mod._quadrature_cvar(p, alpha, DEFAULT_ROOT_CONFIG)
         assert abs(identity - quadrature) <= 1e-8
 
 
+def test_gauss_legendre_nodes_match_numpy():
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    assert np.max(np.abs(np.array(risk_mod._GL_NODES) - nodes)) <= 1e-14
+    assert np.max(np.abs(np.array(risk_mod._GL_WEIGHTS) - weights)) <= 1e-14
+
+
 def test_cvar_inconsistency_guard(monkeypatch):
     monkeypatch.setattr(
-        risk_mod, "_tail_expectation_cvar", lambda p, a, cfg, q, tol=None: 123.0
+        risk_mod, "_tail_expectation_cvar", lambda p, a, q, tol=None: 123.0
     )
     with pytest.raises(InternalConsistencyError):
         cvar(BetaKotzParams(2, 2), 0.9)
@@ -234,6 +241,18 @@ def test_cvar_closed_rows():
     assert cvar_closed(BetaKotzParams(1, 4), 0.99) == pytest.approx(
         1.0 - 0.8 * 0.01**0.25, rel=1e-13
     )
+
+
+def test_cvar_closed_power_rows_near_one():
+    # 1 - alpha^((a+1)/a) must not cancel as alpha approaches 1.
+    for ia in (2, 3):
+        for tail in (1e-3, 1e-6, 1e-10, 1e-12):
+            alpha = 1.0 - tail
+            with mp.workdps(50):
+                al = mp.mpf(alpha)
+                exact = ia * (1 - al ** (mp.mpf(ia + 1) / ia)) / ((ia + 1) * (1 - al))
+            got = cvar_closed(BetaKotzParams(ia, 1), alpha)
+            assert abs(got - exact) <= 1e-13 * exact, (ia, tail)
 
 
 def test_cvar_closed_unsupported():
@@ -273,6 +292,21 @@ def test_report_numeric_only_row():
     assert r.method is SolveMethod.NUMERIC
     assert r.var == pytest.approx(0.355, abs=5e-4)
     assert r.ec == pytest.approx(0.260, abs=5e-4)
+
+
+def test_report_method_selects_route():
+    p = BetaKotzParams(2, 1)
+    closed = report(p, 0.99, method=SolveMethod.CLOSED_FORM)
+    assert closed.method is SolveMethod.CLOSED_FORM
+    assert (closed.var, closed.cvar) == (var_closed(p, 0.99), cvar_closed(p, 0.99))
+    numeric = report(p, 0.99, method=SolveMethod.NUMERIC)
+    assert numeric.method is SolveMethod.NUMERIC
+    assert (numeric.var, numeric.cvar) == (var_numeric(p, 0.99), cvar(p, 0.99))
+    both = report(p, 0.99)
+    assert both.method is SolveMethod.BOTH_AGREEING
+    assert (both.var, both.cvar) == (closed.var, numeric.cvar)
+    with pytest.raises(ValueError, match="no closed form"):
+        report(BetaKotzParams(2, 3), 0.99, method=SolveMethod.CLOSED_FORM)
 
 
 def test_report_symmetric_median():
