@@ -51,15 +51,15 @@ for a, b in [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1,
 
 print()
 print("=" * 72)
-print("4. CVaR: tail-expectation identity vs quadrature of the quantile")
+print("4. CVaR: tail-expectation identity vs VaR + expected excess (density)")
 print("=" * 72)
 for a, b in [(1.0, 3.0), (2.0, 3.0), (0.5, 30.0)]:
     q = BetaKotzParams(a, b)
     level = risk.var_numeric(q, ALPHA)
     identity = risk._tail_expectation_cvar(q, ALPHA, level)
-    quadrature = risk._quadrature_cvar(q, ALPHA, risk.DEFAULT_ROOT_CONFIG)
+    density = risk._density_cvar(q, ALPHA, level)
     print(f"shapes ({a:g}, {b:g}): identity {identity:.12f}   "
-          f"quadrature {quadrature:.12f}   gap {abs(identity - quadrature):.1e}")
+          f"density {density:.12f}   gap {abs(identity - density):.1e}")
 print("cvar() always runs both and raises if they disagree beyond 1e-8.")
 
 print()

@@ -70,15 +70,21 @@ class Guarantee(enum.Enum):
     NO_GUARANTEE = "NoGuarantee"
 
 
+# Case-insensitive member lookup for each enum column of the CSV.
+_ENUM_BY_KEY = {
+    cls: {member.value.lower(): member for member in cls}
+    for cls in (Rating, Segment, Guarantee)
+}
+
+
 def _parse_enum(cls, text, column, row_num):
-    lookup = {member.value.lower(): member for member in cls}
-    key = str(text).strip().lower()
-    if key not in lookup:
+    member = _ENUM_BY_KEY[cls].get(str(text).strip().lower())
+    if member is None:
         raise ValueError(
             f"row {row_num}, column '{column}': unknown value {text!r}; "
             f"expected one of {sorted(m.value for m in cls)}"
         )
-    return lookup[key]
+    return member
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Quantiles come from two routes that must agree: a safeguarded Newton
 solver on the CDF (whose root in (0, 1) is unique), and closed-form
 radicals / polynomial resolvents for the shape pairs that admit them.
 CVaR likewise: the tail-expectation identity is what gets returned, and
-Gauss-Legendre quadrature of the quantile function cross-checks it on
-every call.  Normal and Student-t baselines round out the surface.
+VaR plus the expected excess over it, by graded Gauss-Legendre
+quadrature of the density that never touches the incomplete beta,
+cross-checks it on every call.  Normal and Student-t baselines round
+out the surface.
 """
 
 from __future__ import annotations
@@ -109,7 +111,13 @@ def _gauss_legendre(n):
     return nodes, weights
 
 
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(64)
+# 16-point rule on [0, 1], and on [r, 1] for the outer panels of a
+# geometric grading with ratio r toward 0.
+_GL_UNIT = [(0.5 * (t + 1.0), 0.5 * w) for t, w in zip(*_gauss_legendre(16))]
+_PANEL_RATIO = 0.25
+_GL_OUTER = [(_PANEL_RATIO + (1.0 - _PANEL_RATIO) * t, (1.0 - _PANEL_RATIO) * w)
+             for t, w in _GL_UNIT]
+_GRADED_PANELS = 14
 
 
 def _alpha_value(alpha) -> float:
@@ -118,17 +126,21 @@ def _alpha_value(alpha) -> float:
     return ConfidenceLevel(float(alpha)).alpha
 
 
-def _bracketed_newton(f, df, lo, hi, abs_tol, max_iters, x0=None):
+def _bracketed_newton(f, df, lo, hi, abs_tol, max_iters, x0=None,
+                      flo=None, fhi=None):
     """Root of f on [lo, hi] by Newton steps safeguarded by the bracket.
 
     f(lo) <= 0 <= f(hi) is required; any Newton step that would leave
     the current bracket is replaced by bisection, so the single sign
     change guarantees progress.  If the bracket collapses to adjacent
     floats before the residual tolerance is met, the representable
-    point closest to the root is returned.
+    point closest to the root is returned.  A caller that has already
+    evaluated f at the bracket ends passes them as `flo` and `fhi`.
     """
-    flo = f(lo)
-    fhi = f(hi)
+    if flo is None:
+        flo = f(lo)
+    if fhi is None:
+        fhi = f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -167,7 +179,7 @@ def _bracketed_newton(f, df, lo, hi, abs_tol, max_iters, x0=None):
 
 
 def _quantile(p: BetaKotzParams, prob: float, cfg: RootSolveConfig,
-              x0=None, eval_tol: EvalTolerances | None = None) -> float:
+              eval_tol: EvalTolerances | None = None) -> float:
     lo = max(cfg.bracket_lo, _BRACKET_EPS)
     hi = min(cfg.bracket_hi, 1.0 - _BRACKET_EPS)
     flo = cdf(p, lo, eval_tol) - prob
@@ -194,7 +206,9 @@ def _quantile(p: BetaKotzParams, prob: float, cfg: RootSolveConfig,
         hi,
         cfg.abs_tol,
         cfg.max_iters,
-        x0=x0 if x0 is not None else prob,
+        x0=prob,
+        flo=flo,
+        fhi=fhi,
     )
 
 
@@ -338,56 +352,79 @@ def _tail_expectation_cvar(p, a_level, q, eval_tol=None):
     return mean(p) * (1.0 - reg_inc_beta(p.a + 1.0, p.b, q, eval_tol)) / (1.0 - a_level)
 
 
-def _quadrature_cvar(p, a_level, cfg, eval_tol=None):
-    """(1/(1-alpha)) integral of the quantile over [alpha, 1] by 64-node
-    Gauss-Legendre: a plain panel up to the midpoint, then nu = 1 - u^2
-    on the last panel to tame the quantile's endpoint steepness."""
-    split = a_level + 0.5 * (1.0 - a_level)
-    total = 0.0
-    guess = None
+def _density_cvar(p, a_level, q):
+    """CVaR as q + E[(X - q)+] / (1 - alpha), by quadrature of the density.
 
-    half = 0.5 * (split - a_level)
-    mid = 0.5 * (split + a_level)
-    for xi, w in zip(_GL_NODES, _GL_WEIGHTS):
-        nu = mid + half * xi
-        guess = _quantile(p, nu, cfg, x0=guess, eval_tol=eval_tol)
-        total += half * w * guess
+    This Rockafellar-Uryasev form is minimal, and flat, at the exact
+    quantile q*, where it equals CVaR.  A root off by dq moves it by
+    O(dq^2); a root saturated at a bracket clamp, within 1e-15 of q*, by
+    at most 1e-15 |F(q) - alpha| / (1 - alpha).  The identity moves to
+    first order, by q (alpha - F(q)) / (1 - alpha), so the routes part
+    exactly where the identity is off: at the 1 - 1e-15 clamp, where the
+    identity exceeds 1, and not at the 1e-15 clamp, where the mass it
+    leaves out lies below 1e-15.
 
-    u_max = math.sqrt(1.0 - split)
-    partial = []
-    for xi, w in zip(_GL_NODES, _GL_WEIGHTS):
-        u = 0.5 * u_max * (xi + 1.0)
-        partial.append((u, 0.5 * u_max * w))
-    # Walk u downward so nu increases and the warm start stays adjacent.
-    for u, w in reversed(partial):
-        nu = 1.0 - u * u
-        guess = _quantile(p, nu, cfg, x0=guess, eval_tol=eval_tol)
-        total += w * 2.0 * u * guess
-    return total / (1.0 - a_level)
+    E[(X - q)+] is the integral of (x - q) f(x) over [q, 1] by 16-point
+    Gauss-Legendre; the incomplete beta is never called.  [q, 1] is split
+    at its midpoint and each half is cut into geometric panels graded
+    toward its outer end: toward q, to resolve the fast decay of large-b
+    laws, and toward 1, where the innermost panel substitutes
+    y = y0 v^(1/b) to absorb the (1-x)^(b-1) singularity.  The density is
+    taken in log form, with log(x) and log(1-x) from the exact distances
+    to each end.
+    """
+    am1, bm1, c = p.a - 1.0, p.b - 1.0, p.log_norm_const
+    tail = 1.0 - q
+    excess = 0.0
+    # Lower half, x = q + s.
+    scale = 0.5 * tail
+    for k in range(_GRADED_PANELS):
+        rule = _GL_UNIT if k == _GRADED_PANELS - 1 else _GL_OUTER
+        for t, w in rule:
+            s = scale * t
+            excess += w * scale * s * math.exp(
+                c + am1 * math.log(q + s) + bm1 * math.log(tail - s))
+        scale *= _PANEL_RATIO
+    # Upper half, x = 1 - y.
+    scale = 0.5 * tail
+    for _ in range(_GRADED_PANELS - 1):
+        for t, w in _GL_OUTER:
+            y = scale * t
+            excess += w * scale * (tail - y) * math.exp(
+                c + am1 * math.log1p(-y) + bm1 * math.log(y))
+        scale *= _PANEL_RATIO
+    # Innermost panel [0, y0]: y^(b-1) dy = (y0^b / b) dv.
+    lead = c + p.b * math.log(scale) - math.log(p.b)
+    inv_b = 1.0 / p.b
+    for v, w in _GL_UNIT:
+        y = scale * v ** inv_b
+        excess += w * (tail - y) * math.exp(lead + am1 * math.log1p(-y))
+    return q + excess / (1.0 - a_level)
 
 
 def cvar(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
          eval_tol: EvalTolerances | None = None) -> float:
     """Mean of the (1-alpha) tail, computed by two routes that must agree.
 
-    The tail-expectation identity provides the returned value; the
-    quadrature of the quantile function over [alpha, 1] is a mandatory
-    cross-check, and disagreement beyond 1e-8 signals a kernel bug.
+    The tail-expectation identity provides the returned value; VaR plus
+    the expected excess over it, by graded quadrature of the density with
+    no incomplete beta, is a mandatory cross-check, and disagreement
+    beyond 1e-8 signals a kernel bug.
     """
     a_level = _alpha_value(alpha)
-    cfg = cfg or DEFAULT_ROOT_CONFIG
-    q = _quantile(p, a_level, cfg, eval_tol=eval_tol)
-    return _checked_cvar(p, a_level, q, cfg, eval_tol)
+    q = _quantile(p, a_level, cfg or DEFAULT_ROOT_CONFIG, eval_tol=eval_tol)
+    return _checked_cvar(p, a_level, q, eval_tol)
 
 
-def _checked_cvar(p, a_level, q, cfg, eval_tol):
+def _checked_cvar(p, a_level, q, eval_tol):
     # cvar() given the level-alpha quantile q, so report() solves it once.
     identity = _tail_expectation_cvar(p, a_level, q, eval_tol)
-    quadrature = _quadrature_cvar(p, a_level, cfg, eval_tol)
-    if abs(identity - quadrature) > _CVAR_CROSSCHECK_TOL:
+    density = _density_cvar(p, a_level, q)
+    # Written as `not <=` so that a nan from either route raises too.
+    if not abs(identity - density) <= _CVAR_CROSSCHECK_TOL:
         raise InternalConsistencyError(
             f"CVaR routes disagree: identity={identity!r}, "
-            f"quadrature={quadrature!r} for (a={p.a}, b={p.b}, "
+            f"density={density!r} for (a={p.a}, b={p.b}, "
             f"alpha={a_level})"
         )
     return identity
@@ -445,7 +482,6 @@ def report(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
                 f"no closed form for (a={p.a}, b={p.b}); use --method numeric"
             )
     else:
-        cfg = cfg or DEFAULT_ROOT_CONFIG
         q = var_numeric(p, a_level, cfg, eval_tol)
         v = var_closed(p, a_level) if method is SolveMethod.BOTH_AGREEING else None
         if v is None:
@@ -455,7 +491,7 @@ def report(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
                 f"closed-form and numeric quantiles disagree: "
                 f"{v!r} vs {q!r} for (a={p.a}, b={p.b}, alpha={a_level})"
             )
-        c = _checked_cvar(p, a_level, q, cfg, eval_tol)
+        c = _checked_cvar(p, a_level, q, eval_tol)
     m = mean(p)
     return RiskReport(
         alpha=ConfidenceLevel(a_level),

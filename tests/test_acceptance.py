@@ -41,6 +41,7 @@ from betakotz.specfun import (
     trigamma,
 )
 from betakotz.specfun import _series_2f1
+from cvar_oracle import quadrature_cvar
 
 mp.mp.dps = 30
 
@@ -234,7 +235,7 @@ def test_criterion_3_closed_vs_numeric():
 
 def test_criterion_4_cvar_dual_method():
     rng = np.random.default_rng(42)
-    worst = 0.0
+    worst = {"quadrature": 0.0, "density": 0.0}
     worst_resid = 0.0
     for _ in range(200):
         p = BetaKotzParams(rng.uniform(0.2, 40.0), rng.uniform(0.2, 40.0))
@@ -243,15 +244,20 @@ def test_criterion_4_cvar_dual_method():
         worst_resid = max(worst_resid, abs(cdf(p, q) - alpha))
         assert abs(cdf(p, q) - alpha) <= 1e-12
         identity = risk._tail_expectation_cvar(p, alpha, q)
-        quadrature = risk._quadrature_cvar(p, alpha, risk.DEFAULT_ROOT_CONFIG)
-        gap = abs(identity - quadrature)
-        worst = max(worst, gap)
-        assert gap <= 1e-8, f"(a={p.a}, b={p.b}, alpha={alpha}): gap {gap:.2e}"
+        for route, other in (("quadrature", quadrature_cvar(p, alpha)),
+                             ("density", risk._density_cvar(p, alpha, q))):
+            gap = abs(identity - other)
+            worst[route] = max(worst[route], gap)
+            assert gap <= 1e-8, (
+                f"{route} (a={p.a}, b={p.b}, alpha={alpha}): gap {gap:.2e}"
+            )
         assert identity > q, "tail mean must dominate the quantile"
     assert _criterion(
         4, True,
-        f"200 random triples: worst quadrature-vs-identity gap {worst:.2e}, "
-        f"worst root residual {worst_resid:.2e}, CVaR > VaR throughout",
+        f"200 random triples: worst quadrature-vs-identity gap "
+        f"{worst['quadrature']:.2e}, worst density-vs-identity gap "
+        f"{worst['density']:.2e}, worst root residual {worst_resid:.2e}, "
+        f"CVaR > VaR throughout",
     )
 
 

@@ -1,6 +1,7 @@
 """CLI tests: subcommand output, exit codes, env overrides, determinism."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ from betakotz.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, m
 from betakotz.distribution import BetaKotzParams
 from betakotz.risk import RiskReport
 from betakotz.specfun import EvalTolerances
+
+FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "portfolio_synthetic.csv"
 
 
 def run_cli(capsys, *argv):
@@ -198,7 +201,7 @@ def test_fit_infeasible_moments_is_numeric_failure(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_portfolio_fixture_json(capsys):
-    code, out, _ = run_cli(capsys, "portfolio", "fixtures/portfolio_synthetic.csv",
+    code, out, _ = run_cli(capsys, "portfolio", str(FIXTURE),
                            "--output-format", "json")
     assert code == EXIT_OK
     payload = json.loads(out)

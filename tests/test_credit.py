@@ -348,6 +348,29 @@ def test_csv_case_insensitive_enums(tmp_path):
     assert obligors[1].days_past_due == 45
 
 
+@pytest.mark.parametrize("column, value, expected", [
+    ("rating", "AAA", "['A', 'AA', 'B', 'BB', 'CC', 'Default']"),
+    ("segment", "Nowhere", "['Automobiles', 'CFCAutomobiles', 'CFCOther', "
+                           "'CreditCard', 'Other']"),
+    ("guarantee", " Gold ", "['AdmissibleFinancialCollateral', "
+                            "'CommercialResidentialRealEstate', 'NoGuarantee', "
+                            "'NonAdmissible', 'OtherAdmissible', 'OtherLeasing', "
+                            "'RealEstateLeasing', 'Receivables']"),
+])
+def test_csv_unknown_enum_message(tmp_path, column, value, expected):
+    row = {"id": "a", "rating": "AA", "segment": "Other", "ead": "1000",
+           "guarantee": "NoGuarantee", "days_past_due": "0"}
+    row[column] = value
+    path = tmp_path / "p.csv"
+    path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_portfolio_csv(path)
+    assert str(err.value) == (
+        f"row 2, column '{column}': unknown value {value!r}; "
+        f"expected one of {expected}"
+    )
+
+
 def test_csv_override_columns(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(

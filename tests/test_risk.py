@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from betakotz import cli, distribution, specfun
 from betakotz.distribution import BetaKotzParams, ConfidenceLevel, cdf, mean
 from betakotz.risk import (
     DEFAULT_ROOT_CONFIG,
@@ -28,6 +29,7 @@ from betakotz.risk import (
     var_student,
 )
 from betakotz import risk as risk_mod
+from cvar_oracle import quadrature_cvar
 
 # The ten shape pairs with closed-form quantiles.
 CLOSED_FORM_CASES = [
@@ -210,14 +212,55 @@ def test_cvar_dual_route_agreement():
         alpha = rng.uniform(0.01, 0.999)
         q = var_numeric(p, alpha)
         identity = risk_mod._tail_expectation_cvar(p, alpha, q)
-        quadrature = risk_mod._quadrature_cvar(p, alpha, DEFAULT_ROOT_CONFIG)
-        assert abs(identity - quadrature) <= 1e-8
+        assert abs(identity - quadrature_cvar(p, alpha)) <= 1e-8
+        assert abs(identity - risk_mod._density_cvar(p, alpha, q)) <= 1e-8
 
 
 def test_gauss_legendre_nodes_match_numpy():
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    assert np.max(np.abs(np.array(risk_mod._GL_NODES) - nodes)) <= 1e-14
-    assert np.max(np.abs(np.array(risk_mod._GL_WEIGHTS) - weights)) <= 1e-14
+    # 16 points for the density cross-check, 64 for the quadrature oracle.
+    for n in (16, 64):
+        ours = np.array(risk_mod._gauss_legendre(n))
+        assert np.max(np.abs(ours - np.polynomial.legendre.leggauss(n))) <= 1e-14
+
+
+@pytest.mark.parametrize("a, b, alpha", [
+    (0.03, 19000.0, 0.99), (0.6, 0.6, 0.999), (800.0, 800.0, 0.99),
+    (0.5, 30.0, 0.9999),
+])
+def test_density_cvar_matches_mpmath(a, b, alpha):
+    # q + E[(X - q)+] / (1 - alpha) at the same q, with
+    # E[(X - q)+] = mean * P_{a+1,b}(X > q) - q * P_{a,b}(X > q).
+    p = BetaKotzParams(a, b)
+    q = var_numeric(p, alpha)
+    with mp.workdps(40):
+        ma, mb, mq = mp.mpf(a), mp.mpf(b), mp.mpf(q)
+        excess = (ma / (ma + mb) * mp.betainc(ma + 1, mb, mq, 1, regularized=True)
+                  - mq * mp.betainc(ma, mb, mq, 1, regularized=True))
+        exact = mq + excess / (1 - mp.mpf(alpha))
+        assert abs(risk_mod._density_cvar(p, alpha, q) - exact) <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("a, b, alpha", [
+    (4.950322073413684, 0.10482113413757903, 0.9999967117052275),
+    (0.09725873888739012, 0.09402820902167595, 0.9999850805598538),
+])
+def test_report_refuses_saturated_quantile(a, b, alpha):
+    # The quantile saturates at the 1 - 1e-15 clamp, so the identity's
+    # E[X; X > q] / (1 - alpha) exceeds 1, while q + E[(X - q)+] / (1 - alpha)
+    # cannot exceed 1 by more than 1e-15 / (1 - alpha): the check must refuse.
+    with pytest.raises(InternalConsistencyError):
+        report(BetaKotzParams(a, b), alpha)
+
+
+def test_report_lower_clamp_keeps_identity():
+    # F(1e-15) is about 0.09 here, so the 1e-4 quantile saturates at the
+    # lower clamp; all tail mass but a sliver below 1e-15 lies above it,
+    # and CVaR is mean / (1 - alpha) up to 1e-15.  A tail mean
+    # normalized by the quadrature's own mass above q would refuse this.
+    p = BetaKotzParams(0.05, 0.05)
+    r = report(p, 1e-4)
+    assert r.var == 1e-15
+    assert r.cvar == pytest.approx(mean(p) / (1.0 - 1e-4), abs=1e-14)
 
 
 def test_cvar_inconsistency_guard(monkeypatch):
@@ -226,6 +269,42 @@ def test_cvar_inconsistency_guard(monkeypatch):
     )
     with pytest.raises(InternalConsistencyError):
         cvar(BetaKotzParams(2, 2), 0.9)
+
+
+def test_cvar_density_inconsistency_guard(monkeypatch):
+    monkeypatch.setattr(risk_mod, "_density_cvar", lambda p, a, q: 123.0)
+    with pytest.raises(InternalConsistencyError):
+        cvar(BetaKotzParams(2, 2), 0.9)
+
+
+def _count_reg_inc_beta(monkeypatch):
+    # Wrap the kernel where risk and distribution look it up.
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return specfun.reg_inc_beta(*args, **kwargs)
+
+    monkeypatch.setattr(risk_mod, "reg_inc_beta", counted)
+    monkeypatch.setattr(distribution, "reg_inc_beta", counted)
+    return calls
+
+
+def test_report_reg_inc_beta_count(monkeypatch):
+    # The quantile solve plus the identity's I_q(a+1, b); the density
+    # cross-check adds none.
+    calls = _count_reg_inc_beta(monkeypatch)
+    report(BetaKotzParams(1.2, 11.4), 0.99)
+    assert calls[0] == 12
+
+
+def test_tables_numeric_reg_inc_beta_count(monkeypatch, capsys):
+    # 21 rows at the default alpha, about ten calls each.
+    monkeypatch.delenv(cli.ALPHA_ENV_VAR, raising=False)
+    calls = _count_reg_inc_beta(monkeypatch)
+    assert cli.main(["tables", "numeric"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert calls[0] == 213
 
 
 def test_cvar_closed_rows():
