@@ -30,7 +30,6 @@ from .estimation import (
 from .risk import (
     InternalConsistencyError,
     RiskReport,
-    RootSolveConfig,
     SolveMethod,
     cvar,
     cvar_closed,
@@ -43,7 +42,7 @@ from .risk import (
     var_numeric,
     var_student,
 )
-from .specfun import ConvergenceError, EvalTolerances
+from .specfun import ConvergenceError
 
 __version__ = "0.1.0"
 
@@ -58,7 +57,6 @@ __all__ = [
     "mean",
     "variance",
     "RiskReport",
-    "RootSolveConfig",
     "SolveMethod",
     "InternalConsistencyError",
     "var_numeric",
@@ -79,7 +77,6 @@ __all__ = [
     "fit_moments",
     "fit_mle",
     "log_likelihood",
-    "EvalTolerances",
     "ConvergenceError",
     "__version__",
 ]

@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from . import credit, estimation, risk
 from .distribution import BetaKotzParams, ConfidenceLevel
-from .specfun import ConvergenceError, EvalTolerances
+from .specfun import ConvergenceError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -41,33 +40,13 @@ NUMERIC_ROWS = [
 ]
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved run configuration."""
-
-    alpha: ConfidenceLevel
-    method: str = "both"
-    output_format: str = "table"
-    root_config: risk.RootSolveConfig = risk.DEFAULT_ROOT_CONFIG
-    eval_tol: EvalTolerances = EvalTolerances()
-
-    @classmethod
-    def from_args(cls, args) -> "CliConfig":
-        alpha = args.alpha
-        if alpha is None:
-            env = os.environ.get(ALPHA_ENV_VAR)
-            alpha = float(env) if env else 0.99
-        return cls(
-            alpha=ConfidenceLevel(alpha),
-            method=getattr(args, "method", "both"),
-            output_format=getattr(args, "output_format", "table"),
-            root_config=_config_from_args(risk.RootSolveConfig, args),
-            eval_tol=_config_from_args(EvalTolerances, args),
-        )
-
-
-def _config_from_args(config_cls, args):
-    return config_cls(**{f.name: getattr(args, f.name) for f in fields(config_cls)})
+def _alpha(args) -> ConfidenceLevel:
+    """The --alpha flag, else $BETAKOTZ_ALPHA, else 0.99."""
+    alpha = args.alpha
+    if alpha is None:
+        env = os.environ.get(ALPHA_ENV_VAR)
+        alpha = float(env) if env else 0.99
+    return ConfidenceLevel(alpha)
 
 
 def _add_common_options(parser):
@@ -79,15 +58,6 @@ def _add_common_options(parser):
         "--output-format", choices=("table", "csv", "json"), default="table",
         help="rendering of the result (default: table)",
     )
-    # One flag per solver-config field; the dataclasses hold the defaults
-    # and the help text.
-    solver = parser.add_argument_group("solver overrides")
-    for config_cls in (risk.RootSolveConfig, EvalTolerances):
-        for f in fields(config_cls):
-            solver.add_argument(
-                "--" + f.name.replace("_", "-"), type=type(f.default),
-                default=f.default, help=f.metadata.get("help"),
-            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,10 +115,10 @@ def _render_rows(header, rows, fmt, out):
             out.write("  ".join(v.rjust(w) for v, w in zip(row, widths)) + "\n")
 
 
-def cmd_measures(cfg: CliConfig, shape_a: float, shape_b: float, out) -> int:
-    result = risk.report(BetaKotzParams(shape_a, shape_b), cfg.alpha,
-                         cfg.root_config, cfg.eval_tol, _METHODS[cfg.method])
-    if cfg.output_format == "json":
+def cmd_measures(alpha: ConfidenceLevel, shape_a: float, shape_b: float,
+                 method: str, output_format: str, out) -> int:
+    result = risk.report(BetaKotzParams(shape_a, shape_b), alpha, _METHODS[method])
+    if output_format == "json":
         out.write(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
     else:
         header = ["alpha", "var", "cvar", "ec", "mean", "method"]
@@ -160,7 +130,7 @@ def cmd_measures(cfg: CliConfig, shape_a: float, shape_b: float, out) -> int:
             f"{result.mean:.9f}",
             result.method.value,
         ]
-        _render_rows(header, [row], cfg.output_format, out)
+        _render_rows(header, [row], output_format, out)
     return EXIT_OK
 
 
@@ -191,7 +161,7 @@ def _read_sample_file(path):
     return values
 
 
-def cmd_fit(cfg: CliConfig, path: str, method: str, out) -> int:
+def cmd_fit(path: str, method: str, output_format: str, out) -> int:
     values = _read_sample_file(path)
     stats = estimation.stats_from_samples(values)
     try:
@@ -222,7 +192,7 @@ def cmd_fit(cfg: CliConfig, path: str, method: str, out) -> int:
         "converged": result.converged,
         "log_likelihood": result.log_likelihood,
     }
-    if cfg.output_format == "json":
+    if output_format == "json":
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         header = list(payload.keys())
@@ -231,22 +201,21 @@ def cmd_fit(cfg: CliConfig, path: str, method: str, out) -> int:
             str(result.iterations), str(result.converged),
             f"{result.log_likelihood:.6f}",
         ]
-        _render_rows(header, [row], cfg.output_format, out)
+        _render_rows(header, [row], output_format, out)
     return EXIT_OK
 
 
-def cmd_portfolio(cfg: CliConfig, path: str, label: str, out) -> int:
+def cmd_portfolio(alpha: ConfidenceLevel, path: str, label: str,
+                  output_format: str, out) -> int:
     obligors = credit.read_portfolio_csv(path)
     try:
-        result = credit.period_report(
-            label, obligors, alpha=cfg.alpha, cfg=cfg.root_config
-        )
+        result = credit.period_report(label, obligors, alpha=alpha)
     except ValueError as err:
         sys.stderr.write(f"portfolio pipeline failed: {err}\n")
         return EXIT_NUMERIC
-    if cfg.output_format == "json":
+    if output_format == "json":
         out.write(credit.report_to_json(result) + "\n")
-    elif cfg.output_format == "csv":
+    elif output_format == "csv":
         out.write(credit.report_to_csv(result))
     else:
         d = result.to_rendered_dict()
@@ -257,7 +226,7 @@ def cmd_portfolio(cfg: CliConfig, path: str, label: str, out) -> int:
     return EXIT_OK
 
 
-def cmd_tables(cfg: CliConfig, which: str, out) -> int:
+def cmd_tables(alpha: ConfidenceLevel, which: str, output_format: str, out) -> int:
     header = ["a", "b", "var", "cvar", "ec"]
     if which == "analytic":
         shapes, method = ANALYTIC_ROWS, risk.SolveMethod.CLOSED_FORM
@@ -265,10 +234,9 @@ def cmd_tables(cfg: CliConfig, which: str, out) -> int:
         shapes, method = NUMERIC_ROWS, risk.SolveMethod.NUMERIC
     values = []
     for a, b in shapes:
-        r = risk.report(BetaKotzParams(a, b), cfg.alpha, cfg.root_config,
-                        cfg.eval_tol, method)
+        r = risk.report(BetaKotzParams(a, b), alpha, method)
         values.append((a, b, r.var, r.cvar, r.ec))
-    if cfg.output_format == "json":
+    if output_format == "json":
         # Machine form carries full precision; text forms round for eyes.
         out.write(json.dumps([dict(zip(header, row)) for row in values],
                              indent=2) + "\n")
@@ -277,7 +245,7 @@ def cmd_tables(cfg: CliConfig, which: str, out) -> int:
             [f"{a:g}", f"{b:g}", f"{v:.6f}", f"{c:.6f}", f"{e:.6f}"]
             for a, b, v, c, e in values
         ]
-        _render_rows(header, rows, cfg.output_format, out)
+        _render_rows(header, rows, output_format, out)
     return EXIT_OK
 
 
@@ -286,15 +254,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
-        cfg = CliConfig.from_args(args)
+        alpha = _alpha(args)
+        fmt = args.output_format
         if args.command == "measures":
-            return cmd_measures(cfg, args.shape_a, args.shape_b, out)
+            return cmd_measures(alpha, args.shape_a, args.shape_b, args.method,
+                                fmt, out)
         if args.command == "fit":
-            return cmd_fit(cfg, args.input, args.method, out)
+            return cmd_fit(args.input, args.method, fmt, out)
         if args.command == "portfolio":
-            return cmd_portfolio(cfg, args.input, args.label, out)
+            return cmd_portfolio(alpha, args.input, args.label, fmt, out)
         if args.command == "tables":
-            return cmd_tables(cfg, args.which, out)
+            return cmd_tables(alpha, args.which, fmt, out)
         raise AssertionError(f"unhandled command {args.command}")
     except risk.InternalConsistencyError as err:
         sys.stderr.write(f"internal consistency failure: {err}\n")

@@ -325,7 +325,6 @@ def period_report(
     pd: PdTable = SFC_PD_TABLE,
     lgd: LgdSchedule = SFC_LGD_SCHEDULE,
     alpha=0.99,
-    cfg: Optional[risk.RootSolveConfig] = None,
 ) -> PortfolioReport:
     """Fit the period's loss-rate sample and report tail measures in currency.
 
@@ -347,7 +346,7 @@ def period_report(
         )
     stats = stats_from_samples(rates)
     fitted = fit_moments(stats)
-    measures = risk.report(fitted, alpha, cfg)
+    measures = risk.report(fitted, alpha)
     el = _currency(measures.mean, total)
     var_cur = _currency(measures.var, total)
     cvar_cur = _currency(measures.cvar, total)
@@ -395,19 +394,17 @@ def read_portfolio_csv(path) -> list[Obligor]:
     non-empty.  Schema violations name the offending row and column.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
+        # Short rows read missing cells as ""; of two columns whose
+        # normalized names collide, the last wins.
+        reader = csv.DictReader(handle, restval="")
         if reader.fieldnames is None:
             raise ValueError("portfolio CSV is empty (missing header row)")
-        names = [n.strip().lower() for n in reader.fieldnames]
-        missing = [c for c in _REQUIRED_COLUMNS if c not in names]
+        reader.fieldnames = [n.strip().lower() for n in reader.fieldnames]
+        missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"portfolio CSV is missing columns: {missing}")
         obligors = []
-        for row_num, raw in enumerate(reader, start=2):
-            row = {
-                (k.strip().lower() if k else k): (v if v is not None else "")
-                for k, v in raw.items()
-            }
+        for row_num, row in enumerate(reader, start=2):
             days_text = str(row.get("days_past_due", "")).strip()
             try:
                 days = int(days_text) if days_text else 0

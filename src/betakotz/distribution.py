@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .specfun import EvalTolerances, ln_gamma, reg_inc_beta
+from .specfun import ln_gamma, reg_inc_beta
 
 __all__ = [
     "KotzGeneratorParams",
@@ -117,9 +117,9 @@ def pdf(p: BetaKotzParams, x: float) -> float:
     )
 
 
-def cdf(p: BetaKotzParams, x: float, tol: EvalTolerances | None = None) -> float:
+def cdf(p: BetaKotzParams, x: float) -> float:
     """Distribution function F(x) = I_x(a, b)."""
-    return reg_inc_beta(p.a, p.b, x, tol)
+    return reg_inc_beta(p.a, p.b, x)
 
 
 def moment(p: BetaKotzParams, t: float) -> float:

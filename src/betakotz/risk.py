@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distribution import BetaKotzParams, ConfidenceLevel, cdf, mean, pdf
 from .specfun import (
     ConvergenceError,
-    EvalTolerances,
     _std_normal_pdf,
     ln_gamma,
     reg_inc_beta,
@@ -29,8 +28,6 @@ from .specfun import (
 __all__ = [
     "SolveMethod",
     "RiskReport",
-    "RootSolveConfig",
-    "DEFAULT_ROOT_CONFIG",
     "InternalConsistencyError",
     "RootConvergenceError",
     "var_numeric",
@@ -64,30 +61,9 @@ class SolveMethod(enum.Enum):
     BOTH_AGREEING = "both_agreeing"
 
 
-@dataclass(frozen=True)
-class RootSolveConfig:
-    """Budget and bracket for CDF root solves."""
-
-    abs_tol: float = field(default=1e-13,
-                           metadata={"help": "root-solve residual tolerance"})
-    max_iters: int = field(default=200, metadata={"help": "root-solve iteration cap"})
-    bracket_lo: float = 0.0
-    bracket_hi: float = 1.0
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.0 <= self.bracket_lo < self.bracket_hi <= 1.0:
-            raise ValueError(
-                f"need 0 <= bracket_lo < bracket_hi <= 1, got "
-                f"[{self.bracket_lo}, {self.bracket_hi}]"
-            )
-
-
-DEFAULT_ROOT_CONFIG = RootSolveConfig()
-
+# Residual tolerance and iteration cap of the CDF root solves.
+_ROOT_ABS_TOL = 1e-13
+_ROOT_MAX_ITERS = 200
 _BRACKET_EPS = 1e-15
 _CLOSED_VS_NUMERIC_TOL = 1e-10
 _CVAR_CROSSCHECK_TOL = 1e-8
@@ -126,34 +102,19 @@ def _alpha_value(alpha) -> float:
     return ConfidenceLevel(float(alpha)).alpha
 
 
-def _bracketed_newton(f, df, lo, hi, abs_tol, max_iters, x0=None,
-                      flo=None, fhi=None):
+def _bracketed_newton(f, df, lo, hi, flo, fhi, x0=None):
     """Root of f on [lo, hi] by Newton steps safeguarded by the bracket.
 
-    f(lo) <= 0 <= f(hi) is required; any Newton step that would leave
-    the current bracket is replaced by bisection, so the single sign
-    change guarantees progress.  If the bracket collapses to adjacent
-    floats before the residual tolerance is met, the representable
-    point closest to the root is returned.  A caller that has already
-    evaluated f at the bracket ends passes them as `flo` and `fhi`.
+    The caller has evaluated the ends: flo = f(lo) < 0 < f(hi) = fhi.
+    Any Newton step that would leave the current bracket is replaced by
+    bisection, so the single sign change guarantees progress.  If the
+    bracket collapses to adjacent floats before the residual tolerance is
+    met, the representable point closest to the root is returned.
     """
-    if flo is None:
-        flo = f(lo)
-    if fhi is None:
-        fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo > 0.0 or fhi < 0.0:
-        raise ValueError(
-            f"bracket [{lo}, {hi}] does not straddle the root: "
-            f"f(lo)={flo}, f(hi)={fhi}"
-        )
     x = x0 if (x0 is not None and lo < x0 < hi) else 0.5 * (lo + hi)
-    for _ in range(max_iters):
+    for _ in range(_ROOT_MAX_ITERS):
         fx = f(x)
-        if abs(fx) <= abs_tol:
+        if abs(fx) <= _ROOT_ABS_TOL:
             return x
         if fx > 0.0:
             hi, fhi = x, fx
@@ -171,52 +132,36 @@ def _bracketed_newton(f, df, lo, hi, abs_tol, max_iters, x0=None,
             x_new = 0.5 * (lo + hi)
         x = x_new
     raise RootConvergenceError(
-        f"root solve exhausted {max_iters} iterations; "
+        f"root solve exhausted {_ROOT_MAX_ITERS} iterations; "
         f"best bracket [{lo}, {hi}]",
         bracket=(lo, hi),
         best=x,
     )
 
 
-def _quantile(p: BetaKotzParams, prob: float, cfg: RootSolveConfig,
-              eval_tol: EvalTolerances | None = None) -> float:
-    lo = max(cfg.bracket_lo, _BRACKET_EPS)
-    hi = min(cfg.bracket_hi, 1.0 - _BRACKET_EPS)
-    flo = cdf(p, lo, eval_tol) - prob
-    fhi = cdf(p, hi, eval_tol) - prob
-    if flo == 0.0:
+def _quantile(p: BetaKotzParams, prob: float) -> float:
+    lo, hi = _BRACKET_EPS, 1.0 - _BRACKET_EPS
+    flo = cdf(p, lo) - prob
+    fhi = cdf(p, hi) - prob
+    # A quantile at or outside the clamp saturates there.
+    if flo >= 0.0:
         return lo
-    if fhi == 0.0:
+    if fhi <= 0.0:
         return hi
-    if flo > 0.0 or fhi < 0.0:
-        # Root outside the clamp: saturated when the caller asked for the
-        # full interval, a genuine bracketing mistake otherwise.
-        if flo > 0.0 and cfg.bracket_lo <= _BRACKET_EPS:
-            return lo
-        if fhi < 0.0 and cfg.bracket_hi >= 1.0 - _BRACKET_EPS:
-            return hi
-        raise ValueError(
-            f"bracket [{cfg.bracket_lo}, {cfg.bracket_hi}] does not "
-            f"contain the quantile at level {prob}"
-        )
     return _bracketed_newton(
-        lambda x: cdf(p, x, eval_tol) - prob,
+        lambda x: cdf(p, x) - prob,
         lambda x: pdf(p, x),
         lo,
         hi,
-        cfg.abs_tol,
-        cfg.max_iters,
+        flo,
+        fhi,
         x0=prob,
-        flo=flo,
-        fhi=fhi,
     )
 
 
-def var_numeric(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
-                eval_tol: EvalTolerances | None = None) -> float:
+def var_numeric(p: BetaKotzParams, alpha) -> float:
     """Quantile of the Beta-Kotz law by root finding on the CDF."""
-    a = _alpha_value(alpha)
-    return _quantile(p, a, cfg or DEFAULT_ROOT_CONFIG, eval_tol=eval_tol)
+    return _quantile(p, _alpha_value(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +292,9 @@ def var_closed(p: BetaKotzParams, alpha) -> float | None:
 # CVaR / EC
 # ---------------------------------------------------------------------------
 
-def _tail_expectation_cvar(p, a_level, q, eval_tol=None):
+def _tail_expectation_cvar(p, a_level, q):
     # E[X | X > q] through I_q(a+1, b); exact up to the quantile itself.
-    return mean(p) * (1.0 - reg_inc_beta(p.a + 1.0, p.b, q, eval_tol)) / (1.0 - a_level)
+    return mean(p) * (1.0 - reg_inc_beta(p.a + 1.0, p.b, q)) / (1.0 - a_level)
 
 
 def _density_cvar(p, a_level, q):
@@ -402,8 +347,7 @@ def _density_cvar(p, a_level, q):
     return q + excess / (1.0 - a_level)
 
 
-def cvar(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
-         eval_tol: EvalTolerances | None = None) -> float:
+def cvar(p: BetaKotzParams, alpha) -> float:
     """Mean of the (1-alpha) tail, computed by two routes that must agree.
 
     The tail-expectation identity provides the returned value; VaR plus
@@ -412,13 +356,12 @@ def cvar(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
     beyond 1e-8 signals a kernel bug.
     """
     a_level = _alpha_value(alpha)
-    q = _quantile(p, a_level, cfg or DEFAULT_ROOT_CONFIG, eval_tol=eval_tol)
-    return _checked_cvar(p, a_level, q, eval_tol)
+    return _checked_cvar(p, a_level, _quantile(p, a_level))
 
 
-def _checked_cvar(p, a_level, q, eval_tol):
+def _checked_cvar(p, a_level, q):
     # cvar() given the level-alpha quantile q, so report() solves it once.
-    identity = _tail_expectation_cvar(p, a_level, q, eval_tol)
+    identity = _tail_expectation_cvar(p, a_level, q)
     density = _density_cvar(p, a_level, q)
     # Written as `not <=` so that a nan from either route raises too.
     if not abs(identity - density) <= _CVAR_CROSSCHECK_TOL:
@@ -456,17 +399,15 @@ def cvar_closed(p: BetaKotzParams, alpha) -> float | None:
     return None
 
 
-def ec(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
-       eval_tol: EvalTolerances | None = None) -> float:
+def ec(p: BetaKotzParams, alpha) -> float:
     """Economic capital: quantile minus expected loss."""
     v = var_closed(p, alpha)
     if v is None:
-        v = var_numeric(p, alpha, cfg, eval_tol)
+        v = var_numeric(p, alpha)
     return v - mean(p)
 
 
-def report(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
-           eval_tol: EvalTolerances | None = None,
+def report(p: BetaKotzParams, alpha,
            method: SolveMethod = SolveMethod.BOTH_AGREEING) -> "RiskReport":
     """Bundle VaR, CVaR, EC and the mean, with method provenance.
 
@@ -482,7 +423,7 @@ def report(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
                 f"no closed form for (a={p.a}, b={p.b}); use --method numeric"
             )
     else:
-        q = var_numeric(p, a_level, cfg, eval_tol)
+        q = var_numeric(p, a_level)
         v = var_closed(p, a_level) if method is SolveMethod.BOTH_AGREEING else None
         if v is None:
             v, method = q, SolveMethod.NUMERIC
@@ -491,7 +432,7 @@ def report(p: BetaKotzParams, alpha, cfg: RootSolveConfig | None = None,
                 f"closed-form and numeric quantiles disagree: "
                 f"{v!r} vs {q!r} for (a={p.a}, b={p.b}, alpha={a_level})"
             )
-        c = _checked_cvar(p, a_level, q, eval_tol)
+        c = _checked_cvar(p, a_level, q)
     m = mean(p)
     return RiskReport(
         alpha=ConfidenceLevel(a_level),
@@ -587,7 +528,8 @@ def _t_quantile(prob, nu):
     if prob < 0.5:
         return -_t_quantile(1.0 - prob, nu)
     hi = 1.0
-    while _t_cdf(hi, nu) < prob:
+    fhi = _t_cdf(hi, nu) - prob
+    while fhi < 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise RootConvergenceError(
@@ -595,13 +537,16 @@ def _t_quantile(prob, nu):
                 bracket=(0.0, hi),
                 best=hi,
             )
+        fhi = _t_cdf(hi, nu) - prob
+    if fhi == 0.0:
+        return hi
     return _bracketed_newton(
         lambda x: _t_cdf(x, nu) - prob,
         lambda x: _t_pdf(x, nu),
         0.0,
         hi,
-        DEFAULT_ROOT_CONFIG.abs_tol,
-        DEFAULT_ROOT_CONFIG.max_iters,
+        0.5 - prob,
+        fhi,
     )
 
 

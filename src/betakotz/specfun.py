@@ -11,11 +11,8 @@ global state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
-    "EvalTolerances",
-    "DEFAULT_TOLERANCES",
     "ConvergenceError",
     "ln_gamma",
     "digamma",
@@ -30,7 +27,7 @@ class ConvergenceError(ArithmeticError):
     """An iterative evaluation exhausted its budget before converging.
 
     Carries the partial result and the number of terms/iterations spent
-    so callers can diagnose or retry with a larger budget.
+    so callers can diagnose the failure.
     """
 
     def __init__(self, message, partial_sum=None, terms=None):
@@ -39,30 +36,10 @@ class ConvergenceError(ArithmeticError):
         self.terms = terms
 
 
-@dataclass(frozen=True)
-class EvalTolerances:
-    """Evaluation budget for the series and continued-fraction kernels."""
-
-    series_rel_tol: float = field(default=1e-15,
-                                  metadata={"help": "series truncation tolerance"})
-    max_series_terms: int = 10_000
-    cf_max_iters: int = field(default=500,
-                              metadata={"help": "continued-fraction iteration cap"})
-
-    def __post_init__(self):
-        if not 0.0 < self.series_rel_tol < 1e-6:
-            raise ValueError(
-                f"series_rel_tol must lie in (0, 1e-6), got {self.series_rel_tol}"
-            )
-        if self.max_series_terms < 200:
-            raise ValueError(
-                f"max_series_terms must be >= 200, got {self.max_series_terms}"
-            )
-        if self.cf_max_iters < 200:
-            raise ValueError(f"cf_max_iters must be >= 200, got {self.cf_max_iters}")
-
-
-DEFAULT_TOLERANCES = EvalTolerances()
+# Evaluation budgets of the series and continued-fraction kernels.
+_SERIES_REL_TOL = 1e-15
+_MAX_SERIES_TERMS = 10_000
+_CF_MAX_ITERS = 500
 
 _LN_SQRT_2PI = 0.9189385332046727  # ln(sqrt(2*pi))
 
@@ -163,7 +140,7 @@ def _nonpositive_int(v: float) -> bool:
     return v <= 0.0 and v == math.floor(v)
 
 
-def _series_2f1(m, n, p, x, tol):
+def _series_2f1(m, n, p, x):
     """Sum the 2F1 series; returns (value, number_of_terms).
 
     Terminates after exactly q+1 terms when m or n is a non-positive
@@ -199,13 +176,13 @@ def _series_2f1(m, n, p, x, tol):
     term = 1.0
     small_streak = 0
     k = 0
-    budget = poly_degree if poly_degree is not None else tol.max_series_terms
+    budget = poly_degree if poly_degree is not None else _MAX_SERIES_TERMS
     while k < budget:
         term *= (m + k) * (n + k) / ((p + k) * (k + 1.0)) * x
         total += term
         k += 1
         if poly_degree is None:
-            if abs(term) <= tol.series_rel_tol * max(abs(total), 1e-300):
+            if abs(term) <= _SERIES_REL_TOL * max(abs(total), 1e-300):
                 small_streak += 1
                 if small_streak >= 2:
                     return total, k + 1
@@ -214,15 +191,14 @@ def _series_2f1(m, n, p, x, tol):
     if poly_degree is not None:
         return total, poly_degree + 1
     raise ConvergenceError(
-        f"gauss_2f1 did not converge within {tol.max_series_terms} terms "
+        f"gauss_2f1 did not converge within {_MAX_SERIES_TERMS} terms "
         f"(m={m}, n={n}, p={p}, x={x})",
         partial_sum=total,
         terms=k + 1,
     )
 
 
-def gauss_2f1(m: float, n: float, p: float, x: float,
-              tol: EvalTolerances | None = None) -> float:
+def gauss_2f1(m: float, n: float, p: float, x: float) -> float:
     """Gauss hypergeometric series sum_k (m)_k (n)_k / ((p)_k k!) x^k.
 
     Supported domain: |x| < 1, or x = 1 with p - m - n > 0, or a
@@ -231,11 +207,11 @@ def gauss_2f1(m: float, n: float, p: float, x: float,
     """
     if not all(math.isfinite(v) for v in (m, n, p, x)):
         raise ValueError("gauss_2f1 requires finite arguments")
-    value, _ = _series_2f1(m, n, p, x, tol or DEFAULT_TOLERANCES)
+    value, _ = _series_2f1(m, n, p, x)
     return value
 
 
-def _beta_contfrac(a, b, x, tol):
+def _beta_contfrac(a, b, x):
     """Continued fraction for the incomplete beta, modified Lentz scheme."""
     tiny = 1e-300
     qab = a + b
@@ -247,7 +223,7 @@ def _beta_contfrac(a, b, x, tol):
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, tol.cf_max_iters + 1):
+    for m in range(1, _CF_MAX_ITERS + 1):
         m2 = 2 * m
         coef = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + coef * d
@@ -268,18 +244,17 @@ def _beta_contfrac(a, b, x, tol):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol.series_rel_tol:
+        if abs(delta - 1.0) < _SERIES_REL_TOL:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction stalled after "
-        f"{tol.cf_max_iters} iterations (a={a}, b={b}, x={x})",
+        f"{_CF_MAX_ITERS} iterations (a={a}, b={b}, x={x})",
         partial_sum=h,
-        terms=tol.cf_max_iters,
+        terms=_CF_MAX_ITERS,
     )
 
 
-def reg_inc_beta(a: float, b: float, x: float,
-                 tol: EvalTolerances | None = None) -> float:
+def reg_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
     Continued-fraction evaluation with the symmetry
@@ -295,14 +270,13 @@ def reg_inc_beta(a: float, b: float, x: float,
         return 0.0
     if x == 1.0:
         return 1.0
-    tol = tol or DEFAULT_TOLERANCES
     ln_front = (
         ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
         + a * math.log(x) + b * math.log1p(-x)
     )
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_contfrac(a, b, x, tol) / a
-    return 1.0 - math.exp(ln_front) * _beta_contfrac(b, a, 1.0 - x, tol) / b
+        return math.exp(ln_front) * _beta_contfrac(a, b, x) / a
+    return 1.0 - math.exp(ln_front) * _beta_contfrac(b, a, 1.0 - x) / b
 
 
 # Acklam's rational approximation to the inverse normal CDF (relative

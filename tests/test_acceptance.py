@@ -34,7 +34,6 @@ from betakotz.estimation import (
     stats_from_samples,
 )
 from betakotz.specfun import (
-    DEFAULT_TOLERANCES,
     digamma,
     ln_gamma,
     reg_inc_beta,
@@ -413,7 +412,7 @@ def test_criterion_7_special_function_suite(request):
 
     # Terminating hypergeometric series sums exactly q+1 terms.
     for q in (1, 4, 9):
-        _, terms = _series_2f1(1.7, -float(q), 3.2, 0.5, DEFAULT_TOLERANCES)
+        _, terms = _series_2f1(1.7, -float(q), 3.2, 0.5)
         assert terms == q + 1
 
     elapsed = time.perf_counter() - request.config._suite_started_at

@@ -1,5 +1,6 @@
 """CLI tests: subcommand output, exit codes, env overrides, determinism."""
 
+import argparse
 import json
 import pathlib
 import subprocess
@@ -8,11 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from betakotz import cli, risk
+from betakotz import cli, risk, specfun
 from betakotz.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from betakotz.distribution import BetaKotzParams
 from betakotz.risk import RiskReport
-from betakotz.specfun import EvalTolerances
 
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "portfolio_synthetic.csv"
 
@@ -105,21 +105,12 @@ def test_measures_deterministic(capsys):
     assert first == second
 
 
-def test_solver_override_flags(capsys):
-    # Overrides flow through; invalid ones are input errors.
-    code, out, _ = run_cli(capsys, "measures", "--a", "2", "--b", "3",
-                           "--abs-tol", "1e-10", "--series-rel-tol", "1e-12",
-                           "--output-format", "json")
-    assert code == EXIT_OK
-    assert json.loads(out)["var"] == pytest.approx(
-        risk.var_numeric(BetaKotzParams(2, 3), 0.99), abs=1e-9
-    )
-    code, _, err = run_cli(capsys, "measures", "--a", "2", "--b", "3",
-                           "--abs-tol", "0")
-    assert code == EXIT_INPUT and "abs_tol" in err
-    code, _, err = run_cli(capsys, "measures", "--a", "2", "--b", "3",
-                           "--cf-max-iters", "10")
-    assert code == EXIT_INPUT and "cf_max_iters" in err
+def test_measures_contfrac_stall_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(specfun, "_CF_MAX_ITERS", 10)
+    code, out, err = run_cli(capsys, "measures", "--a", "30", "--b", "40")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "continued fraction stalled" in err
 
 
 def test_alpha_env_override(capsys, monkeypatch):
@@ -293,11 +284,23 @@ def test_tables_csv_format(capsys):
 # start-up
 # ---------------------------------------------------------------------------
 
-def test_solver_flag_defaults_are_the_config_defaults():
-    args = cli.build_parser().parse_args(["measures", "--a", "1", "--b", "2"])
-    cfg = cli.CliConfig.from_args(args)
-    assert cfg.root_config == risk.RootSolveConfig()
-    assert cfg.eval_tol == EvalTolerances()
+def test_option_surface():
+    # Read from the parser, not from --help, whose layout varies across
+    # Python versions.  Solver budgets are constants, not flags.
+    common = {"-h", "--help", "--alpha", "--output-format"}
+    expected = {
+        "measures": common | {"--a", "--b", "--method"},
+        "fit": common | {"--method"},
+        "portfolio": common | {"--label"},
+        "tables": common,
+    }
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(expected)
+    for name, subparser in sub.choices.items():
+        options = {s for a in subparser._actions for s in a.option_strings}
+        assert options == expected[name], name
 
 
 def test_cli_import_does_not_load_numpy(child_env):

@@ -387,6 +387,30 @@ def test_csv_override_columns(tmp_path):
     assert obligors[1].lgd_override == 0.5
 
 
+def test_csv_header_normalization_short_and_extra_cells(tmp_path):
+    # Header names are stripped and lower-cased, and of two that collide
+    # the last column wins; cells beyond the header are ignored, and a
+    # short row reads its missing cells as empty.
+    path = tmp_path / "p.csv"
+    path.write_text(
+        " ID ,Rating,SEGMENT,ead,Guarantee,Days_Past_Due,PD_Override, EAD\n"
+        "a,AA,Other,1000,NoGuarantee,0,0.25,3000\n"
+        "b,AA,Other,1000,NoGuarantee,30,,5000,extra,cells\n"
+    )
+    a, b = read_portfolio_csv(path)
+    assert (a.id, a.ead, a.pd_override) == ("a", 3000.0, 0.25)
+    assert (b.ead, b.days_past_due, b.pd_override) == (5000.0, 30, None)
+
+    header = "id,rating,segment,guarantee,ead,days_past_due,pd_override\n"
+    path.write_text(header + "c,AA,Other,NoGuarantee,1000\n")
+    (c,) = read_portfolio_csv(path)
+    assert (c.ead, c.days_past_due, c.pd_override) == (1000.0, 0, None)
+    path.write_text(header + "c,AA,Other,NoGuarantee,1000\nd,AA,Other,NoGuarantee\n")
+    with pytest.raises(ValueError) as err:
+        read_portfolio_csv(path)
+    assert str(err.value) == "row 3, column 'ead': not a number: ''"
+
+
 def test_csv_schema_errors_name_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(

@@ -11,11 +11,9 @@ import scipy.stats
 from betakotz import cli, distribution, specfun
 from betakotz.distribution import BetaKotzParams, ConfidenceLevel, cdf, mean
 from betakotz.risk import (
-    DEFAULT_ROOT_CONFIG,
     InternalConsistencyError,
     RiskReport,
     RootConvergenceError,
-    RootSolveConfig,
     SolveMethod,
     cvar,
     cvar_closed,
@@ -87,32 +85,13 @@ def test_var_numeric_monotone_in_alpha():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_var_numeric_bad_bracket_is_domain_error():
-    p = BetaKotzParams(2, 2)  # median 0.5
-    cfg = RootSolveConfig(bracket_lo=0.8, bracket_hi=0.9)
-    with pytest.raises(ValueError):
-        var_numeric(p, 0.5, cfg)
-
-
-def test_var_numeric_budget_exhaustion():
-    cfg = RootSolveConfig(abs_tol=1e-16, max_iters=1)
+def test_var_numeric_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(risk_mod, "_ROOT_ABS_TOL", 1e-16)
+    monkeypatch.setattr(risk_mod, "_ROOT_MAX_ITERS", 1)
     with pytest.raises(RootConvergenceError) as exc:
-        var_numeric(BetaKotzParams(6.2, 3.3), 0.7, cfg)
+        var_numeric(BetaKotzParams(6.2, 3.3), 0.7)
     lo, hi = exc.value.bracket
     assert 0.0 <= lo < hi <= 1.0
-
-
-def test_root_solve_config_validation():
-    with pytest.raises(ValueError):
-        RootSolveConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        RootSolveConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        RootSolveConfig(bracket_lo=0.5, bracket_hi=0.5)
-    with pytest.raises(ValueError):
-        RootSolveConfig(bracket_lo=-0.1)
-    assert DEFAULT_ROOT_CONFIG.abs_tol == 1e-13
-    assert DEFAULT_ROOT_CONFIG.max_iters == 200
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +244,7 @@ def test_report_lower_clamp_keeps_identity():
 
 def test_cvar_inconsistency_guard(monkeypatch):
     monkeypatch.setattr(
-        risk_mod, "_tail_expectation_cvar", lambda p, a, q, tol=None: 123.0
+        risk_mod, "_tail_expectation_cvar", lambda p, a, q: 123.0
     )
     with pytest.raises(InternalConsistencyError):
         cvar(BetaKotzParams(2, 2), 0.9)
@@ -305,6 +284,14 @@ def test_tables_numeric_reg_inc_beta_count(monkeypatch, capsys):
     assert cli.main(["tables", "numeric"]) == cli.EXIT_OK
     capsys.readouterr()
     assert calls[0] == 213
+
+
+def test_var_student_reg_inc_beta_count(monkeypatch):
+    # Three t CDFs expand the bracket to [0, 4] and seven more solve on
+    # it; the solver does not evaluate the bracket ends again.
+    calls = _count_reg_inc_beta(monkeypatch)
+    var_student(0.0, 1.0, 5.0, 0.99)
+    assert calls[0] == 10
 
 
 def test_cvar_closed_rows():

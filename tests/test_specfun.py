@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from betakotz import specfun
 from betakotz.specfun import (
-    DEFAULT_TOLERANCES,
     ConvergenceError,
-    EvalTolerances,
     digamma,
     gauss_2f1,
     ln_gamma,
@@ -139,7 +138,7 @@ def test_2f1_two_term_polynomial():
 
 def test_2f1_polynomial_term_count():
     for q in (1, 2, 3, 7, 12):
-        value, terms = _series_2f1(2.5, -float(q), 4.0, 0.6, DEFAULT_TOLERANCES)
+        value, terms = _series_2f1(2.5, -float(q), 4.0, 0.6)
         assert terms == q + 1
         assert value == pytest.approx(float(mp.hyp2f1(2.5, -q, 4.0, 0.6)), rel=1e-13)
 
@@ -173,12 +172,21 @@ def test_2f1_pole_after_termination_is_fine():
     assert value == pytest.approx(float(mp.hyp2f1(-2, 1.5, -3, 0.4)), rel=1e-13)
 
 
-def test_2f1_budget_exhaustion_carries_partial_sum():
-    tol = EvalTolerances(series_rel_tol=1e-15, max_series_terms=200, cf_max_iters=500)
+def test_2f1_budget_exhaustion_carries_partial_sum(monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_SERIES_TERMS", 200)
     with pytest.raises(ConvergenceError) as exc:
-        gauss_2f1(0.25, 0.25, 1.0, 1.0, tol)  # converges like k^", too slow
+        gauss_2f1(0.25, 0.25, 1.0, 1.0)  # converges like k^", too slow
     assert exc.value.partial_sum is not None
     assert exc.value.terms == 201
+
+
+def test_inc_beta_contfrac_stall_carries_partial_sum(monkeypatch):
+    # (30, 40, 0.4) needs about 20 continued-fraction iterations.
+    monkeypatch.setattr(specfun, "_CF_MAX_ITERS", 10)
+    with pytest.raises(ConvergenceError) as exc:
+        reg_inc_beta(30.0, 40.0, 0.4)
+    assert math.isfinite(exc.value.partial_sum)
+    assert exc.value.terms == 10
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +332,3 @@ def test_normal_quantile_domain_errors():
     for bad in (0.0, 1.0, -0.2, 1.4, math.nan):
         with pytest.raises(ValueError):
             std_normal_quantile(bad)
-
-
-# ---------------------------------------------------------------------------
-# EvalTolerances
-# ---------------------------------------------------------------------------
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        EvalTolerances(series_rel_tol=0.0)
-    with pytest.raises(ValueError):
-        EvalTolerances(series_rel_tol=1e-5)
-    with pytest.raises(ValueError):
-        EvalTolerances(max_series_terms=100)
-    with pytest.raises(ValueError):
-        EvalTolerances(cf_max_iters=10)
-    defaults = EvalTolerances()
-    assert defaults.series_rel_tol == 1e-15
-    assert defaults.max_series_terms == 10_000
-    assert defaults.cf_max_iters == 500
