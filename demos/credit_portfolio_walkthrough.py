@@ -16,8 +16,6 @@ from betakotz.credit import (
     Guarantee,
     Obligor,
     Rating,
-    SFC_LGD_SCHEDULE,
-    SFC_PD_TABLE,
     Segment,
     expected_loss,
     lgd_lookup,
@@ -34,11 +32,11 @@ print("1. The regulatory lookup tables")
 print("=" * 72)
 print("PD by rating/segment (sample):")
 for rating in (Rating.AA, Rating.BB, Rating.CC, Rating.DEFAULT):
-    pd = pd_lookup(SFC_PD_TABLE, rating, Segment.OTHER)
+    pd = pd_lookup(rating, Segment.OTHER)
     print(f"  {rating.value:>8} / Other        -> {pd:7.2%}")
 print("LGD by guarantee and days past due:")
 for days in (0, 360, 720):
-    lgd = lgd_lookup(SFC_LGD_SCHEDULE, Guarantee.COMMERCIAL_RESIDENTIAL_REAL_ESTATE, days)
+    lgd = lgd_lookup(Guarantee.COMMERCIAL_RESIDENTIAL_REAL_ESTATE, days)
     print(f"  real estate, {days:>4} days  -> {lgd:7.2%}")
 
 print()
@@ -52,7 +50,7 @@ examples = [
             ead=9_725_044.0, guarantee=Guarantee.NON_ADMISSIBLE),
 ]
 for o in examples:
-    el = expected_loss(o, SFC_PD_TABLE, SFC_LGD_SCHEDULE)
+    el = expected_loss(o)
     print(f"  {o.id}: EAD {o.ead:>14,.2f} -> expected loss {el:>12,.2f}")
 
 print()
@@ -60,7 +58,7 @@ print("=" * 72)
 print("3. The bundled synthetic portfolio")
 print("=" * 72)
 portfolio = read_portfolio_csv(FIXTURE)
-rates = loss_rates(portfolio, SFC_PD_TABLE, SFC_LGD_SCHEDULE)
+rates = loss_rates(portfolio)
 positive = [r for r in rates if r > 0]
 print(f"{len(portfolio)} obligors; total exposure "
       f"{sum(o.ead for o in portfolio):,.2f}")

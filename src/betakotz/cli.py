@@ -1,9 +1,10 @@
 """Command-line surface: measures, fit, portfolio, tables.
 
 Exit codes: 0 success, 2 input error, 3 internal inconsistency,
-4 numerical failure.  The default confidence level is 0.99 (the
-setting of the reference tables); it can also be set through the
-BETAKOTZ_ALPHA environment variable, with the --alpha flag winning.
+4 numerical failure.  measures, portfolio and tables take a confidence
+level, 0.99 by default (the setting of the reference tables); it can
+also be set through the BETAKOTZ_ALPHA environment variable, with the
+--alpha flag winning.
 """
 
 from __future__ import annotations
@@ -42,18 +43,27 @@ NUMERIC_ROWS = [
 
 def _alpha(args) -> ConfidenceLevel:
     """The --alpha flag, else $BETAKOTZ_ALPHA, else 0.99."""
-    alpha = args.alpha
-    if alpha is None:
-        env = os.environ.get(ALPHA_ENV_VAR)
-        alpha = float(env) if env else 0.99
-    return ConfidenceLevel(alpha)
+    if args.alpha is not None:
+        return ConfidenceLevel(args.alpha)
+    env = os.environ.get(ALPHA_ENV_VAR)
+    if not env:
+        return ConfidenceLevel(0.99)
+    try:
+        return ConfidenceLevel(float(env))
+    except ValueError:
+        raise ValueError(
+            f"{ALPHA_ENV_VAR}={env!r} is not a confidence level in (0, 1)"
+        ) from None
 
 
-def _add_common_options(parser):
+def _add_alpha_option(parser):
     parser.add_argument(
         "--alpha", type=float, default=None,
         help=f"confidence level in (0,1); default 0.99 or ${ALPHA_ENV_VAR}",
     )
+
+
+def _add_format_option(parser):
     parser.add_argument(
         "--output-format", choices=("table", "csv", "json"), default="table",
         help="rendering of the result (default: table)",
@@ -74,23 +84,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=tuple(_METHODS), default="both",
         help="closed form only, numeric only, or both with cross-check",
     )
-    _add_common_options(measures)
+    _add_alpha_option(measures)
+    _add_format_option(measures)
 
     fit = sub.add_parser("fit", help="fit shapes from a sample file")
     fit.add_argument("input", help="newline-separated or single-column CSV of "
                                    "values strictly inside (0,1)")
     fit.add_argument("--method", choices=("mom", "mle"), default="mle")
-    _add_common_options(fit)
+    _add_format_option(fit)
 
     portfolio = sub.add_parser("portfolio", help="credit-portfolio risk report")
     portfolio.add_argument("input", help="portfolio CSV (see docs for columns)")
     portfolio.add_argument("--label", default="portfolio",
                            help="period label for the report")
-    _add_common_options(portfolio)
+    _add_alpha_option(portfolio)
+    _add_format_option(portfolio)
 
     tables = sub.add_parser("tables", help="reproduce the reference tables")
     tables.add_argument("which", choices=("analytic", "numeric"))
-    _add_common_options(tables)
+    _add_alpha_option(tables)
+    _add_format_option(tables)
 
     return parser
 
@@ -254,13 +267,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
-        alpha = _alpha(args)
         fmt = args.output_format
+        if args.command == "fit":
+            return cmd_fit(args.input, args.method, fmt, out)
+        alpha = _alpha(args)
         if args.command == "measures":
             return cmd_measures(alpha, args.shape_a, args.shape_b, args.method,
                                 fmt, out)
-        if args.command == "fit":
-            return cmd_fit(args.input, args.method, fmt, out)
         if args.command == "portfolio":
             return cmd_portfolio(alpha, args.input, args.label, fmt, out)
         if args.command == "tables":

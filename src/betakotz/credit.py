@@ -15,7 +15,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import risk
 from .distribution import BetaKotzParams, ConfidenceLevel
@@ -26,8 +26,6 @@ __all__ = [
     "Segment",
     "Guarantee",
     "Obligor",
-    "PdTable",
-    "LgdSchedule",
     "PortfolioReport",
     "SFC_PD_TABLE",
     "SFC_LGD_SCHEDULE",
@@ -116,139 +114,64 @@ class Obligor:
                 )
 
 
-@dataclass(frozen=True)
-class PdTable:
-    """Probability-of-default matrix, rating x segment."""
+# SFC consumer-portfolio PD matrix, (rating, segment) -> PD.
+SFC_PD_TABLE = {
+    (rating, segment): pd
+    for rating, row in {
+        # Automobiles, Other, CreditCard, CFCAutomobiles, CFCOther
+        Rating.AA: (0.0097, 0.0210, 0.0158, 0.0102, 0.0354),
+        Rating.A: (0.0312, 0.0388, 0.0535, 0.0288, 0.0719),
+        Rating.BB: (0.0748, 0.1268, 0.0953, 0.1234, 0.1586),
+        Rating.B: (0.1576, 0.1416, 0.1417, 0.2427, 0.3118),
+        Rating.CC: (0.3101, 0.2257, 0.1706, 0.4332, 0.4101),
+        Rating.DEFAULT: (1.0, 1.0, 1.0, 1.0, 1.0),
+    }.items()
+    for segment, pd in zip(Segment, row)
+}
 
-    entries: Mapping[tuple, float]
-
-    def __post_init__(self):
-        for rating in Rating:
-            for segment in Segment:
-                key = (rating, segment)
-                if key not in self.entries:
-                    raise ValueError(f"PD table is missing {rating.value}/{segment.value}")
-                pd = self.entries[key]
-                if not 0.0 < pd <= 1.0:
-                    raise ValueError(
-                        f"PD for {rating.value}/{segment.value} must lie in "
-                        f"(0, 1], got {pd}"
-                    )
-                if rating is Rating.DEFAULT and pd != 1.0:
-                    raise ValueError("the Default rating row must be 1.0 everywhere")
-
-
-def _pd_rows(by_rating):
-    entries = {}
-    for rating, row in by_rating.items():
-        for segment, pd in zip(Segment, row):
-            entries[(rating, segment)] = pd
-    return entries
-
-
-# SFC consumer-portfolio PD matrix; columns are
-# Automobiles, Other, CreditCard, CFCAutomobiles, CFCOther.
-SFC_PD_TABLE = PdTable(_pd_rows({
-    Rating.AA: (0.0097, 0.0210, 0.0158, 0.0102, 0.0354),
-    Rating.A: (0.0312, 0.0388, 0.0535, 0.0288, 0.0719),
-    Rating.BB: (0.0748, 0.1268, 0.0953, 0.1234, 0.1586),
-    Rating.B: (0.1576, 0.1416, 0.1417, 0.2427, 0.3118),
-    Rating.CC: (0.3101, 0.2257, 0.1706, 0.4332, 0.4101),
-    Rating.DEFAULT: (1.0, 1.0, 1.0, 1.0, 1.0),
-}))
+# SFC loss-given-default schedule, guarantee -> (base LGD, tiers).  Tiers
+# are ordered (days threshold, lgd) pairs whose thresholds are inclusive
+# lower bounds; the admissible-financial-collateral flat 12% has none.
+SFC_LGD_SCHEDULE = {
+    Guarantee.ADMISSIBLE_FINANCIAL_COLLATERAL: (0.12, ()),
+    Guarantee.COMMERCIAL_RESIDENTIAL_REAL_ESTATE: (0.40, ((360, 0.70), (720, 1.00))),
+    Guarantee.REAL_ESTATE_LEASING: (0.35, ((360, 0.70), (720, 1.00))),
+    Guarantee.OTHER_LEASING: (0.45, ((270, 0.70), (540, 1.00))),
+    Guarantee.RECEIVABLES: (0.45, ((360, 0.80), (720, 1.00))),
+    Guarantee.OTHER_ADMISSIBLE: (0.50, ((270, 0.70), (540, 1.00))),
+    Guarantee.NON_ADMISSIBLE: (0.60, ((210, 0.70), (420, 1.00))),
+    Guarantee.NO_GUARANTEE: (0.75, ((30, 0.85), (90, 1.00))),
+}
 
 
-@dataclass(frozen=True)
-class LgdSchedule:
-    """Loss-given-default by guarantee class and days past due.
-
-    Each class has a base LGD plus ordered (days threshold, lgd) tiers;
-    thresholds are inclusive lower bounds.  A class without tiers (the
-    admissible-financial-collateral flat 12%) keeps its base forever.
-    """
-
-    base: Mapping[Guarantee, float]
-    tiers: Mapping[Guarantee, tuple]
-
-    def __post_init__(self):
-        for guarantee in Guarantee:
-            if guarantee not in self.base:
-                raise ValueError(f"LGD schedule is missing {guarantee.value}")
-            lgd = self.base[guarantee]
-            if not 0.0 < lgd <= 1.0:
-                raise ValueError(
-                    f"base LGD for {guarantee.value} must lie in (0, 1], got {lgd}"
-                )
-            tiers = self.tiers.get(guarantee, ())
-            previous_days, previous_lgd = 0, lgd
-            for days, tier_lgd in tiers:
-                if days <= previous_days:
-                    raise ValueError(
-                        f"{guarantee.value}: tier days must increase strictly"
-                    )
-                if tier_lgd < previous_lgd:
-                    raise ValueError(
-                        f"{guarantee.value}: tier LGDs must be non-decreasing"
-                    )
-                previous_days, previous_lgd = days, tier_lgd
-            if tiers and tiers[-1][1] != 1.0:
-                raise ValueError(f"{guarantee.value}: terminal tier LGD must be 1.0")
-
-
-SFC_LGD_SCHEDULE = LgdSchedule(
-    base={
-        Guarantee.ADMISSIBLE_FINANCIAL_COLLATERAL: 0.12,
-        Guarantee.COMMERCIAL_RESIDENTIAL_REAL_ESTATE: 0.40,
-        Guarantee.REAL_ESTATE_LEASING: 0.35,
-        Guarantee.OTHER_LEASING: 0.45,
-        Guarantee.RECEIVABLES: 0.45,
-        Guarantee.OTHER_ADMISSIBLE: 0.50,
-        Guarantee.NON_ADMISSIBLE: 0.60,
-        Guarantee.NO_GUARANTEE: 0.75,
-    },
-    tiers={
-        Guarantee.ADMISSIBLE_FINANCIAL_COLLATERAL: (),
-        Guarantee.COMMERCIAL_RESIDENTIAL_REAL_ESTATE: ((360, 0.70), (720, 1.00)),
-        Guarantee.REAL_ESTATE_LEASING: ((360, 0.70), (720, 1.00)),
-        Guarantee.OTHER_LEASING: ((270, 0.70), (540, 1.00)),
-        Guarantee.RECEIVABLES: ((360, 0.80), (720, 1.00)),
-        Guarantee.OTHER_ADMISSIBLE: ((270, 0.70), (540, 1.00)),
-        Guarantee.NON_ADMISSIBLE: ((210, 0.70), (420, 1.00)),
-        Guarantee.NO_GUARANTEE: ((30, 0.85), (90, 1.00)),
-    },
-)
-
-
-def pd_lookup(table: PdTable, rating: Rating, segment: Segment) -> float:
+def pd_lookup(rating: Rating, segment: Segment) -> float:
     """Probability of default for a rating/segment pair."""
-    return table.entries[(rating, segment)]
+    return SFC_PD_TABLE[(rating, segment)]
 
 
-def lgd_lookup(schedule: LgdSchedule, guarantee: Guarantee, days_past_due: int) -> float:
+def lgd_lookup(guarantee: Guarantee, days_past_due: int) -> float:
     """Loss given default for a guarantee class at the given delinquency."""
     if days_past_due < 0:
         raise ValueError(f"days_past_due must be >= 0, got {days_past_due}")
-    lgd = schedule.base[guarantee]
-    for days, tier_lgd in schedule.tiers.get(guarantee, ()):
+    lgd, tiers = SFC_LGD_SCHEDULE[guarantee]
+    for days, tier_lgd in tiers:
         if days_past_due >= days:
             lgd = tier_lgd
     return lgd
 
 
-def expected_loss(o: Obligor, pd: PdTable, lgd: LgdSchedule) -> float:
+def expected_loss(o: Obligor) -> float:
     """EAD x PD x LGD for one obligor; overrides win over table lookups."""
     pd_value = o.pd_override if o.pd_override is not None else pd_lookup(
-        pd, o.rating, o.segment
+        o.rating, o.segment
     )
     lgd_value = o.lgd_override if o.lgd_override is not None else lgd_lookup(
-        lgd, o.guarantee, o.days_past_due
+        o.guarantee, o.days_past_due
     )
     return o.ead * pd_value * lgd_value
 
 
-def loss_rates(
-    portfolio: Sequence[Obligor], pd: PdTable, lgd: LgdSchedule
-) -> list[float]:
+def loss_rates(portfolio: Sequence[Obligor]) -> list[float]:
     """Per-obligor expected loss divided by total portfolio exposure.
 
     The rates sum to the portfolio's total expected loss rate.
@@ -256,7 +179,7 @@ def loss_rates(
     total = math.fsum(o.ead for o in portfolio)
     if not total > 0.0:
         raise ValueError("total exposure must be positive to form loss rates")
-    return [expected_loss(o, pd, lgd) / total for o in portfolio]
+    return [expected_loss(o) / total for o in portfolio]
 
 
 # Rendered fields of a PortfolioReport: money at 2 decimals, rate-domain
@@ -322,8 +245,6 @@ def _currency(rate_measure: float, total_exposure: float) -> float:
 def period_report(
     label: str,
     portfolio: Sequence[Obligor],
-    pd: PdTable = SFC_PD_TABLE,
-    lgd: LgdSchedule = SFC_LGD_SCHEDULE,
     alpha=0.99,
 ) -> PortfolioReport:
     """Fit the period's loss-rate sample and report tail measures in currency.
@@ -337,9 +258,7 @@ def period_report(
     total = math.fsum(o.ead for o in portfolio)
     if not total > 0.0:
         raise ValueError("total exposure must be positive")
-    rates = [
-        r for r in loss_rates(portfolio, pd, lgd) if r > 0.0
-    ]
+    rates = [r for r in loss_rates(portfolio) if r > 0.0]
     if len(rates) < 2:
         raise ValueError(
             f"need at least 2 obligors with positive expected loss, got {len(rates)}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .distribution import BetaKotzParams
 from .specfun import digamma, trigamma
@@ -27,8 +27,8 @@ __all__ = [
     "fit_mle",
 ]
 
-DEFAULT_GRAD_TOL = 1e-10
-DEFAULT_MAX_ITERS = 100
+_GRAD_TOL = 1e-10
+_MAX_ITERS = 100
 _MAX_HALVINGS = 30
 
 
@@ -153,35 +153,27 @@ def _score_and_hessian(a, b, stats):
     return (g1, g2), (h11, h12, h22)
 
 
-def fit_mle(
-    stats: SampleStats,
-    init: Optional[BetaKotzParams] = None,
-    grad_tol: float = DEFAULT_GRAD_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> FitResult:
+def fit_mle(stats: SampleStats) -> FitResult:
     """Maximum-likelihood shapes by damped Newton-Raphson on the scores.
 
-    Convergence is declared on the per-observation-scaled score,
-    max(|g1|, |g2|)/n <= grad_tol.  Steps that would leave (0, inf)^2 or
-    lower the likelihood are halved (up to 30 times); an exhausted
-    iteration budget returns converged=False rather than raising.
+    Starts from the moment fit, or from (1, 1) when the moments are
+    infeasible.  Convergence is declared on the per-observation-scaled
+    score, max(|g1|, |g2|)/n <= 1e-10.  Steps that would leave
+    (0, inf)^2 or lower the likelihood are halved (up to 30 times); an
+    exhausted budget of 100 iterations returns converged=False rather
+    than raising.
     """
-    if not grad_tol > 0.0:
-        raise ValueError(f"grad_tol must be > 0, got {grad_tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if init is None:
-        try:
-            init = fit_moments(stats)
-        except InfeasibleMomentsError:
-            init = BetaKotzParams(1.0, 1.0)
+    try:
+        init = fit_moments(stats)
+    except InfeasibleMomentsError:
+        init = BetaKotzParams(1.0, 1.0)
     a, b = init.a, init.b
-    ll = log_likelihood(BetaKotzParams(a, b), stats)
+    ll = log_likelihood(init, stats)
 
     iterations = 0
     (g1, g2), (h11, h12, h22) = _score_and_hessian(a, b, stats)
     gn = max(abs(g1), abs(g2)) / stats.n
-    while gn > grad_tol and iterations < max_iters:
+    while gn > _GRAD_TOL and iterations < _MAX_ITERS:
         det = h11 * h22 - h12 * h12
         if det == 0.0 or not math.isfinite(det):
             raise StepFailureError(
@@ -214,7 +206,7 @@ def fit_mle(
     return FitResult(
         params=params,
         iterations=iterations,
-        converged=gn <= grad_tol,
+        converged=gn <= _GRAD_TOL,
         log_likelihood=ll,
         gradient_norm=gn,
     )

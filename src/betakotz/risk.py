@@ -168,9 +168,9 @@ def var_numeric(p: BetaKotzParams, alpha) -> float:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _as_small_int(v, limit=1_000_000):
+def _as_small_int(v):
     r = round(v)
-    if abs(v - r) <= 1e-12 and 0 <= r <= limit:
+    if abs(v - r) <= 1e-12 and 0 <= r <= 1_000_000:
         return int(r)
     return None
 
@@ -229,10 +229,10 @@ def _real_quartic_roots(c3, c2, c1, c0):
     return [y - shift for y in roots]
 
 
-def _polish_polynomial_root(x, poly, dpoly, steps=3):
-    # A few Newton iterations recover the digits the radical formulas
+def _polish_polynomial_root(x, poly, dpoly):
+    # Three Newton iterations recover the digits the radical formulas
     # lose to cancellation; the starting point is already in the basin.
-    for _ in range(steps):
+    for _ in range(3):
         d = dpoly(x)
         if d == 0.0:
             break
@@ -474,17 +474,6 @@ class RiskReport:
             "mean": self.mean,
             "method": self.method.value,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RiskReport":
-        return cls(
-            alpha=ConfidenceLevel(d["alpha"]),
-            var=d["var"],
-            cvar=d["cvar"],
-            ec=d["ec"],
-            mean=d["mean"],
-            method=SolveMethod(d["method"]),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -305,25 +305,25 @@ def test_criterion_5_estimator_suite():
 
 def test_criterion_6_credit_pipeline():
     # Byte-exact SFC constants.
-    assert SFC_PD_TABLE.entries[(Rating.AA, Segment.AUTOMOBILES)] == 0.0097
-    assert SFC_PD_TABLE.entries[(Rating.AA, Segment.OTHER)] == 0.0210
-    assert SFC_PD_TABLE.entries[(Rating.CC, Segment.CFC_AUTOMOBILES)] == 0.4332
+    assert SFC_PD_TABLE[(Rating.AA, Segment.AUTOMOBILES)] == 0.0097
+    assert SFC_PD_TABLE[(Rating.AA, Segment.OTHER)] == 0.0210
+    assert SFC_PD_TABLE[(Rating.CC, Segment.CFC_AUTOMOBILES)] == 0.4332
     assert all(
-        SFC_PD_TABLE.entries[(Rating.DEFAULT, seg)] == 1.0 for seg in Segment
+        SFC_PD_TABLE[(Rating.DEFAULT, seg)] == 1.0 for seg in Segment
     )
-    assert SFC_LGD_SCHEDULE.base[Guarantee.NO_GUARANTEE] == 0.75
-    assert SFC_LGD_SCHEDULE.tiers[Guarantee.COMMERCIAL_RESIDENTIAL_REAL_ESTATE] == (
+    assert SFC_LGD_SCHEDULE[Guarantee.NO_GUARANTEE][0] == 0.75
+    assert SFC_LGD_SCHEDULE[Guarantee.COMMERCIAL_RESIDENTIAL_REAL_ESTATE][1] == (
         (360, 0.70), (720, 1.00)
     )
-    assert SFC_LGD_SCHEDULE.base[Guarantee.ADMISSIBLE_FINANCIAL_COLLATERAL] == 0.12
+    assert SFC_LGD_SCHEDULE[Guarantee.ADMISSIBLE_FINANCIAL_COLLATERAL][0] == 0.12
 
     # Expected-loss rows reproduce the printed losses within one unit.
     row1 = Obligor(id="r1", rating=Rating.CC, segment=Segment.OTHER,
                    ead=391_967.0, guarantee=Guarantee.NON_ADMISSIBLE)
     row2 = Obligor(id="r2", rating=Rating.AA, segment=Segment.OTHER,
                    ead=9_725_044.0, guarantee=Guarantee.NON_ADMISSIBLE)
-    el1 = expected_loss(row1, SFC_PD_TABLE, SFC_LGD_SCHEDULE)
-    el2 = expected_loss(row2, SFC_PD_TABLE, SFC_LGD_SCHEDULE)
+    el1 = expected_loss(row1)
+    el2 = expected_loss(row2)
     assert abs(el1 - 53_080.0) <= 1.0
     assert abs(el2 - 122_536.0) <= 1.0
 

@@ -12,7 +12,6 @@ import pytest
 from betakotz import cli, risk, specfun
 from betakotz.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from betakotz.distribution import BetaKotzParams
-from betakotz.risk import RiskReport
 
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "portfolio_synthetic.csv"
 
@@ -58,8 +57,7 @@ def test_measures_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "measures", "--a", "2", "--b", "3",
                            "--alpha", "0.95", "--output-format", "json")
     assert code == EXIT_OK
-    parsed = RiskReport.from_dict(json.loads(out))
-    assert parsed == risk.report(BetaKotzParams(2, 3), 0.95)
+    assert json.loads(out) == risk.report(BetaKotzParams(2, 3), 0.95).to_dict()
 
 
 def test_measures_closed_vs_numeric_agree(capsys):
@@ -124,6 +122,27 @@ def test_alpha_env_override(capsys, monkeypatch):
     assert json.loads(out)["var"] == pytest.approx(0.99, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", ["bogus", "2", "nan"])
+def test_alpha_env_errors_name_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv(cli.ALPHA_ENV_VAR, value)
+    code, out, err = run_cli(capsys, "measures", "--a", "1", "--b", "2")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == (f"error: BETAKOTZ_ALPHA={value!r} is not a confidence "
+                   "level in (0, 1)\n")
+    # the flag wins, so a bad environment value is never read
+    code, _, _ = run_cli(capsys, "measures", "--a", "1", "--b", "2",
+                         "--alpha", "0.99")
+    assert code == EXIT_OK
+
+
+def test_alpha_flag_error_unchanged(capsys):
+    code, _, err = run_cli(capsys, "measures", "--a", "1", "--b", "2",
+                           "--alpha", "2")
+    assert code == EXIT_INPUT
+    assert err == "error: confidence level must lie in (0, 1), got 2.0\n"
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -144,6 +163,16 @@ def test_fit_mle_envelope(capsys, beta_2_5_file):
     assert 1.85 < payload["a"] < 2.15
     assert 4.6 < payload["b"] < 5.4
     assert payload["converged"] is True
+
+
+def test_fit_ignores_alpha_environment(capsys, monkeypatch, beta_2_5_file):
+    # fit uses no confidence level, so a bad BETAKOTZ_ALPHA is never read.
+    _, expected, _ = run_cli(capsys, "fit", str(beta_2_5_file),
+                             "--output-format", "json")
+    monkeypatch.setenv(cli.ALPHA_ENV_VAR, "bogus")
+    code, out, err = run_cli(capsys, "fit", str(beta_2_5_file),
+                             "--output-format", "json")
+    assert (code, out, err) == (EXIT_OK, expected, "")
 
 
 def test_fit_mom_within_ten_percent(capsys, beta_2_5_file):
@@ -287,12 +316,13 @@ def test_tables_csv_format(capsys):
 def test_option_surface():
     # Read from the parser, not from --help, whose layout varies across
     # Python versions.  Solver budgets are constants, not flags.
-    common = {"-h", "--help", "--alpha", "--output-format"}
+    # fit uses no confidence level, so it takes no --alpha.
+    common = {"-h", "--help", "--output-format"}
     expected = {
-        "measures": common | {"--a", "--b", "--method"},
+        "measures": common | {"--alpha", "--a", "--b", "--method"},
         "fit": common | {"--method"},
-        "portfolio": common | {"--label"},
-        "tables": common,
+        "portfolio": common | {"--alpha", "--label"},
+        "tables": common | {"--alpha"},
     }
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions

@@ -10,13 +10,10 @@ import pytest
 
 from betakotz.credit import (
     Guarantee,
-    LgdSchedule,
     Obligor,
-    PdTable,
     PortfolioReport,
     Rating,
     SFC_LGD_SCHEDULE,
-    SFC_PD_TABLE,
     Segment,
     expected_loss,
     lgd_lookup,
@@ -77,63 +74,40 @@ def make_obligor(**kwargs):
 def test_pd_table_golden():
     for rating, row in GOLDEN_PD.items():
         for segment, pd in zip(Segment, row):
-            assert pd_lookup(SFC_PD_TABLE, rating, segment) == pd
+            assert pd_lookup(rating, segment) == pd
 
 
 def test_pd_lookup_examples():
-    assert pd_lookup(SFC_PD_TABLE, Rating.AA, Segment.OTHER) == 0.0210
-    assert pd_lookup(SFC_PD_TABLE, Rating.DEFAULT, Segment.CREDIT_CARD) == 1.0
-    assert pd_lookup(SFC_PD_TABLE, Rating.CC, Segment.CFC_AUTOMOBILES) == 0.4332
+    assert pd_lookup(Rating.AA, Segment.OTHER) == 0.0210
+    assert pd_lookup(Rating.DEFAULT, Segment.CREDIT_CARD) == 1.0
+    assert pd_lookup(Rating.CC, Segment.CFC_AUTOMOBILES) == 0.4332
 
 
 def test_lgd_schedule_golden():
     for guarantee, (base, tiers) in GOLDEN_LGD.items():
-        assert SFC_LGD_SCHEDULE.base[guarantee] == base
-        assert tuple(SFC_LGD_SCHEDULE.tiers[guarantee]) == tiers
+        assert SFC_LGD_SCHEDULE[guarantee] == (base, tiers)
 
 
 def test_lgd_lookup_examples():
-    assert lgd_lookup(SFC_LGD_SCHEDULE, Guarantee.NO_GUARANTEE, 0) == 0.75
-    assert lgd_lookup(
-        SFC_LGD_SCHEDULE, Guarantee.COMMERCIAL_RESIDENTIAL_REAL_ESTATE, 400
-    ) == 0.70
-    assert lgd_lookup(SFC_LGD_SCHEDULE, Guarantee.RECEIVABLES, 900) == 1.00
+    assert lgd_lookup(Guarantee.NO_GUARANTEE, 0) == 0.75
+    assert lgd_lookup(Guarantee.COMMERCIAL_RESIDENTIAL_REAL_ESTATE, 400) == 0.70
+    assert lgd_lookup(Guarantee.RECEIVABLES, 900) == 1.00
+    with pytest.raises(ValueError, match="days_past_due must be >= 0"):
+        lgd_lookup(Guarantee.NO_GUARANTEE, -1)
 
 
 def test_lgd_thresholds_are_inclusive_lower_bounds():
     real_estate = Guarantee.COMMERCIAL_RESIDENTIAL_REAL_ESTATE
-    assert lgd_lookup(SFC_LGD_SCHEDULE, real_estate, 359) == 0.40
-    assert lgd_lookup(SFC_LGD_SCHEDULE, real_estate, 360) == 0.70
-    assert lgd_lookup(SFC_LGD_SCHEDULE, real_estate, 719) == 0.70
-    assert lgd_lookup(SFC_LGD_SCHEDULE, real_estate, 720) == 1.00
+    assert lgd_lookup(real_estate, 359) == 0.40
+    assert lgd_lookup(real_estate, 360) == 0.70
+    assert lgd_lookup(real_estate, 719) == 0.70
+    assert lgd_lookup(real_estate, 720) == 1.00
 
 
 def test_lgd_financial_collateral_is_flat():
     afc = Guarantee.ADMISSIBLE_FINANCIAL_COLLATERAL
     for days in (0, 90, 360, 5000):
-        assert lgd_lookup(SFC_LGD_SCHEDULE, afc, days) == 0.12
-
-
-def test_pd_table_validation():
-    entries = dict(SFC_PD_TABLE.entries)
-    entries[(Rating.DEFAULT, Segment.OTHER)] = 0.9
-    with pytest.raises(ValueError, match="Default"):
-        PdTable(entries)
-    entries = dict(SFC_PD_TABLE.entries)
-    del entries[(Rating.A, Segment.OTHER)]
-    with pytest.raises(ValueError, match="missing"):
-        PdTable(entries)
-
-
-def test_lgd_schedule_validation():
-    base = dict(SFC_LGD_SCHEDULE.base)
-    tiers = dict(SFC_LGD_SCHEDULE.tiers)
-    tiers[Guarantee.NO_GUARANTEE] = ((90, 0.85), (30, 1.00))
-    with pytest.raises(ValueError, match="increase"):
-        LgdSchedule(base=base, tiers=tiers)
-    tiers[Guarantee.NO_GUARANTEE] = ((30, 0.85), (90, 0.95))
-    with pytest.raises(ValueError, match="terminal"):
-        LgdSchedule(base=base, tiers=tiers)
+        assert lgd_lookup(afc, days) == 0.12
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +117,7 @@ def test_lgd_schedule_validation():
 def test_expected_loss_table9_row1():
     # CC/Other at 22.57% PD with a 60% LGD: $391,967 -> $53,080
     o = make_obligor(rating=Rating.CC, ead=391_967.0)
-    assert expected_loss(o, SFC_PD_TABLE, SFC_LGD_SCHEDULE) == pytest.approx(
+    assert expected_loss(o) == pytest.approx(
         53_080.0, abs=1.0
     )
 
@@ -151,19 +125,19 @@ def test_expected_loss_table9_row1():
 def test_expected_loss_table9_row2():
     # AA/Other at 2.10% PD with a 60% LGD: $9,725,044 -> $122,536
     o = make_obligor(rating=Rating.AA, ead=9_725_044.0)
-    assert expected_loss(o, SFC_PD_TABLE, SFC_LGD_SCHEDULE) == pytest.approx(
+    assert expected_loss(o) == pytest.approx(
         122_536.0, abs=1.0
     )
 
 
 def test_expected_loss_zero_exposure():
     o = make_obligor(ead=0.0, rating=Rating.CC)
-    assert expected_loss(o, SFC_PD_TABLE, SFC_LGD_SCHEDULE) == 0.0
+    assert expected_loss(o) == 0.0
 
 
 def test_expected_loss_overrides_win():
     o = make_obligor(ead=1000.0, pd_override=0.5, lgd_override=0.5)
-    assert expected_loss(o, SFC_PD_TABLE, SFC_LGD_SCHEDULE) == 250.0
+    assert expected_loss(o) == 250.0
 
 
 def test_loss_rates_hand_case():
@@ -172,7 +146,7 @@ def test_loss_rates_hand_case():
         make_obligor(id="a", ead=6000.0, pd_override=0.05, lgd_override=0.2),
         make_obligor(id="b", ead=4000.0, pd_override=0.05, lgd_override=0.2),
     ]
-    rates = loss_rates(portfolio, SFC_PD_TABLE, SFC_LGD_SCHEDULE)
+    rates = loss_rates(portfolio)
     assert rates[0] == pytest.approx(0.006, rel=1e-12)
     assert rates[1] == pytest.approx(0.004, rel=1e-12)
     assert math.fsum(rates) == pytest.approx(100.0 / 10_000.0, rel=1e-12)
@@ -180,7 +154,7 @@ def test_loss_rates_hand_case():
 
 def test_loss_rates_single_obligor_is_pd_times_lgd():
     o = make_obligor(rating=Rating.B, ead=123_456.0)  # PD 14.16%, LGD 60%
-    rates = loss_rates([o], SFC_PD_TABLE, SFC_LGD_SCHEDULE)
+    rates = loss_rates([o])
     assert rates[0] == pytest.approx(0.1416 * 0.60, rel=1e-12)
 
 
@@ -192,13 +166,13 @@ def test_loss_rates_table9_backsolved_denominator():
     row2 = make_obligor(rating=Rating.AA, ead=9_725_044.0)
     filler = make_obligor(id="rest", ead=total - row2.ead, pd_override=0.1,
                           lgd_override=0.5)
-    rates = loss_rates([row2, filler], SFC_PD_TABLE, SFC_LGD_SCHEDULE)
+    rates = loss_rates([row2, filler])
     assert rates[0] == pytest.approx(0.0001681, abs=2e-8)
 
 
 def test_loss_rates_zero_total_exposure():
     with pytest.raises(ValueError):
-        loss_rates([make_obligor(ead=0.0)], SFC_PD_TABLE, SFC_LGD_SCHEDULE)
+        loss_rates([make_obligor(ead=0.0)])
 
 
 def test_obligor_validation():
@@ -243,9 +217,7 @@ def test_period_report_invariants():
 
 def test_period_report_composition_contract():
     portfolio = synthetic_portfolio(seed=21)
-    rates = [
-        r for r in loss_rates(portfolio, SFC_PD_TABLE, SFC_LGD_SCHEDULE) if r > 0
-    ]
+    rates = [r for r in loss_rates(portfolio) if r > 0]
     expected_fit = fit_moments(stats_from_samples(rates))
     r = period_report("composition", portfolio)
     assert r.fitted.a == expected_fit.a
@@ -381,7 +353,7 @@ def test_csv_override_columns(tmp_path):
     obligors = read_portfolio_csv(path)
     assert obligors[0].pd_override == 0.25
     assert obligors[0].lgd_override is None
-    assert expected_loss(obligors[0], SFC_PD_TABLE, SFC_LGD_SCHEDULE) == pytest.approx(
+    assert expected_loss(obligors[0]) == pytest.approx(
         1000 * 0.25 * 0.75
     )
     assert obligors[1].lgd_override == 0.5

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from betakotz import estimation
 from betakotz.distribution import BetaKotzParams, mean, pdf, variance
 from betakotz.estimation import (
     InfeasibleMomentsError,
@@ -222,17 +223,38 @@ def test_fit_mle_beats_moments_likelihood():
         assert r.log_likelihood >= log_likelihood(mom, s) - 1e-9
 
 
-def test_fit_mle_init_independence():
+def _infeasible_moments(stats):
+    raise InfeasibleMomentsError("forced (1, 1) start")
+
+
+def test_fit_mle_init_independence(monkeypatch):
     s = stats_from_samples(seeded_beta_sample(2.0, 5.0, 5000, seed=55))
     from_mom = fit_mle(s)
-    from_unit = fit_mle(s, init=BetaKotzParams(1.0, 1.0))
+    monkeypatch.setattr(estimation, "fit_moments", _infeasible_moments)
+    from_unit = fit_mle(s)
     assert from_mom.params.a == pytest.approx(from_unit.params.a, abs=1e-8)
     assert from_mom.params.b == pytest.approx(from_unit.params.b, abs=1e-8)
 
 
-def test_fit_mle_budget_exhaustion_returns_unconverged():
+def test_fit_mle_infeasible_moments_start_from_unit_shapes():
+    # Sample variance 0.4802 exceeds mean*(1-mean) = 0.25, so the moment
+    # start is refused and Newton starts from (1, 1); scipy's
+    # beta.fit(..., floc=0, fscale=1) gives 0.24418732507 for both.
+    s = stats_from_samples([0.01, 0.99])
+    with pytest.raises(InfeasibleMomentsError):
+        fit_moments(s)
+    r = fit_mle(s)
+    assert r.converged
+    assert r.params.a == pytest.approx(0.24418732506, abs=1e-10)
+    assert r.params.b == pytest.approx(0.24418732506, abs=1e-10)
+
+
+def test_fit_mle_budget_exhaustion_returns_unconverged(monkeypatch):
     s = stats_from_samples(seeded_beta_sample(2.0, 5.0, 2000, seed=3))
-    r = fit_mle(s, init=BetaKotzParams(40.0, 40.0), max_iters=2)
+    monkeypatch.setattr(estimation, "fit_moments",
+                        lambda stats: BetaKotzParams(40.0, 40.0))
+    monkeypatch.setattr(estimation, "_MAX_ITERS", 2)
+    r = fit_mle(s)
     assert not r.converged
     assert r.iterations == 2
 
@@ -246,11 +268,3 @@ def test_fit_mle_small_shape_damping_stays_positive():
     assert r.params.a > 0.0 and r.params.b > 0.0
     assert abs(r.params.a - 0.15) < 0.05
     assert abs(r.params.b - 0.2) < 0.05
-
-
-def test_fit_mle_argument_validation():
-    s = stats_from_samples([0.2, 0.4, 0.6])
-    with pytest.raises(ValueError):
-        fit_mle(s, grad_tol=0.0)
-    with pytest.raises(ValueError):
-        fit_mle(s, max_iters=0)

@@ -1,6 +1,10 @@
-"""Every name in an `__all__` of betakotz resolves, so `import *` works."""
+"""Every name in an `__all__` of betakotz resolves, so `import *` works,
+and every function the benchmark traces exists under its layer."""
 
+import ast
 import importlib
+import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -10,6 +14,7 @@ import betakotz
 MODULES = ["betakotz"] + [
     f"betakotz.{m.name}" for m in pkgutil.iter_modules(betakotz.__path__)
 ]
+BENCH_RUN = pathlib.Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,3 +22,28 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _traced_functions():
+    # Read the literal without importing the benchmark script.
+    tree = ast.parse(BENCH_RUN.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["TRACED_FUNCTIONS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED_FUNCTIONS in {BENCH_RUN}")
+
+
+def test_benchmark_traced_functions_exist():
+    # A traced name that no longer exists reads as 0 calls in the
+    # per-layer trace instead of failing; the tracer patches public
+    # functions defined in the layer's own module.
+    missing = []
+    for layer, name in _traced_functions():
+        module = importlib.import_module(f"betakotz.{layer}")
+        fn = getattr(module, name, None)
+        if (name.startswith("_") or not inspect.isfunction(fn)
+                or fn.__module__ != module.__name__):
+            missing.append((layer, name))
+    assert missing == []

@@ -412,11 +412,6 @@ def test_risk_report_validation():
                    method=SolveMethod.NUMERIC)
 
 
-def test_risk_report_dict_round_trip():
-    r = report(BetaKotzParams(2, 3), 0.95)
-    assert RiskReport.from_dict(r.to_dict()) == r
-
-
 # ---------------------------------------------------------------------------
 # normal / Student-t baselines
 # ---------------------------------------------------------------------------
