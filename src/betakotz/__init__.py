@@ -35,7 +35,6 @@ from .risk import (
     cvar_closed,
     cvar_normal,
     cvar_student,
-    ec,
     report,
     var_closed,
     var_normal,
@@ -63,7 +62,6 @@ __all__ = [
     "var_closed",
     "cvar",
     "cvar_closed",
-    "ec",
     "report",
     "var_normal",
     "cvar_normal",

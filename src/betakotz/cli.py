@@ -161,7 +161,7 @@ def _read_sample_file(path):
         try:
             x = float(text)
         except ValueError:
-            if line_num == 1:  # tolerate a single-column CSV header
+            if line_num == 1 and text.isidentifier():  # a column name
                 continue
             raise ValueError(f"line {line_num}: not a number: {text!r}") from None
         if not 0.0 < x < 1.0:

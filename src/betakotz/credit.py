@@ -14,6 +14,7 @@ import csv
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,6 +42,8 @@ __all__ = [
 
 
 class Rating(enum.Enum):
+    __hash__ = object.__hash__  # C-level; Enum equality is identity anyway
+
     AA = "AA"
     A = "A"
     BB = "BB"
@@ -50,6 +53,8 @@ class Rating(enum.Enum):
 
 
 class Segment(enum.Enum):
+    __hash__ = object.__hash__  # C-level; Enum equality is identity anyway
+
     AUTOMOBILES = "Automobiles"
     OTHER = "Other"
     CREDIT_CARD = "CreditCard"
@@ -58,6 +63,8 @@ class Segment(enum.Enum):
 
 
 class Guarantee(enum.Enum):
+    __hash__ = object.__hash__  # C-level; Enum equality is identity anyway
+
     ADMISSIBLE_FINANCIAL_COLLATERAL = "AdmissibleFinancialCollateral"
     COMMERCIAL_RESIDENTIAL_REAL_ESTATE = "CommercialResidentialRealEstate"
     REAL_ESTATE_LEASING = "RealEstateLeasing"
@@ -76,7 +83,7 @@ _ENUM_BY_KEY = {
 
 
 def _parse_enum(cls, text, column, row_num):
-    member = _ENUM_BY_KEY[cls].get(str(text).strip().lower())
+    member = _ENUM_BY_KEY[cls].get(text.strip().lower())
     if member is None:
         raise ValueError(
             f"row {row_num}, column '{column}': unknown value {text!r}; "
@@ -292,8 +299,8 @@ _OPTIONAL_COLUMNS = ("pd_override", "lgd_override")
 
 def _parse_float(text, column, row_num, lo=None, hi=None):
     try:
-        value = float(str(text).strip())
-    except (TypeError, ValueError):
+        value = float(text.strip())
+    except ValueError:
         raise ValueError(
             f"row {row_num}, column '{column}': not a number: {text!r}"
         ) from None
@@ -308,23 +315,50 @@ def _parse_float(text, column, row_num, lo=None, hi=None):
 def read_portfolio_csv(path) -> list[Obligor]:
     """Load obligors from the portfolio CSV wire format.
 
-    Header row required; enum columns are case-insensitive; optional
-    pd_override/lgd_override columns win over table lookups when
-    non-empty.  Schema violations name the offending row and column.
+    Header row required; header names are stripped and lower-cased, and
+    of two that collide the last column wins.  Enum columns are
+    case-insensitive; optional pd_override/lgd_override columns win over
+    table lookups when non-empty.  Blank lines are skipped and not
+    counted as rows, a short row reads its missing cells as empty, and
+    cells beyond the header are ignored.  Schema violations name the
+    offending row and column.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        # Short rows read missing cells as ""; of two columns whose
-        # normalized names collide, the last wins.
-        reader = csv.DictReader(handle, restval="")
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise ValueError("portfolio CSV is empty (missing header row)")
-        reader.fieldnames = [n.strip().lower() for n in reader.fieldnames]
-        missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
+        width = len(header)
+        index = {name.strip().lower(): i for i, name in enumerate(header)}
+        missing = [c for c in _REQUIRED_COLUMNS if c not in index]
         if missing:
             raise ValueError(f"portfolio CSV is missing columns: {missing}")
+        # Each row is cut or padded to the header's width plus one empty
+        # cell, which an absent optional column reads.
+        cells = operator.itemgetter(*(
+            index.get(c, width) for c in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS
+        ))
+        # Enum members by cell text as spelled in this file; _parse_enum
+        # resolves (or refuses) each new spelling once.
+        ratings = dict(_ENUM_BY_KEY[Rating])
+        segments = dict(_ENUM_BY_KEY[Segment])
+        guarantees = dict(_ENUM_BY_KEY[Guarantee])
         obligors = []
-        for row_num, row in enumerate(reader, start=2):
-            days_text = str(row.get("days_past_due", "")).strip()
+        row_num = 1
+        for row in reader:
+            if len(row) == width:
+                row.append("")
+            elif not row:
+                continue
+            else:
+                row = (row + [""] * width)[:width]
+                row.append("")
+            row_num += 1
+            (id_text, rating_text, segment_text, ead_text, guarantee_text,
+             days_text, pd_text, lgd_text) = cells(row)
+            # Checks run in a fixed order, so a row with several faults
+            # always reports the same one.
+            days_text = days_text.strip()
             try:
                 days = int(days_text) if days_text else 0
             except ValueError:
@@ -332,29 +366,38 @@ def read_portfolio_csv(path) -> list[Obligor]:
                     f"row {row_num}, column 'days_past_due': not an "
                     f"integer: {days_text!r}"
                 ) from None
-            overrides = {}
-            for column in _OPTIONAL_COLUMNS:
-                text = str(row.get(column) or "").strip()
-                overrides[column] = (
-                    _parse_float(text, column, row_num, lo=0.0, hi=1.0)
-                    if text else None
-                )
+            pd_text = pd_text.strip()
+            pd_override = _parse_float(
+                pd_text, "pd_override", row_num, lo=0.0, hi=1.0
+            ) if pd_text else None
+            lgd_text = lgd_text.strip()
+            lgd_override = _parse_float(
+                lgd_text, "lgd_override", row_num, lo=0.0, hi=1.0
+            ) if lgd_text else None
+            rating = ratings.get(rating_text)
+            if rating is None:
+                rating = ratings[rating_text] = _parse_enum(
+                    Rating, rating_text, "rating", row_num)
+            segment = segments.get(segment_text)
+            if segment is None:
+                segment = segments[segment_text] = _parse_enum(
+                    Segment, segment_text, "segment", row_num)
             try:
-                obligors.append(Obligor(
-                    id=str(row.get("id", "")).strip(),
-                    rating=_parse_enum(Rating, row.get("rating", ""), "rating", row_num),
-                    segment=_parse_enum(Segment, row.get("segment", ""),
-                                        "segment", row_num),
-                    ead=_parse_float(row.get("ead", ""), "ead", row_num, lo=0.0),
-                    guarantee=_parse_enum(Guarantee, row.get("guarantee", ""),
-                                          "guarantee", row_num),
-                    days_past_due=days,
-                    pd_override=overrides["pd_override"],
-                    lgd_override=overrides["lgd_override"],
+                ead = float(ead_text)
+            except ValueError:
+                ead = None
+            if ead is None or ead < 0.0:
+                _parse_float(ead_text, "ead", row_num, lo=0.0)  # raises
+            guarantee = guarantees.get(guarantee_text)
+            if guarantee is None:
+                guarantee = guarantees[guarantee_text] = _parse_enum(
+                    Guarantee, guarantee_text, "guarantee", row_num)
+            try:
+                obligors.append(Obligor(  # positional: cheaper than keywords
+                    id_text.strip(), rating, segment, ead, guarantee, days,
+                    pd_override, lgd_override,
                 ))
             except ValueError as err:
-                if str(err).startswith("row "):
-                    raise
                 raise ValueError(f"row {row_num}: {err}") from None
     if not obligors:
         raise ValueError("portfolio CSV contains no obligor rows")

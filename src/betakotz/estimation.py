@@ -94,7 +94,7 @@ def stats_from_samples(xs: Sequence[float]) -> SampleStats:
     sum_log_x = 0.0
     sum_log_1mx = 0.0
     for i, x in enumerate(xs):
-        if not (isinstance(x, (int, float)) and math.isfinite(x)) or not 0.0 < x < 1.0:
+        if not (isinstance(x, (int, float)) and 0.0 < x < 1.0):
             raise ValueError(
                 f"sample value at index {i} must lie strictly in (0, 1), got {x!r}"
             )

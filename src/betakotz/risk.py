@@ -34,7 +34,6 @@ __all__ = [
     "var_closed",
     "cvar",
     "cvar_closed",
-    "ec",
     "report",
     "var_normal",
     "cvar_normal",
@@ -397,14 +396,6 @@ def cvar_closed(p: BetaKotzParams, alpha) -> float | None:
     if ia == 1 and ib == 4:
         return 1.0 - 0.8 * (1.0 - a_level) ** 0.25
     return None
-
-
-def ec(p: BetaKotzParams, alpha) -> float:
-    """Economic capital: quantile minus expected loss."""
-    v = var_closed(p, alpha)
-    if v is None:
-        v = var_numeric(p, alpha)
-    return v - mean(p)
 
 
 def report(p: BetaKotzParams, alpha,

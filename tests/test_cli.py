@@ -201,6 +201,26 @@ def test_fit_accepts_single_column_csv_with_header(capsys, tmp_path):
     assert json.loads(out)["n"] == 3
 
 
+def test_fit_skips_a_rate_header(capsys, tmp_path):
+    path = tmp_path / "rates.csv"
+    path.write_text("rate\n0.2\n0.4\n0.6\n")
+    code, out, _ = run_cli(capsys, "fit", str(path), "--method", "mom",
+                           "--output-format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["n"] == 3
+
+
+def test_fit_names_a_malformed_first_value(capsys, tmp_path):
+    # Only a bare column name counts as a header; any other first line
+    # that is not a number is an error on line 1, not a skipped header.
+    path = tmp_path / "reprs.txt"
+    path.write_text("np.float64(0.44)\nnp.float64(0.21)\n0.3\n0.5\n")
+    code, out, err = run_cli(capsys, "fit", str(path), "--method", "mom")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: line 1: not a number: 'np.float64(0.44)'\n"
+
+
 def test_fit_unreadable_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fit", str(tmp_path / "missing.txt"))
     assert code == EXIT_INPUT

@@ -1,6 +1,7 @@
 """Credit-pipeline tests: SFC table constants, per-obligor losses,
 loss rates, period reports, and the CSV wire format."""
 
+import enum
 import json
 import math
 import pathlib
@@ -168,6 +169,30 @@ def test_loss_rates_table9_backsolved_denominator():
                           lgd_override=0.5)
     rates = loss_rates([row2, filler])
     assert rates[0] == pytest.approx(0.0001681, abs=2e-8)
+
+
+def test_loss_rates_make_no_python_level_enum_hash(monkeypatch):
+    # The SFC tables are keyed by enum members; Enum's own __hash__ is a
+    # Python function, and a month of rows costs thousands of its calls.
+    calls = []
+    enum_hash = enum.Enum.__hash__
+
+    def counting_hash(member):
+        calls.append(member)
+        return enum_hash(member)
+
+    portfolio = read_portfolio_csv(FIXTURE)
+    monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+
+    class Probe(enum.Enum):
+        X = 1
+
+    calls.clear()
+    hash(Probe.X)
+    assert calls == [Probe.X]  # an Enum that inherits the hash is counted
+    calls.clear()
+    loss_rates(portfolio)
+    assert calls == []
 
 
 def test_loss_rates_zero_total_exposure():

@@ -1,0 +1,174 @@
+"""Differential test of the portfolio CSV reader against the DictReader
+oracle: on seeded, generated CSVs full of wire-format corner cases, both
+return equal obligors or raise a ValueError with the same message."""
+
+import csv
+import io
+import pathlib
+import random
+
+import pytest
+
+from betakotz.credit import read_portfolio_csv
+from csv_oracle import read_portfolio_csv as oracle_read_portfolio_csv
+
+FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "portfolio_synthetic.csv"
+
+CASES = 300
+
+REQUIRED = ("id", "rating", "segment", "ead", "guarantee", "days_past_due")
+OPTIONAL = ("pd_override", "lgd_override")
+RATINGS = ("AA", "A", "BB", "B", "CC", "Default")
+SEGMENTS = ("Automobiles", "Other", "CreditCard", "CFCAutomobiles", "CFCOther")
+GUARANTEES = (
+    "AdmissibleFinancialCollateral", "CommercialResidentialRealEstate",
+    "RealEstateLeasing", "OtherLeasing", "Receivables", "OtherAdmissible",
+    "NonAdmissible", "NoGuarantee",
+)
+
+# Per column: cells every version of the reader accepts, and cells that
+# fail a check (a parse, a range, or Obligor's own invariants).
+GOOD = {
+    "id": ("OBL-1", " padded ", "with, comma", 'say "hi"', ""),
+    "ead": ("1000", " 2.5e3 ", "0", "-0", "1_000", "12.75"),
+    "days_past_due": ("", "0", " 45 ", "+7", "900", " "),
+    "pd_override": ("", "0.25", " 0.3 ", "1", "0", " "),
+    "lgd_override": ("", "0.5", "1.0", " 0.05", "0"),
+}
+BAD = {
+    "rating": ("AAA", "", "Gold", "A A"),
+    "segment": ("Nowhere", "", "Credit Card"),
+    "guarantee": (" Gold ", "", "None"),
+    "ead": ("nan", "inf", "-inf", "-5", "abc", "", "1e400", "1,5"),
+    "days_past_due": ("-3", "1.5", "x", "ten"),
+    "pd_override": ("nan", "1.5", "-0.1", "bad", "inf"),
+    "lgd_override": ("nan", "2", "-1e-9", "?"),
+}
+
+
+def _spelling(rng, value):
+    """A case-mangled, sometimes padded spelling of an enum value."""
+    text = "".join(c.upper() if rng.random() < 0.3 else c.lower()
+                   if rng.random() < 0.3 else c for c in value)
+    return rng.choice(("", " ", "  ")) + text + rng.choice(("", " "))
+
+
+def _good_cell(rng, column):
+    if column == "rating":
+        return _spelling(rng, rng.choice(RATINGS))
+    if column == "segment":
+        return _spelling(rng, rng.choice(SEGMENTS))
+    if column == "guarantee":
+        return _spelling(rng, rng.choice(GUARANTEES))
+    return rng.choice(GOOD[column])
+
+
+def _header_name(rng, name):
+    if rng.random() < 0.3:
+        name = name.upper() if rng.random() < 0.5 else name.title()
+    if rng.random() < 0.3:
+        name = rng.choice((" ", "  ")) + name + rng.choice(("", " "))
+    return name
+
+
+def generate_csv(rng):
+    """One portfolio CSV as text, drawn from the wire format's corners."""
+    columns = list(REQUIRED) + [c for c in OPTIONAL if rng.random() < 0.6]
+    if rng.random() < 0.05:
+        columns.remove(rng.choice(REQUIRED))
+    rng.shuffle(columns)
+    if rng.random() < 0.25:
+        # a duplicate normalized name: the last column of that name wins
+        columns.insert(rng.randrange(len(columns) + 1), rng.choice(columns))
+    header = [_header_name(rng, c) for c in columns]
+    lines = [header]
+    fault_rate = rng.choice((0.0, 0.0, 0.02, 0.05))
+    for _ in range(rng.choice((0, 1, 2, 3, 4, 6, 8, 12))):
+        row = [_good_cell(rng, c) for c in columns]
+        faults = 2 if rng.random() < 0.05 else int(rng.random() < 8 * fault_rate)
+        for _ in range(faults):
+            k = rng.randrange(len(columns))
+            if columns[k] in BAD:
+                row[k] = rng.choice(BAD[columns[k]])
+        shape = rng.random()
+        if shape < 0.04:
+            row = row[:rng.randrange(len(row))]  # short row
+        elif shape < 0.14:
+            row += ["extra", "cells, quoted"][:rng.randint(1, 2)]
+        while rng.random() < 0.15:
+            lines.append([])  # blank line
+        lines.append(row)
+    if rng.random() < 0.1:
+        lines.append([])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=rng.choice(("\n", "\r\n")))
+    for line in lines:
+        if line:
+            writer.writerow(line)
+        else:
+            out.write("\n")
+    return out.getvalue()
+
+
+# A fragment of each error message the reader can give.
+CHECKS = (
+    "missing columns", "no obligor rows",
+    "column 'days_past_due': not an integer",
+    "column 'pd_override': not a number", "column 'pd_override': -0.1 outside",
+    "column 'lgd_override': not a number", "column 'lgd_override': 2.0 outside",
+    "column 'rating': unknown value", "column 'segment': unknown value",
+    "column 'guarantee': unknown value",
+    "column 'ead': not a number", "column 'ead': -5.0 outside [0.0, inf]",
+    "ead must be >= 0, got nan", "ead must be >= 0, got inf",
+    "days_past_due must be >= 0, got -3",
+    "pd_override must lie in [0, 1], got nan",
+    "lgd_override must lie in [0, 1], got nan",
+)
+
+
+def outcome(reader, path):
+    try:
+        return reader(path)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def test_reader_matches_dictreader_oracle(tmp_path):
+    rng = random.Random(20261018)
+    path = tmp_path / "p.csv"
+    accepted = 0
+    messages = []
+    for case in range(CASES):
+        text = generate_csv(rng)
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = outcome(oracle_read_portfolio_csv, path)
+        assert outcome(read_portfolio_csv, path) == expected, (case, text)
+        if isinstance(expected, str):
+            messages.append(expected)
+        else:
+            accepted += 1
+    # The generator must exercise both outcomes and every check.
+    assert accepted >= CASES // 4 and len(messages) >= CASES // 4
+    missed = [c for c in CHECKS if not any(c in m for m in messages)]
+    assert missed == []
+
+
+def test_reader_matches_oracle_on_fixture():
+    assert read_portfolio_csv(FIXTURE) == oracle_read_portfolio_csv(FIXTURE)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "\n",
+    "id,rating\n",
+    "id,rating,segment,ead,guarantee,days_past_due\n",
+    "id,rating,segment,ead,guarantee,days_past_due\n\n\n",
+    "id,rating,segment,ead,guarantee,days_past_due\n\na,AA,Other,1,NoGuarantee,0\n"
+    "\nb,AA,Other,-1,NoGuarantee,0\n",
+    "id,rating,segment,ead,guarantee,days_past_due\n  \n",
+    "id,rating,segment,ead,guarantee,days_past_due\n\"\"\n",
+])
+def test_reader_matches_oracle_on_edge_files(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(read_portfolio_csv, path) == outcome(oracle_read_portfolio_csv, path)

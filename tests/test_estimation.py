@@ -66,6 +66,20 @@ def test_stats_rejects_out_of_range_with_index():
         stats_from_samples([0.4])
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, 10**400, True, "0.5", None],
+    ids=["nan", "inf", "-inf", "10**400", "True", "str", "None"],
+)
+def test_stats_rejects_non_finite_and_non_numeric(bad):
+    # A huge int is refused like any other out-of-range value, with the
+    # documented ValueError rather than an OverflowError.
+    with pytest.raises(ValueError) as err:
+        stats_from_samples([0.2, bad, 0.3])
+    assert str(err.value) == (
+        f"sample value at index 1 must lie strictly in (0, 1), got {bad!r}"
+    )
+
+
 def test_sample_stats_validation():
     with pytest.raises(ValueError):
         SampleStats(n=1, mean=0.5, variance=0.1, sum_log_x=-1.0, sum_log_1mx=-1.0)

@@ -19,7 +19,6 @@ from betakotz.risk import (
     cvar_closed,
     cvar_normal,
     cvar_student,
-    ec,
     report,
     var_closed,
     var_normal,
@@ -339,10 +338,10 @@ def test_cvar_closed_matches_dual_route():
 # ---------------------------------------------------------------------------
 
 def test_ec_values():
-    assert ec(BetaKotzParams(1, 1), 0.99) == pytest.approx(0.49, abs=1e-12)
-    assert ec(BetaKotzParams(1, 2), 0.99) == pytest.approx(0.56667, abs=5e-6)
+    assert report(BetaKotzParams(1, 1), 0.99).ec == pytest.approx(0.49, abs=1e-12)
+    assert report(BetaKotzParams(1, 2), 0.99).ec == pytest.approx(0.56667, abs=5e-6)
     # printed Table value rounds a true 0.08911; 5e-3 is the table tolerance
-    assert ec(BetaKotzParams(0.5, 30.0), 0.99) == pytest.approx(0.090, abs=5e-3)
+    assert report(BetaKotzParams(0.5, 30.0), 0.99).ec == pytest.approx(0.090, abs=5e-3)
 
 
 def test_report_uniform():
