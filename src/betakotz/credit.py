@@ -15,11 +15,10 @@ import enum
 import json
 import math
 import operator
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import risk
-from .distribution import BetaKotzParams, ConfidenceLevel
+from .distribution import BetaKotzParams, ConfidenceLevel, _Record
 from .estimation import fit_moments, stats_from_samples
 
 __all__ = [
@@ -92,33 +91,40 @@ def _parse_enum(cls, text, column, row_num):
     return member
 
 
-@dataclass(frozen=True)
-class Obligor:
+class Obligor(_Record):
     """One borrower record."""
 
-    id: str
-    rating: Rating
-    segment: Segment
-    ead: float
-    guarantee: Guarantee
-    days_past_due: int = 0
-    pd_override: Optional[float] = None
-    lgd_override: Optional[float] = None
+    __slots__ = ("id", "rating", "segment", "ead", "guarantee", "days_past_due",
+                 "pd_override", "lgd_override")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.ead) and self.ead >= 0.0):
-            raise ValueError(f"obligor {self.id}: ead must be >= 0, got {self.ead}")
-        if self.days_past_due < 0:
+    def __init__(self, id: str, rating: Rating, segment: Segment, ead: float,
+                 guarantee: Guarantee, days_past_due: int = 0,
+                 pd_override: float | None = None,
+                 lgd_override: float | None = None):
+        if not (math.isfinite(ead) and ead >= 0.0):
+            raise ValueError(f"obligor {id!r}: ead must be >= 0, got {ead}")
+        if days_past_due < 0:
             raise ValueError(
-                f"obligor {self.id}: days_past_due must be >= 0, "
-                f"got {self.days_past_due}"
+                f"obligor {id!r}: days_past_due must be >= 0, got {days_past_due}"
             )
-        for name, value in (("pd_override", self.pd_override),
-                            ("lgd_override", self.lgd_override)):
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"obligor {self.id}: {name} must lie in [0, 1], got {value}"
-                )
+        if pd_override is not None and not 0.0 <= pd_override <= 1.0:
+            raise ValueError(
+                f"obligor {id!r}: pd_override must lie in [0, 1], got {pd_override}"
+            )
+        if lgd_override is not None and not 0.0 <= lgd_override <= 1.0:
+            raise ValueError(
+                f"obligor {id!r}: lgd_override must lie in [0, 1], "
+                f"got {lgd_override}"
+            )
+        # Built once per CSV row: straight-line slot writes, not __setstate__.
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "rating", rating)
+        object.__setattr__(self, "segment", segment)
+        object.__setattr__(self, "ead", ead)
+        object.__setattr__(self, "guarantee", guarantee)
+        object.__setattr__(self, "days_past_due", days_past_due)
+        object.__setattr__(self, "pd_override", pd_override)
+        object.__setattr__(self, "lgd_override", lgd_override)
 
 
 # SFC consumer-portfolio PD matrix, (rating, segment) -> PD.
@@ -195,29 +201,23 @@ CURRENCY_FIELDS = ("total_exposure", "expected_loss", "var", "ec", "cvar")
 RATE_FIELDS = ("fitted_a", "fitted_b", "alpha")
 
 
-@dataclass(frozen=True)
-class PortfolioReport:
+class PortfolioReport(_Record):
     """One period's credit-risk report in currency units."""
 
-    label: str
-    total_exposure: float
-    expected_loss: float
-    var: float
-    ec: float
-    cvar: float
-    fitted: BetaKotzParams
-    alpha: ConfidenceLevel
-    obligor_count: int
+    __slots__ = ("label", "total_exposure", "expected_loss", "var", "ec", "cvar",
+                 "fitted", "alpha", "obligor_count")
 
-    def __post_init__(self):
-        if self.obligor_count < 1:
+    def __init__(self, label: str, total_exposure: float, expected_loss: float,
+                 var: float, ec: float, cvar: float, fitted: BetaKotzParams,
+                 alpha: ConfidenceLevel, obligor_count: int):
+        if obligor_count < 1:
             raise ValueError("obligor_count must be positive")
-        if not self.cvar >= self.var >= 0.0:
-            raise ValueError(
-                f"need cvar >= var >= 0, got cvar={self.cvar}, var={self.var}"
-            )
-        if self.ec != self.var - self.expected_loss:
+        if not cvar >= var >= 0.0:
+            raise ValueError(f"need cvar >= var >= 0, got cvar={cvar}, var={var}")
+        if ec != var - expected_loss:
             raise ValueError("ec must equal var - expected_loss exactly")
+        self.__setstate__((label, total_exposure, expected_loss, var, ec, cvar,
+                           fitted, alpha, obligor_count))
 
     def to_dict(self) -> dict:
         """Full-precision field mapping."""

@@ -9,7 +9,6 @@ and the operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .specfun import ln_gamma, reg_inc_beta
 
@@ -26,61 +25,93 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KotzGeneratorParams:
+class _Record:
+    """Immutable value whose fields are its `__slots__`, in order.
+
+    Equality and hash run over every field, and the repr names each one
+    as a frozen dataclass would.  `__init__` checks its arguments and
+    passes the field values, in order, to `__setstate__`; after that,
+    assignment and deletion raise.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__getstate__() == other.__getstate__()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__getstate__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # The state is the field values in order; copy, deepcopy and pickle
+    # restore it through __setstate__ without re-checking.
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class KotzGeneratorParams(_Record):
     """Degrees of freedom and Kotz shapes of the two generating factors."""
 
-    n1: float
-    n2: float
-    t1: float
-    t2: float
+    __slots__ = ("n1", "n2", "t1", "t2")
 
-    def __post_init__(self):
-        if not self.n1 > 0:
-            raise ValueError(f"invariant n1 > 0 violated: n1={self.n1}")
-        if not self.n2 > 0:
-            raise ValueError(f"invariant n2 > 0 violated: n2={self.n2}")
-        if not self.t1 + self.n1 / 2.0 - 1.0 > 0:
+    def __init__(self, n1: float, n2: float, t1: float, t2: float):
+        if not n1 > 0:
+            raise ValueError(f"invariant n1 > 0 violated: n1={n1}")
+        if not n2 > 0:
+            raise ValueError(f"invariant n2 > 0 violated: n2={n2}")
+        if not t1 + n1 / 2.0 - 1.0 > 0:
             raise ValueError(
-                f"invariant t1 + n1/2 - 1 > 0 violated: "
-                f"t1={self.t1}, n1={self.n1}"
+                f"invariant t1 + n1/2 - 1 > 0 violated: t1={t1}, n1={n1}"
             )
-        if not self.t2 + self.n2 / 2.0 - 1.0 > 0:
+        if not t2 + n2 / 2.0 - 1.0 > 0:
             raise ValueError(
-                f"invariant t2 + n2/2 - 1 > 0 violated: "
-                f"t2={self.t2}, n2={self.n2}"
+                f"invariant t2 + n2/2 - 1 > 0 violated: t2={t2}, n2={n2}"
             )
+        self.__setstate__((n1, n2, t1, t2))
 
 
-@dataclass(frozen=True)
-class BetaKotzParams:
+class BetaKotzParams(_Record):
     """Shape pair (a, b) with the derived log normalizing constant."""
 
-    a: float
-    b: float
-    log_norm_const: float = field(init=False, repr=False)
+    __slots__ = ("a", "b", "log_norm_const")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"shape a must be finite and > 0, got {self.a}")
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise ValueError(f"shape b must be finite and > 0, got {self.b}")
-        object.__setattr__(
-            self,
-            "log_norm_const",
-            ln_gamma(self.a + self.b) - ln_gamma(self.a) - ln_gamma(self.b),
-        )
+    def __init__(self, a: float, b: float):
+        if not (math.isfinite(a) and a > 0):
+            raise ValueError(f"shape a must be finite and > 0, got {a}")
+        if not (math.isfinite(b) and b > 0):
+            raise ValueError(f"shape b must be finite and > 0, got {b}")
+        self.__setstate__((a, b, ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)))
+
+    def __repr__(self):
+        # log_norm_const is derived from (a, b), so the repr leaves it out.
+        return f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r})"
 
 
-@dataclass(frozen=True)
-class ConfidenceLevel:
+class ConfidenceLevel(_Record):
     """Probability level for the tail measures, strictly inside (0, 1)."""
 
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ValueError(f"confidence level must lie in (0, 1), got {self.alpha}")
+    def __init__(self, alpha: float):
+        if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
+            raise ValueError(f"confidence level must lie in (0, 1), got {alpha}")
+        self.__setstate__((alpha,))
 
 
 def from_kotz(k: KotzGeneratorParams) -> BetaKotzParams:

@@ -10,10 +10,9 @@ once and fitted many ways.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .distribution import BetaKotzParams
+from .distribution import BetaKotzParams, _Record
 from .specfun import digamma, trigamma
 
 __all__ = [
@@ -44,8 +43,7 @@ class StepFailureError(RuntimeError):
         self.params = params
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(_Record):
     """Sufficient statistics of a sample from (0, 1).
 
     Moment feasibility (variance < mean*(1-mean)) is deliberately not a
@@ -53,32 +51,32 @@ class SampleStats:
     fit_moments can reject them with a meaningful error.
     """
 
-    n: int
-    mean: float
-    variance: float
-    sum_log_x: float
-    sum_log_1mx: float
+    __slots__ = ("n", "mean", "variance", "sum_log_x", "sum_log_1mx")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least 2 observations, got n={self.n}")
-        if not 0.0 < self.mean < 1.0:
-            raise ValueError(f"sample mean must lie in (0, 1), got {self.mean}")
-        if not (math.isfinite(self.variance) and self.variance >= 0.0):
-            raise ValueError(f"sample variance must be >= 0, got {self.variance}")
-        if not (math.isfinite(self.sum_log_x) and math.isfinite(self.sum_log_1mx)):
+    def __init__(self, n: int, mean: float, variance: float,
+                 sum_log_x: float, sum_log_1mx: float):
+        if n < 2:
+            raise ValueError(f"need at least 2 observations, got n={n}")
+        if not 0.0 < mean < 1.0:
+            raise ValueError(f"sample mean must lie in (0, 1), got {mean}")
+        if not (math.isfinite(variance) and variance >= 0.0):
+            raise ValueError(f"sample variance must be >= 0, got {variance}")
+        if not (math.isfinite(sum_log_x) and math.isfinite(sum_log_1mx)):
             raise ValueError("log-sums must be finite")
+        self.__setstate__((n, mean, variance, sum_log_x, sum_log_1mx))
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(_Record):
     """Estimator output with convergence diagnostics."""
 
-    params: BetaKotzParams
-    iterations: int
-    converged: bool
-    log_likelihood: float
-    gradient_norm: float
+    __slots__ = ("params", "iterations", "converged", "log_likelihood",
+                 "gradient_norm")
+
+    def __init__(self, params: BetaKotzParams, iterations: int, converged: bool,
+                 log_likelihood: float, gradient_norm: float):
+        self.__setstate__(
+            (params, iterations, converged, log_likelihood, gradient_norm)
+        )
 
 
 def stats_from_samples(xs: Sequence[float]) -> SampleStats:

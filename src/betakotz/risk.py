@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .distribution import BetaKotzParams, ConfidenceLevel, cdf, mean, pdf
+from .distribution import BetaKotzParams, ConfidenceLevel, _Record, cdf, mean, pdf
 from .specfun import (
     ConvergenceError,
     _std_normal_pdf,
@@ -435,26 +434,22 @@ def report(p: BetaKotzParams, alpha,
     )
 
 
-@dataclass(frozen=True)
-class RiskReport:
+class RiskReport(_Record):
     """Risk-measure bundle at one confidence level."""
 
-    alpha: ConfidenceLevel
-    var: float
-    cvar: float
-    ec: float
-    mean: float
-    method: SolveMethod
+    __slots__ = ("alpha", "var", "cvar", "ec", "mean", "method")
 
-    def __post_init__(self):
-        if not 0.0 < self.var < 1.0:
-            raise ValueError(f"var must lie in (0, 1), got {self.var}")
-        if self.cvar < self.var:
+    def __init__(self, alpha: ConfidenceLevel, var: float, cvar: float,
+                 ec: float, mean: float, method: SolveMethod):
+        if not 0.0 < var < 1.0:
+            raise ValueError(f"var must lie in (0, 1), got {var}")
+        if cvar < var:
             raise ValueError(
-                f"cvar must dominate var, got cvar={self.cvar} < var={self.var}"
+                f"cvar must dominate var, got cvar={cvar} < var={var}"
             )
-        if self.ec != self.var - self.mean:
+        if ec != var - mean:
             raise ValueError("ec must equal var - mean exactly")
+        self.__setstate__((alpha, var, cvar, ec, mean, method))
 
     def to_dict(self) -> dict:
         return {

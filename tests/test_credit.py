@@ -425,6 +425,16 @@ def test_csv_schema_errors_name_row_and_column(tmp_path):
     with pytest.raises(ValueError, match="row 2.*ead"):
         read_portfolio_csv(path)
 
+    # An empty id is quoted, so the message still shows which obligor.
+    path.write_text(
+        "id,rating,segment,ead,guarantee,days_past_due\n"
+        "a,AA,Other,1000,NoGuarantee,0\n"
+        ",AA,Other,inf,NoGuarantee,0\n"
+    )
+    with pytest.raises(ValueError) as err:
+        read_portfolio_csv(path)
+    assert str(err.value) == "row 3: obligor '': ead must be >= 0, got inf"
+
 
 def test_csv_missing_columns_and_empty(tmp_path):
     path = tmp_path / "short.csv"

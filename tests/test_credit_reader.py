@@ -167,6 +167,7 @@ def test_reader_matches_oracle_on_fixture():
     "\nb,AA,Other,-1,NoGuarantee,0\n",
     "id,rating,segment,ead,guarantee,days_past_due\n  \n",
     "id,rating,segment,ead,guarantee,days_past_due\n\"\"\n",
+    "id,rating,segment,ead,guarantee,days_past_due\n,AA,Other,inf,NoGuarantee,0\n",
 ])
 def test_reader_matches_oracle_on_edge_files(tmp_path, text):
     path = tmp_path / "p.csv"
