@@ -233,7 +233,8 @@ def cmd_portfolio(alpha: ConfidenceLevel, path: str, label: str,
     else:
         d = result.to_rendered_dict()
         header = ["field", "value"]
-        rows = [[k, f"{v:,.2f}" if k in credit.CURRENCY_FIELDS else str(v)]
+        rows = [[k, credit._format_currency(v, ",") if k in credit.CURRENCY_FIELDS
+                 else str(v)]
                 for k, v in d.items()]
         _render_rows(header, rows, "table", out)
     return EXIT_OK

@@ -15,7 +15,7 @@ import enum
 import json
 import math
 import operator
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import risk
 from .distribution import BetaKotzParams, ConfidenceLevel, _Record
@@ -201,6 +201,11 @@ CURRENCY_FIELDS = ("total_exposure", "expected_loss", "var", "ec", "cvar")
 RATE_FIELDS = ("fitted_a", "fitted_b", "alpha")
 
 
+def _format_currency(value: float, sep: str = "") -> str:
+    """Money at 2 decimals, with `sep` (e.g. ",") between thousands."""
+    return format(value, sep + ".2f")
+
+
 class PortfolioReport(_Record):
     """One period's credit-risk report in currency units."""
 
@@ -238,7 +243,7 @@ class PortfolioReport(_Record):
         """Wire form: currency at 2 decimals, rates at 9 significant digits."""
         d = self.to_dict()
         for key in CURRENCY_FIELDS:
-            d[key] = round(d[key], 2)
+            d[key] = float(_format_currency(d[key]))
         for key in RATE_FIELDS:
             d[key] = float(f"{d[key]:.9g}")
         return d
@@ -413,7 +418,8 @@ def report_to_csv(report: PortfolioReport) -> str:
     """Rendered single-record CSV wire form of a period report."""
     d = report.to_rendered_dict()
     values = [
-        f"{v:.2f}" if k in CURRENCY_FIELDS else f"{v:.9g}" if k in RATE_FIELDS
+        _format_currency(v) if k in CURRENCY_FIELDS
+        else f"{v:.9g}" if k in RATE_FIELDS
         else str(v)
         for k, v in d.items()
     ]

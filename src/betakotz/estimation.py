@@ -10,7 +10,7 @@ once and fitted many ways.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .distribution import BetaKotzParams, _Record
 from .specfun import digamma, trigamma

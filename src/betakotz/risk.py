@@ -16,13 +16,7 @@ import enum
 import math
 
 from .distribution import BetaKotzParams, ConfidenceLevel, _Record, cdf, mean, pdf
-from .specfun import (
-    ConvergenceError,
-    _std_normal_pdf,
-    ln_gamma,
-    reg_inc_beta,
-    std_normal_quantile,
-)
+from .specfun import ConvergenceError, ln_gamma, reg_inc_beta
 
 __all__ = [
     "SolveMethod",
@@ -196,34 +190,28 @@ def _real_cubic_roots(c2, c1, c0):
 
 
 def _real_quartic_roots(c3, c2, c1, c0):
-    """Real roots of x^4 + c3 x^3 + c2 x^2 + c1 x + c0, Ferrari resolvent."""
+    """Real roots of x^4 + c3 x^3 + c2 x^2 + c1 x + c0, Ferrari resolvent.
+
+    Requires a depressed quartic with q != 0, which holds for both callers
+    (q = -8/27 for the (3, 2) pair and +8/27 for (2, 3), at every alpha).
+    Then the resolvent cubic is -q^2 < 0 at z = 0, so its largest root z0
+    is positive.
+    """
     shift = c3 / 4.0
     p = c2 - 3.0 * c3 * c3 / 8.0
     q = c1 - 0.5 * c3 * c2 + c3**3 / 8.0
     r = c0 - 0.25 * c3 * c1 + c3 * c3 * c2 / 16.0 - 3.0 * c3**4 / 256.0
+    resolvent = _real_cubic_roots(2.0 * p, p * p - 4.0 * r, -q * q)
+    z0 = max(resolvent)
+    w = math.sqrt(z0)
+    s1 = 0.5 * (p + z0 - q / w)
+    s2 = 0.5 * (p + z0 + q / w)
     roots = []
-    if abs(q) < 1e-14:
-        # Biquadratic: y^2 solves z^2 + p z + r = 0.
-        disc = 0.25 * p * p - r
+    for ww, s in ((w, s1), (-w, s2)):
+        disc = ww * ww / 4.0 - s
         if disc >= 0.0:
-            s = math.sqrt(disc)
-            for z in (-0.5 * p + s, -0.5 * p - s):
-                if z >= 0.0:
-                    roots.extend([math.sqrt(z), -math.sqrt(z)])
-    else:
-        resolvent = _real_cubic_roots(2.0 * p, p * p - 4.0 * r, -q * q)
-        z0 = max(z for z in resolvent)
-        z0 = max(z0, 0.0)
-        w = math.sqrt(z0) if z0 > 0.0 else 0.0
-        if w == 0.0:
-            return []
-        s1 = 0.5 * (p + z0 - q / w)
-        s2 = 0.5 * (p + z0 + q / w)
-        for ww, s in ((w, s1), (-w, s2)):
-            disc = ww * ww / 4.0 - s
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                roots.extend([-ww / 2.0 + sq, -ww / 2.0 - sq])
+            sq = math.sqrt(disc)
+            roots.extend([-ww / 2.0 + sq, -ww / 2.0 - sq])
     return [y - shift for y in roots]
 
 
@@ -466,20 +454,28 @@ class RiskReport(_Record):
 # location-scale baselines
 # ---------------------------------------------------------------------------
 
+# The normal baselines import `statistics` when called: at module level it
+# would add its imports (`decimal`, `fractions`, `numbers`) to every CLI
+# start-up, and no subcommand calls these two functions.
+
 def var_normal(mu: float, sigma: float, alpha) -> float:
     """Normal quantile mu + sigma * Phi^{-1}(alpha)."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    return mu + sigma * std_normal_quantile(_alpha_value(alpha))
+    import statistics
+
+    return statistics.NormalDist(mu, sigma).inv_cdf(_alpha_value(alpha))
 
 
 def cvar_normal(mu: float, sigma: float, alpha) -> float:
     """Normal expected shortfall mu + sigma * phi(z_alpha)/(1-alpha)."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
+    import statistics
+
     a_level = _alpha_value(alpha)
-    z = std_normal_quantile(a_level)
-    return mu + sigma * _std_normal_pdf(z) / (1.0 - a_level)
+    std = statistics.NormalDist()
+    return mu + sigma * std.pdf(std.inv_cdf(a_level)) / (1.0 - a_level)
 
 
 def _t_cdf(x, nu):

@@ -1,11 +1,10 @@
 """Scalar special-function kernel.
 
-Log-gamma, digamma, trigamma, a restricted Gauss hypergeometric series,
-the regularized incomplete beta function, and the standard-normal
-quantile.  Everything downstream (densities, CDFs, quantile root
-finding, likelihood scores) is built on these primitives, so they are
-kept self-contained and pure: plain floats in, plain floats out, no
-global state.
+Log-gamma, digamma, trigamma, a restricted Gauss hypergeometric series
+and the regularized incomplete beta function.  Everything downstream
+(densities, CDFs, quantile root finding, likelihood scores) is built on
+these primitives, so they are kept self-contained and pure: plain
+floats in, plain floats out, no global state.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "trigamma",
     "gauss_2f1",
     "reg_inc_beta",
-    "std_normal_quantile",
 ]
 
 
@@ -278,57 +276,3 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         return math.exp(ln_front) * _beta_contfrac(a, b, x) / a
     return 1.0 - math.exp(ln_front) * _beta_contfrac(b, a, 1.0 - x) / b
 
-
-# Acklam's rational approximation to the inverse normal CDF (relative
-# error < 1.15e-9), sharpened to machine precision by one Halley step
-# against the erfc-based CDF.
-_NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-         -2.759285104469687e+02, 1.383577518672690e+02,
-         -3.066479806614716e+01, 2.506628277459239e+00)
-_NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-         -1.556989798598866e+02, 6.680131188771972e+01,
-         -1.328068155288572e+01)
-_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-         -2.400758277161838e+00, -2.549732539343734e+00,
-         4.374664141464968e+00, 2.938163982698783e+00)
-_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e+00, 3.754408661907416e+00)
-_NQ_P_LOW = 0.02425
-
-
-def _std_normal_cdf(z):
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def _std_normal_pdf(z):
-    return math.exp(-0.5 * z * z - _LN_SQRT_2PI)
-
-
-def std_normal_quantile(alpha: float) -> float:
-    """Inverse of the standard normal CDF on (0, 1)."""
-    if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
-        raise ValueError(f"std_normal_quantile requires 0 < alpha < 1, got {alpha}")
-    p = alpha
-    if p < _NQ_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = ((((((_NQ_C[0] * q + _NQ_C[1]) * q + _NQ_C[2]) * q + _NQ_C[3]) * q
-               + _NQ_C[4]) * q + _NQ_C[5])
-             / ((((_NQ_D[0] * q + _NQ_D[1]) * q + _NQ_D[2]) * q + _NQ_D[3]) * q
-                + 1.0))
-    elif p <= 1.0 - _NQ_P_LOW:
-        q = p - 0.5
-        r = q * q
-        z = ((((((_NQ_A[0] * r + _NQ_A[1]) * r + _NQ_A[2]) * r + _NQ_A[3]) * r
-               + _NQ_A[4]) * r + _NQ_A[5]) * q
-             / (((((_NQ_B[0] * r + _NQ_B[1]) * r + _NQ_B[2]) * r + _NQ_B[3]) * r
-                 + _NQ_B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        z = -((((((_NQ_C[0] * q + _NQ_C[1]) * q + _NQ_C[2]) * q + _NQ_C[3]) * q
-                + _NQ_C[4]) * q + _NQ_C[5])
-              / ((((_NQ_D[0] * q + _NQ_D[1]) * q + _NQ_D[2]) * q + _NQ_D[3]) * q
-                 + 1.0))
-    # One Halley step: e = Phi(z) - p, u = e / phi(z).
-    e = _std_normal_cdf(z) - p
-    u = e / _std_normal_pdf(z)
-    return z - u / (1.0 + 0.5 * z * u)

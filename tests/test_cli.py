@@ -355,9 +355,15 @@ def test_option_surface():
 
 def test_cli_import_does_not_load_numpy(child_env):
     # Every CLI process pays for these at start-up: `dataclasses` alone
-    # pulls in `inspect`, `ast`, `dis` and `tokenize`.
+    # pulls in `inspect`, `ast`, `dis` and `tokenize`, and `statistics`
+    # pulls in `decimal` and `fractions`.
     code = ("import sys, betakotz.cli; print(sorted({'numpy', 'dataclasses', "
-            "'inspect'} & set(sys.modules)))")
+            "'inspect', 'statistics'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=child_env)
     assert done.stdout.strip() == "[]"
+    # `site` may load `typing` itself; without it (-S), betakotz must not.
+    code = "import sys, betakotz.cli; print('typing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True, env=child_env)
+    assert done.stdout.strip() == "False"

@@ -415,6 +415,54 @@ def test_risk_report_validation():
 # normal / Student-t baselines
 # ---------------------------------------------------------------------------
 
+def _quantile_bisection_oracle(p, iters=200):
+    """Bisection on the erf-based normal CDF, independent of the library."""
+    cdf = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    lo, hi = -40.0, 40.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_normal_quantile_median():
+    assert var_normal(0.0, 1.0, 0.5) == 0.0
+
+
+def test_normal_quantile_against_bisection_oracle():
+    for p, frozen in [(0.975, 1.959963985), (0.99, 2.326347874)]:
+        oracle = _quantile_bisection_oracle(p)
+        assert oracle == pytest.approx(frozen, abs=1e-9)
+        assert var_normal(0.0, 1.0, p) == pytest.approx(oracle, abs=1e-9)
+
+
+def test_normal_quantile_accuracy_sweep():
+    for p in (1e-9, 1e-6, 0.01, 0.02425, 0.3, 0.7, 0.97575, 0.999, 1.0 - 1e-7):
+        oracle = _quantile_bisection_oracle(p)
+        assert abs(var_normal(0.0, 1.0, p) - oracle) <= 1e-9
+
+
+def test_normal_quantile_domain_errors():
+    for bad in (0.0, 1.0, -0.2, 1.4, math.nan):
+        with pytest.raises(ValueError):
+            var_normal(0.0, 1.0, bad)
+
+
+@pytest.mark.parametrize("alpha", [0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+def test_normal_baselines_upper_tail_vs_mpmath(alpha):
+    # mp.mpf(alpha) is the exact value of the double, so both sides use one level.
+    with mp.workdps(60):
+        z = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(alpha) - 1)
+        es = mp.npdf(z) / (1 - mp.mpf(alpha))
+        var_rel = abs((var_normal(0.0, 1.0, alpha) - z) / z)
+        cvar_rel = abs((cvar_normal(0.0, 1.0, alpha) - es) / es)
+    assert var_rel <= 1e-15
+    assert cvar_rel <= 2e-14
+
+
 def test_var_normal():
     assert var_normal(0.0, 1.0, 0.5) == 0.0
     assert var_normal(0.0, 1.0, 0.99) == pytest.approx(2.326347874, abs=1e-9)

@@ -1,8 +1,8 @@
 """Kernel tests: frozen known values, independent oracles, identities.
 
 Oracles here are deliberately independent of the library code paths:
-mpmath/scipy for gamma-family values, erf-based bisection for the normal
-quantile, and fixed-order quadrature for the incomplete beta.
+mpmath/scipy for gamma-family values and fixed-order quadrature for the
+incomplete beta.
 """
 
 import math
@@ -19,7 +19,6 @@ from betakotz.specfun import (
     gauss_2f1,
     ln_gamma,
     reg_inc_beta,
-    std_normal_quantile,
     trigamma,
 )
 from betakotz.specfun import _series_2f1
@@ -293,42 +292,3 @@ def test_inc_beta_domain_errors():
     with pytest.raises(ValueError):
         reg_inc_beta(1.0, 1.0, -0.1)
 
-
-# ---------------------------------------------------------------------------
-# std_normal_quantile
-# ---------------------------------------------------------------------------
-
-def _quantile_bisection_oracle(p, iters=200):
-    """Bisection on the erf-based normal CDF, independent of the library."""
-    cdf = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-    lo, hi = -40.0, 40.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def test_normal_quantile_median():
-    assert std_normal_quantile(0.5) == 0.0
-
-
-def test_normal_quantile_against_bisection_oracle():
-    for p, frozen in [(0.975, 1.959963985), (0.99, 2.326347874)]:
-        oracle = _quantile_bisection_oracle(p)
-        assert oracle == pytest.approx(frozen, abs=1e-9)
-        assert std_normal_quantile(p) == pytest.approx(oracle, abs=1e-9)
-
-
-def test_normal_quantile_accuracy_sweep():
-    for p in (1e-9, 1e-6, 0.01, 0.02425, 0.3, 0.7, 0.97575, 0.999, 1.0 - 1e-7):
-        oracle = _quantile_bisection_oracle(p)
-        assert abs(std_normal_quantile(p) - oracle) <= 1e-9
-
-
-def test_normal_quantile_domain_errors():
-    for bad in (0.0, 1.0, -0.2, 1.4, math.nan):
-        with pytest.raises(ValueError):
-            std_normal_quantile(bad)
