@@ -9,8 +9,9 @@ and the operations are pure.
 from __future__ import annotations
 
 import math
+import sys
 
-from .specfun import ln_gamma, reg_inc_beta
+from .specfun import ln_beta, ln_gamma, reg_inc_beta
 
 __all__ = [
     "KotzGeneratorParams",
@@ -92,11 +93,14 @@ class BetaKotzParams(_Record):
     __slots__ = ("a", "b", "log_norm_const")
 
     def __init__(self, a: float, b: float):
-        if not (math.isfinite(a) and a > 0):
+        if not 0.0 < a <= sys.float_info.max:
             raise ValueError(f"shape a must be finite and > 0, got {a}")
-        if not (math.isfinite(b) and b > 0):
+        if not 0.0 < b <= sys.float_info.max:
             raise ValueError(f"shape b must be finite and > 0, got {b}")
-        self.__setstate__((a, b, ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)))
+        log_norm_const = -ln_beta(a, b)  # ValueError if a + b overflows
+        if not math.isfinite(log_norm_const):
+            raise ValueError(f"ln B(a, b) overflows for shapes a={a}, b={b}")
+        self.__setstate__((a, b, log_norm_const))
 
     def __repr__(self):
         # log_norm_const is derived from (a, b), so the repr leaves it out.
@@ -109,7 +113,7 @@ class ConfidenceLevel(_Record):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: float):
-        if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
+        if not 0.0 < alpha < 1.0:
             raise ValueError(f"confidence level must lie in (0, 1), got {alpha}")
         self.__setstate__((alpha,))
 

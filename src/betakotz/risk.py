@@ -16,7 +16,7 @@ import enum
 import math
 
 from .distribution import BetaKotzParams, ConfidenceLevel, _Record, cdf, mean, pdf
-from .specfun import ConvergenceError, ln_gamma, reg_inc_beta
+from .specfun import ConvergenceError, ln_beta, reg_inc_beta
 
 __all__ = [
     "SolveMethod",
@@ -487,8 +487,7 @@ def _t_cdf(x, nu):
 
 def _t_pdf(x, nu):
     return math.exp(
-        ln_gamma(0.5 * (nu + 1.0)) - ln_gamma(0.5 * nu)
-        - 0.5 * math.log(nu * math.pi)
+        -ln_beta(0.5, 0.5 * nu) - 0.5 * math.log(nu)
         - 0.5 * (nu + 1.0) * math.log1p(x * x / nu)
     )
 

@@ -18,6 +18,7 @@ from betakotz.distribution import (
     pdf,
     variance,
 )
+from betakotz.specfun import ln_beta, ln_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +55,21 @@ def test_norm_const_matches_definition():
     p = BetaKotzParams(2.0, 2.0)
     # Gamma(4)/(Gamma(2) Gamma(2)) = 6
     assert math.exp(p.log_norm_const) == pytest.approx(6.0, rel=1e-14)
+    for a, b in [(0.05, 40000.0), (1.2, 11.4), (800.0, 800.0), (2.0, 2.0)]:
+        assert BetaKotzParams(a, b).log_norm_const == -ln_beta(a, b)
+
+
+@pytest.mark.parametrize("make, args, name", [
+    (BetaKotzParams, (1e306, 1.0), "a=1e"),
+    (BetaKotzParams, (10**400, 1.0), "shape a"),
+    (BetaKotzParams, (1.0, 10**400), "shape b"),
+    (ln_gamma, (10**400,), "ln_gamma requires"),
+    (ConfidenceLevel, (10**400,), "confidence level"),
+])
+def test_unrepresentable_arguments_are_value_errors(make, args, name):
+    # ln B(1e306, 1) is inf - inf in doubles, and 10**400 has no float.
+    with pytest.raises(ValueError, match=name):
+        make(*args)
 
 
 def test_invalid_shapes_rejected():

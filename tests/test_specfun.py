@@ -17,6 +17,7 @@ from betakotz.specfun import (
     ConvergenceError,
     digamma,
     gauss_2f1,
+    ln_beta,
     ln_gamma,
     reg_inc_beta,
     trigamma,
@@ -40,10 +41,13 @@ def test_ln_gamma_known_values():
     assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
     assert ln_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
     assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
+    # ln G(1e306) ~ 7e308 exceeds the largest double.
+    assert ln_gamma(1e306) == math.inf
 
 
 def test_ln_gamma_relative_accuracy_vs_mpmath():
-    for x in log_grid(1e-3, 1e6):
+    # Subnormal x: ln G(x) ~ -ln x is finite although 1/x overflows.
+    for x in [*log_grid(1e-3, 1e6), 1e-310, 5e-324]:
         true = float(mp.loggamma(mp.mpf(float(x))))
         err = abs(ln_gamma(float(x)) - true)
         assert err <= 1e-13 * max(1.0, abs(true)), f"x={x}"
@@ -57,6 +61,19 @@ def test_ln_gamma_recurrence():
         delta = ln_gamma(x + 1.0) - ln_gamma(x)
         scale = max(1.0, abs(ln_gamma(x + 1.0)))
         assert abs(delta - math.log(x)) <= 1e-12 * scale
+
+
+def test_ln_beta_vs_mpmath():
+    # The bound scales with the largest ln-gamma term, whose rounding a
+    # sum of three such terms cannot beat.
+    eps = 2.0**-52
+    grid = [float(v) for v in log_grid(0.05, 40000.0, 41)]
+    for a in grid:
+        for b in grid:
+            true = float(mp.log(mp.beta(mp.mpf(a), mp.mpf(b))))
+            scale = max(1.0, *(abs(float(mp.loggamma(mp.mpf(v))))
+                               for v in (a, b, a + b)))
+            assert abs(ln_beta(a, b) - true) <= 16 * eps * scale, (a, b)
 
 
 def test_ln_gamma_domain_errors():
@@ -87,6 +104,9 @@ def test_trigamma_known_values():
     assert trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-13)
     assert trigamma(2.0) == pytest.approx(math.pi**2 / 6.0 - 1.0, abs=1e-13)
     assert trigamma(0.5) == pytest.approx(math.pi**2 / 2.0, abs=1e-12)
+    # psi'(x) ~ 1/x^2 exceeds the largest double once x^2 underflows.
+    assert trigamma(1e-200) == math.inf
+    assert trigamma(5e-324) == math.inf
 
 
 def test_trigamma_absolute_accuracy_vs_mpmath():
