@@ -91,8 +91,10 @@ def stats_from_samples(xs: Sequence[float]) -> SampleStats:
     m2 = 0.0
     sum_log_x = 0.0
     sum_log_1mx = 0.0
+    log, log1p = math.log, math.log1p
     for i, x in enumerate(xs):
-        if not (isinstance(x, (int, float)) and 0.0 < x < 1.0):
+        # type() spares a float the isinstance call; the check is the same.
+        if not ((type(x) is float or isinstance(x, (int, float))) and 0.0 < x < 1.0):
             raise ValueError(
                 f"sample value at index {i} must lie strictly in (0, 1), got {x!r}"
             )
@@ -100,8 +102,8 @@ def stats_from_samples(xs: Sequence[float]) -> SampleStats:
         delta = x - running_mean
         running_mean += delta / n
         m2 += delta * (x - running_mean)
-        sum_log_x += math.log(x)
-        sum_log_1mx += math.log1p(-x)
+        sum_log_x += log(x)
+        sum_log_1mx += log1p(-x)
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
     return SampleStats(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .distribution import BetaKotzParams, ConfidenceLevel, _Record, cdf, mean, pdf
 from .specfun import ConvergenceError, ln_beta, reg_inc_beta
@@ -528,8 +529,8 @@ def var_student(mu: float, sigma: float, nu: float, alpha) -> float:
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not nu > 0.0:
-        raise ValueError(f"degrees of freedom must be > 0, got {nu}")
+    if not 0.0 < nu <= sys.float_info.max:
+        raise ValueError(f"degrees of freedom must be finite and > 0, got {nu}")
     return mu + sigma * _t_quantile(_alpha_value(alpha), nu)
 
 
@@ -537,8 +538,8 @@ def cvar_student(mu: float, sigma: float, nu: float, alpha) -> float:
     """Student-t expected shortfall; requires nu > 1 for a finite mean."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not nu > 1.0:
-        raise ValueError(f"cvar_student requires nu > 1, got {nu}")
+    if not 1.0 < nu <= sys.float_info.max:
+        raise ValueError(f"cvar_student requires finite nu > 1, got {nu}")
     a_level = _alpha_value(alpha)
     t = _t_quantile(a_level, nu)
     es = _t_pdf(t, nu) / (1.0 - a_level) * (nu + t * t) / (nu - 1.0)

@@ -83,11 +83,11 @@ _PSI_ASYMPTOTIC_MIN = 10.0
 
 def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
-    if not math.isfinite(x) or x <= 0.0:
+    if not 0.0 < x <= sys.float_info.max:
         raise ValueError(f"digamma requires finite x > 0, got {x!r}")
     # Recurrence psi(x) = psi(x+1) - 1/x until the asymptotic tail applies.
     shifts = []
-    y = x
+    y = float(x)  # an int's exact y*y can exceed the largest double
     while y < _PSI_ASYMPTOTIC_MIN:
         shifts.append(-1.0 / y)
         y += 1.0
@@ -101,7 +101,7 @@ def digamma(x: float) -> float:
 
 def trigamma(x: float) -> float:
     """psi'(x), the second logarithmic derivative of gamma, for x > 0."""
-    if not math.isfinite(x) or x <= 0.0:
+    if not 0.0 < x <= sys.float_info.max:
         raise ValueError(f"trigamma requires finite x > 0, got {x!r}")
     if x * x == 0.0:
         return math.inf  # psi'(x) ~ 1/x^2 exceeds the largest double
@@ -245,9 +245,9 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     x > (a+1)/(a+b+2), which keeps the fraction in its
     fast-convergence region.
     """
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
+    if not (0.0 < a <= sys.float_info.max and 0.0 < b <= sys.float_info.max):
         raise ValueError(f"reg_inc_beta requires a > 0 and b > 0, got a={a}, b={b}")
-    if not math.isfinite(x) or x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
     if x == 0.0:
         return 0.0

@@ -2,9 +2,13 @@
 loss rates, period reports, and the CSV wire format."""
 
 import enum
+import itertools
 import json
 import math
 import pathlib
+import random
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -139,6 +143,67 @@ def test_expected_loss_zero_exposure():
 def test_expected_loss_overrides_win():
     o = make_obligor(ead=1000.0, pd_override=0.5, lgd_override=0.5)
     assert expected_loss(o) == 250.0
+
+
+def golden_lgd(guarantee, days_past_due):
+    # The schedule's definition: the last tier whose threshold is reached.
+    lgd, tiers = GOLDEN_LGD[guarantee]
+    for days, tier_lgd in tiers:
+        if days_past_due >= days:
+            lgd = tier_lgd
+    return lgd
+
+
+# Every tier threshold of the schedule, one day either side, and current.
+GRID_DAYS = sorted({0} | {
+    days + step
+    for _, tiers in GOLDEN_LGD.values() for days, _ in tiers for step in (-1, 0, 1)
+})
+
+
+@pytest.mark.parametrize("pd_override", [None, 0.37], ids=["table-pd", "pd-override"])
+@pytest.mark.parametrize("lgd_override", [None, 0.61], ids=["table-lgd", "lgd-override"])
+def test_expected_loss_is_exactly_ead_pd_lgd_on_grid(pd_override, lgd_override):
+    # expected_loss reads the tables itself; it must give exactly the
+    # product of the public lookups, in the same order, everywhere.
+    for rating, segment, guarantee, days in itertools.product(
+            Rating, Segment, Guarantee, GRID_DAYS):
+        assert lgd_lookup(guarantee, days) == golden_lgd(guarantee, days)
+        o = Obligor("X", rating, segment, 7_654.33, guarantee, days,
+                    pd_override, lgd_override)
+        pd_value = pd_lookup(rating, segment) if pd_override is None else pd_override
+        lgd_value = (lgd_lookup(guarantee, days) if lgd_override is None
+                     else lgd_override)
+        assert expected_loss(o) == o.ead * pd_value * lgd_value
+
+
+def test_loss_rates_make_one_python_call_per_obligor():
+    # The machine-independent cost of loss_rates: expected_loss is the
+    # only Python function that runs once per obligor.
+    rng = random.Random(50)
+    portfolio = [
+        make_obligor(id=f"O{k}", rating=rng.choice(list(Rating)),
+                     segment=rng.choice(list(Segment)), ead=rng.uniform(1, 1e6),
+                     guarantee=rng.choice(list(Guarantee)),
+                     days_past_due=rng.choice(GRID_DAYS),
+                     pd_override=0.2 if k % 7 == 0 else None,
+                     lgd_override=0.4 if k % 5 == 0 else None)
+        for k in range(50)
+    ]
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        loss_rates(portfolio)
+    finally:
+        sys.setprofile(None)
+    assert calls.pop("expected_loss") == 50
+    assert "pd_lookup" not in calls and "lgd_lookup" not in calls
+    assert all(count == 1 for count in calls.values()), calls
 
 
 def test_loss_rates_hand_case():

@@ -168,6 +168,18 @@ def test_reader_matches_oracle_on_fixture():
     "id,rating,segment,ead,guarantee,days_past_due\n  \n",
     "id,rating,segment,ead,guarantee,days_past_due\n\"\"\n",
     "id,rating,segment,ead,guarantee,days_past_due\n,AA,Other,inf,NoGuarantee,0\n",
+    # int() refuses the separators \x1c-\x1f that str.strip() removes,
+    # and whitespace-only cells of every kind read as blank.
+    "id,rating,segment,ead,guarantee,days_past_due\na,AA,Other,1,NoGuarantee,\x1c45\x1f\n",
+    "id,rating,segment,ead,guarantee,days_past_due,pd_override,lgd_override\n"
+    "a,AA,Other,1,NoGuarantee,\x1d,\x1e,\u3000\n",
+    "id,rating,segment,ead,guarantee,days_past_due,pd_override,lgd_override\n"
+    "a,AA,Other,1,NoGuarantee,\t 7\x1c, \x1c0.25 , \xa0\n",
+    "id,rating,segment,ead,guarantee,days_past_due\na,AA,Other,1,NoGuarantee, \x1cx \n",
+    "id,rating,segment,ead,guarantee,days_past_due,pd_override\n"
+    "a,AA,Other,1,NoGuarantee,0,\x1f bad \n",
+    "id,rating,segment,ead,guarantee,days_past_due,lgd_override\n"
+    "a,AA,Other,1,NoGuarantee,0, 1.5\x1c\n",
 ])
 def test_reader_matches_oracle_on_edge_files(tmp_path, text):
     path = tmp_path / "p.csv"

@@ -1,6 +1,8 @@
 """Estimator tests: sufficient statistics, method of moments, MLE."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,17 +69,30 @@ def test_stats_rejects_out_of_range_with_index():
 
 
 @pytest.mark.parametrize(
-    "bad", [math.nan, math.inf, -math.inf, 10**400, True, "0.5", None],
-    ids=["nan", "inf", "-inf", "10**400", "True", "str", "None"],
+    "bad", [math.nan, math.inf, -math.inf, 10**400, True, "0.5", None,
+            Fraction(1, 2), Decimal("0.5")],
+    ids=["nan", "inf", "-inf", "10**400", "True", "str", "None",
+         "Fraction", "Decimal"],
 )
 def test_stats_rejects_non_finite_and_non_numeric(bad):
     # A huge int is refused like any other out-of-range value, with the
-    # documented ValueError rather than an OverflowError.
+    # documented ValueError rather than an OverflowError; numbers that
+    # are neither int nor float are refused even inside (0, 1).
     with pytest.raises(ValueError) as err:
         stats_from_samples([0.2, bad, 0.3])
     assert str(err.value) == (
         f"sample value at index 1 must lie strictly in (0, 1), got {bad!r}"
     )
+
+
+def test_stats_accepts_numpy_float64_bit_identically():
+    # np.float64 subclasses float but is not a float by type(): it takes
+    # the isinstance path and must reduce to the very same statistics.
+    xs = [0.013, 0.2, 0.47, 0.0009, 1.0 / 3.0, 0.999, 0.05]
+    ours = stats_from_samples([np.float64(x) for x in xs])
+    ref = stats_from_samples(xs)
+    assert ([float(v).hex() for v in ours.__getstate__()]
+            == [float(v).hex() for v in ref.__getstate__()])
 
 
 def test_sample_stats_validation():

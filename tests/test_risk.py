@@ -504,6 +504,17 @@ def test_student_scaling():
     assert var_student(2.0, 3.0, 5.0, 0.95) == pytest.approx(2.0 + 3.0 * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("func, nu, message", [
+    (var_student, 10**400, "degrees of freedom must be finite and > 0"),
+    (cvar_student, 10**400, "cvar_student requires finite nu > 1"),
+    (var_student, math.inf, "degrees of freedom must be finite and > 0"),
+    (cvar_student, math.inf, "cvar_student requires finite nu > 1"),
+], ids=["var-10**400", "cvar-10**400", "var-inf", "cvar-inf"])
+def test_student_unrepresentable_nu_is_value_error(func, nu, message):
+    with pytest.raises(ValueError, match=message):
+        func(0.0, 1.0, nu, 0.99)
+
+
 def test_baseline_domain_errors():
     with pytest.raises(ValueError):
         var_normal(0.0, 0.0, 0.9)

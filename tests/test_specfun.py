@@ -133,6 +133,29 @@ def test_psi_domain_errors():
         trigamma(-0.5)
 
 
+@pytest.mark.parametrize("func, args, message", [
+    (digamma, (10**400,), "digamma requires finite x > 0"),
+    (trigamma, (10**400,), "trigamma requires finite x > 0"),
+    (reg_inc_beta, (10**400, 2.0, 0.5), "reg_inc_beta requires a > 0 and b > 0"),
+    (reg_inc_beta, (2.0, 10**400, 0.5), "reg_inc_beta requires a > 0 and b > 0"),
+    (reg_inc_beta, (2.0, 2.0, 10**400), "reg_inc_beta requires 0 <= x <= 1"),
+    (digamma, (math.inf,), "digamma requires finite x > 0"),
+    (reg_inc_beta, (2.0, 2.0, math.nan), "reg_inc_beta requires 0 <= x <= 1"),
+], ids=["digamma", "trigamma", "reg_inc_beta-a", "reg_inc_beta-b", "reg_inc_beta-x",
+        "digamma-inf", "reg_inc_beta-nan"])
+def test_unrepresentable_arguments_are_value_errors(func, args, message):
+    # An int above the largest double has no float: the same typed
+    # refusal as ln_gamma's, not OverflowError from a float conversion.
+    with pytest.raises(ValueError, match=message):
+        func(*args)
+
+
+def test_psi_of_large_representable_int_matches_float():
+    # The int's exact square exceeds the largest double; the float's does not.
+    assert digamma(10**300) == digamma(1e300) == pytest.approx(300 * math.log(10))
+    assert trigamma(10**300) == trigamma(1e300)
+
+
 # ---------------------------------------------------------------------------
 # gauss_2f1
 # ---------------------------------------------------------------------------

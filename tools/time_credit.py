@@ -1,0 +1,78 @@
+"""Time the credit layer per 10,000-row generated month.
+
+Writes one month with the portfolio-month workload's generator
+(`bench/workloads.py`, seeded), then times `read_portfolio_csv` and
+`period_report` on it: the minimum of N `timeit` repeats, in ms per
+month, µs per row and rows/s.  Next to the times it prints the
+machine-independent count: the Python-level calls that `loss_rates`
+makes per obligor, from `sys.setprofile` call events.
+
+    python tools/time_credit.py [--rows 10000] [--repeats 7] [--seed 1]
+
+It imports betakotz from the `src/` next to it, so a copy of the script
+in another checkout times that checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import tempfile
+import timeit
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from bench.workloads import write_portfolio  # noqa: E402
+from betakotz.credit import loss_rates, period_report, read_portfolio_csv  # noqa: E402
+
+
+def loss_rates_calls(portfolio) -> Counter:
+    """Python-level call events inside one `loss_rates(portfolio)`, by name."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        loss_rates(portfolio)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _line(name, seconds, rows):
+    return (f"{name:<20} {seconds * 1e3:8.2f} ms  {seconds * 1e6 / rows:6.2f} µs/row"
+            f"  {rows / seconds:9,.0f} rows/s")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rows", type=int, default=10_000)
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "month.csv"
+        write_portfolio(path, args.rows, random.Random(f"time-credit-{args.seed}"),
+                        label="M", alpha=0.99)
+        portfolio = read_portfolio_csv(path)
+        read_s = min(timeit.repeat(lambda: read_portfolio_csv(path),
+                                   number=1, repeat=args.repeats))
+    report_s = min(timeit.repeat(lambda: period_report("M", portfolio, 0.99),
+                                 number=1, repeat=args.repeats))
+    print(f"{args.rows:,} rows, min of {args.repeats} repeats")
+    print(_line("read_portfolio_csv", read_s, args.rows))
+    print(_line("period_report", report_s, args.rows))
+    calls = loss_rates_calls(portfolio)
+    print(f"loss_rates: {sum(calls.values()) / args.rows:.4f} Python-level calls"
+          f" per obligor ({', '.join(f'{k} {v}' for k, v in calls.most_common())})")
+
+
+if __name__ == "__main__":
+    main()
