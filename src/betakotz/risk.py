@@ -1,8 +1,9 @@
 """Tail-risk measures for the Beta-Kotz distribution.
 
 Quantiles come from two routes that must agree: a safeguarded Newton
-solver on the CDF (whose root in (0, 1) is unique), and closed-form
-radicals / polynomial resolvents for the shape pairs that admit them.
+solver on the CDF (whose root in (0, 1) is unique), and closed forms for
+the shape pairs that admit them: mirror identity, radicals and the
+leading term, then Newton polish, within 1e-15 relative in both tails.
 CVaR likewise: the tail-expectation identity is what gets returned, and
 VaR plus the expected excess over it, by graded Gauss-Legendre
 quadrature of the density that never touches the incomplete beta,
@@ -168,56 +169,8 @@ def _as_small_int(v):
     return None
 
 
-def _real_cubic_roots(c2, c1, c0):
-    """Real roots of x^3 + c2 x^2 + c1 x + c0, by Cardano/trigonometric."""
-    shift = c2 / 3.0
-    p = c1 - c2 * c2 / 3.0
-    q = 2.0 * c2**3 / 27.0 - c2 * c1 / 3.0 + c0
-    disc = 0.25 * q * q + p**3 / 27.0
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        u = math.copysign(abs(-0.5 * q + s) ** (1.0 / 3.0), -0.5 * q + s)
-        v = math.copysign(abs(-0.5 * q - s) ** (1.0 / 3.0), -0.5 * q - s)
-        return [u + v - shift]
-    if p == 0.0:
-        return [-shift]
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * m)
-    arg = min(1.0, max(-1.0, arg))
-    theta = math.acos(arg) / 3.0
-    return [
-        m * math.cos(theta - 2.0 * math.pi * k / 3.0) - shift for k in range(3)
-    ]
-
-
-def _real_quartic_roots(c3, c2, c1, c0):
-    """Real roots of x^4 + c3 x^3 + c2 x^2 + c1 x + c0, Ferrari resolvent.
-
-    Requires a depressed quartic with q != 0, which holds for both callers
-    (q = -8/27 for the (3, 2) pair and +8/27 for (2, 3), at every alpha).
-    Then the resolvent cubic is -q^2 < 0 at z = 0, so its largest root z0
-    is positive.
-    """
-    shift = c3 / 4.0
-    p = c2 - 3.0 * c3 * c3 / 8.0
-    q = c1 - 0.5 * c3 * c2 + c3**3 / 8.0
-    r = c0 - 0.25 * c3 * c1 + c3 * c3 * c2 / 16.0 - 3.0 * c3**4 / 256.0
-    resolvent = _real_cubic_roots(2.0 * p, p * p - 4.0 * r, -q * q)
-    z0 = max(resolvent)
-    w = math.sqrt(z0)
-    s1 = 0.5 * (p + z0 - q / w)
-    s2 = 0.5 * (p + z0 + q / w)
-    roots = []
-    for ww, s in ((w, s1), (-w, s2)):
-        disc = ww * ww / 4.0 - s
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            roots.extend([-ww / 2.0 + sq, -ww / 2.0 - sq])
-    return [y - shift for y in roots]
-
-
 def _polish_polynomial_root(x, poly, dpoly):
-    # Three Newton iterations recover the digits the radical formulas
+    # Three Newton iterations recover the digits the starting formulas
     # lose to cancellation; the starting point is already in the basin.
     for _ in range(3):
         d = dpoly(x)
@@ -227,51 +180,70 @@ def _polish_polynomial_root(x, poly, dpoly):
     return min(max(x, 0.0), 1.0)
 
 
-def _root_in_unit_interval(candidates, poly, dpoly):
-    inside = [x for x in candidates if -1e-9 < x < 1.0 + 1e-9]
-    if not inside:
-        return None
-    best = min(inside, key=lambda x: abs(poly(x)))
-    return _polish_polynomial_root(best, poly, dpoly)
+def _ferrari_32(level):
+    # Root in (0, 1) of the (3, 2) CDF 4x^3 - 3x^4 = level: Ferrari on
+    # x = 1/y, where y^4 - (4/level) y + 3/level = 0, with z the real
+    # root of its resolvent cubic.
+    s = math.sqrt(1.0 - level)
+    z = 2.0 * level ** (-2.0 / 3.0) * (
+        (1.0 + s) ** (1.0 / 3.0) + (1.0 - s) ** (1.0 / 3.0))
+    w = math.sqrt(z)
+    return 1.0 / (0.5 * w + math.sqrt(2.0 / (level * w) - 0.25 * z))
+
+
+# CDF polynomial F, density F' and leading coefficient c (F ~ c x^a at 0)
+# of the integer pairs whose quantile has radicals.  Closed under swapping
+# a and b, so that I_x(a, b) = 1 - I_{1-x}(b, a) sends every level to a
+# lower-tail root, where it is well conditioned.
+_POLYNOMIAL_CDFS = {
+    (2, 2): (lambda x: (3.0 - 2.0 * x) * x * x,
+             lambda x: 6.0 * x * (1.0 - x), 3.0),
+    (3, 2): (lambda x: (4.0 - 3.0 * x) * x**3,
+             lambda x: 12.0 * x * x * (1.0 - x), 4.0),
+    (2, 3): (lambda x: ((3.0 * x - 8.0) * x + 6.0) * x * x,
+             lambda x: 12.0 * x * (1.0 - x) ** 2, 6.0),
+}
+# Below this level the radicals lose the level's digits to cancellation,
+# and the leading term (level / c)^(1/a) is the better start.
+_LEADING_TERM_LEVEL = 1e-8
+
+
+def _lower_tail_root(pair, level):
+    """Root of F(x) = level for a pair of _POLYNOMIAL_CDFS and level <= 1/2."""
+    poly, dpoly, c = _POLYNOMIAL_CDFS[pair]
+    if level < _LEADING_TERM_LEVEL:
+        x = (level / c) ** (1.0 / pair[0])
+    elif pair == (2, 2):
+        x = 0.5 + math.cos((2.0 * math.pi - math.acos(1.0 - 2.0 * level)) / 3.0)
+    elif pair == (3, 2):
+        x = _ferrari_32(level)
+    else:
+        x = 1.0 - _ferrari_32(1.0 - level)
+    return _polish_polynomial_root(x, lambda t: poly(t) - level, dpoly)
 
 
 def var_closed(p: BetaKotzParams, alpha) -> float | None:
     """Closed-form quantile for the supported shape pairs, else None.
 
     Covered: integer a with b = 1 (pure power), (1,2), (2,2), (3,2),
-    (1,3), (2,3), (1,4).  The cubic/quartic cases solve the CDF
-    polynomial with standard resolvents and keep the unique root in
-    (0, 1).
+    (1,3), (2,3), (1,4).  Through the mirror identity
+    Q_{a,b}(alpha) = 1 - Q_{b,a}(1 - alpha), (1, b) is the mirrored power
+    law, and (2,2), (3,2), (2,3) solve their CDF polynomial in the lower
+    tail only: from radicals, or from the leading term below level 1e-8,
+    then Newton polish.  Every quantile is within 1e-15 relative of the
+    exact root, in both tails.
     """
     a_level = _alpha_value(alpha)
     ia = _as_small_int(p.a)
     ib = _as_small_int(p.b)
     if ib == 1 and ia is not None and ia >= 1:
         return a_level ** (1.0 / ia)
-    if ia == 1 and ib == 2:
-        return 1.0 - math.sqrt(1.0 - a_level)
-    if ia == 2 and ib == 2:
-        # F(x) - alpha = -2x^3 + 3x^2 - alpha
-        poly = lambda x: (3.0 - 2.0 * x) * x * x - a_level
-        dpoly = lambda x: 6.0 * x * (1.0 - x)
-        roots = _real_cubic_roots(-1.5, 0.0, 0.5 * a_level)
-        return _root_in_unit_interval(roots, poly, dpoly)
-    if ia == 3 and ib == 2:
-        # F(x) - alpha = -3x^4 + 4x^3 - alpha
-        poly = lambda x: (4.0 - 3.0 * x) * x**3 - a_level
-        dpoly = lambda x: 12.0 * x * x * (1.0 - x)
-        roots = _real_quartic_roots(-4.0 / 3.0, 0.0, 0.0, a_level / 3.0)
-        return _root_in_unit_interval(roots, poly, dpoly)
-    if ia == 1 and ib == 3:
-        return 1.0 - (1.0 - a_level) ** (1.0 / 3.0)
-    if ia == 2 and ib == 3:
-        # F(x) - alpha = 3x^4 - 8x^3 + 6x^2 - alpha
-        poly = lambda x: ((3.0 * x - 8.0) * x + 6.0) * x * x - a_level
-        dpoly = lambda x: 12.0 * x * (1.0 - x) ** 2
-        roots = _real_quartic_roots(-8.0 / 3.0, 2.0, 0.0, -a_level / 3.0)
-        return _root_in_unit_interval(roots, poly, dpoly)
-    if ia == 1 and ib == 4:
-        return 1.0 - (1.0 - a_level) ** 0.25
+    if ia == 1 and ib in (2, 3, 4):
+        return -math.expm1(math.log1p(-a_level) / ib)
+    if (ia, ib) in _POLYNOMIAL_CDFS:
+        if a_level <= 0.5:
+            return _lower_tail_root((ia, ib), a_level)
+        return 1.0 - _lower_tail_root((ib, ia), 1.0 - a_level)
     return None
 
 
@@ -377,12 +349,8 @@ def cvar_closed(p: BetaKotzParams, alpha) -> float | None:
             ia * -math.expm1((ia + 1.0) / ia * math.log(a_level))
             / ((ia + 1.0) * (1.0 - a_level))
         )
-    if ia == 1 and ib == 2:
-        return 1.0 - (2.0 / 3.0) * math.sqrt(1.0 - a_level)
-    if ia == 1 and ib == 3:
-        return 1.0 - 0.75 * (1.0 - a_level) ** (1.0 / 3.0)
-    if ia == 1 and ib == 4:
-        return 1.0 - 0.8 * (1.0 - a_level) ** 0.25
+    if ia == 1 and ib in (2, 3, 4):
+        return 1.0 - ib / (ib + 1.0) * (1.0 - a_level) ** (1.0 / ib)
     return None
 
 

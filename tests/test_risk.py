@@ -155,6 +155,66 @@ def test_closed_matches_numeric_everywhere():
             assert abs(vc - vn) <= 1e-10, (a, b, alpha)
 
 
+# Both tails down to 1e-15, the sixteenths, and the extremes 2^-60 and
+# 1 - 2^-53, the largest level below 1.
+CLOSED_FORM_LEVELS = sorted(
+    {10.0**-k for k in range(1, 16)}
+    | {1.0 - 10.0**-k for k in range(1, 16)}
+    | {j / 16 for j in range(1, 16)}
+    | {2.0**-60, 1.0 - 2.0**-53}
+)
+
+# Exact CDFs of the closed-form pairs that are not power laws.
+POLYNOMIAL_CDFS = {
+    (2, 2): lambda x: 3 * x**2 - 2 * x**3,
+    (3, 2): lambda x: 4 * x**3 - 3 * x**4,
+    (2, 3): lambda x: 6 * x**2 - 8 * x**3 + 3 * x**4,
+}
+
+
+def _exact_quantile(a, b, alpha):
+    level = mp.mpf(alpha)
+    if b == 1:
+        return level ** (mp.mpf(1) / a)
+    if a == 1:
+        return 1 - (1 - level) ** (mp.mpf(1) / b)
+    F = POLYNOMIAL_CDFS[(a, b)]
+    x = mp.findroot(lambda x: F(x) - level,
+                    mp.mpf(scipy.stats.beta.ppf(alpha, a, b)))
+    # F is increasing on (0, 1), so a root there is the quantile.
+    assert 0 < x < 1
+    return x
+
+
+@pytest.mark.parametrize("a,b", CLOSED_FORM_CASES)
+def test_var_closed_accurate_in_both_tails(a, b):
+    p = BetaKotzParams(a, b)
+    worst = []
+    with mp.workdps(50):
+        for alpha in CLOSED_FORM_LEVELS:
+            v = var_closed(p, alpha)
+            assert v is not None, alpha
+            exact = _exact_quantile(a, b, alpha)
+            rel = float(abs(mp.mpf(v) - exact) / exact)
+            if rel > 1e-15:
+                worst.append((alpha, rel))
+    assert not worst
+
+
+def test_closed_form_supported_sets_are_pinned():
+    # The mirror identity must not add pairs: (1, 5) and (4, 2) stay out.
+    quantile_pairs = {(1, 2), (1, 3), (1, 4), (2, 2), (3, 2), (2, 3)}
+    cvar_pairs = {(1, 2), (1, 3), (1, 4)}
+    for a in range(1, 7):
+        for b in range(1, 7):
+            p = BetaKotzParams(a, b)
+            for alpha in (0.3, 0.7):
+                has_var = var_closed(p, alpha) is not None
+                has_cvar = cvar_closed(p, alpha) is not None
+                assert has_var == (b == 1 or (a, b) in quantile_pairs), (a, b)
+                assert has_cvar == (b == 1 or (a, b) in cvar_pairs), (a, b)
+
+
 # ---------------------------------------------------------------------------
 # CVaR
 # ---------------------------------------------------------------------------
