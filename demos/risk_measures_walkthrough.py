@@ -55,9 +55,9 @@ print("4. CVaR: tail-expectation identity vs VaR + expected excess (density)")
 print("=" * 72)
 for a, b in [(1.0, 3.0), (2.0, 3.0), (0.5, 30.0)]:
     q = BetaKotzParams(a, b)
-    level = risk.var_numeric(q, ALPHA)
-    identity = risk._tail_expectation_cvar(q, ALPHA, level)
-    density = risk._density_cvar(q, ALPHA, level)
+    level, tail = risk._var_pair(q, ALPHA)
+    identity = risk._tail_expectation_cvar(q, ALPHA, tail)
+    density = risk._density_cvar(q, ALPHA, level, tail)
     print(f"shapes ({a:g}, {b:g}): identity {identity:.12f}   "
           f"density {density:.12f}   gap {abs(identity - density):.1e}")
 print("cvar() always runs both and raises if they disagree beyond 1e-8.")

@@ -1,14 +1,14 @@
 """Tail-risk measures for the Beta-Kotz distribution.
 
-Quantiles come from two routes that must agree: a safeguarded Newton
-solver on the CDF (whose root in (0, 1) is unique), and closed forms for
-the shape pairs that admit them: mirror identity, radicals and the
-leading term, then Newton polish, within 1e-15 relative in both tails.
-CVaR likewise: the tail-expectation identity is what gets returned, and
-VaR plus the expected excess over it, by graded Gauss-Legendre
-quadrature of the density that never touches the incomplete beta,
-cross-checks it on every call.  Normal and Student-t baselines round
-out the surface.
+Quantiles come from two routes that must agree: one inversion of the
+incomplete beta that carries the smaller of x and 1 - x (a quantile that
+rounds to 0 or 1 is a ValueError), and closed forms for the shape pairs
+that admit them: mirror identity, radicals and the leading term, then
+Newton polish, within 1e-15 relative in both tails.  CVaR likewise: the
+tail-expectation identity is what gets returned, and VaR plus the
+expected excess over it, by graded Gauss-Legendre quadrature of the
+density that never touches the incomplete beta, cross-checks it on
+every call.  Normal and Student-t baselines round out the surface.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import enum
 import math
 import sys
 
-from .distribution import BetaKotzParams, ConfidenceLevel, _Record, cdf, mean, pdf
-from .specfun import ConvergenceError, ln_beta, reg_inc_beta
+from .distribution import BetaKotzParams, ConfidenceLevel, _Record, mean
+from .specfun import ConvergenceError, _inc_beta_tails, ln_beta, reg_inc_beta
 
 __all__ = [
     "SolveMethod",
@@ -55,10 +55,12 @@ class SolveMethod(enum.Enum):
     BOTH_AGREEING = "both_agreeing"
 
 
-# Residual tolerance and iteration cap of the CDF root solves.
-_ROOT_ABS_TOL = 1e-13
+# Stopping rules of the incomplete-beta inversion: residual relative to
+# the smaller tail, relative Newton step, iteration cap.
+_ROOT_REL_TOL = 1e-13
+_ROOT_STEP_TOL = 1e-12
 _ROOT_MAX_ITERS = 200
-_BRACKET_EPS = 1e-15
+_TINY = math.ulp(0.0)
 _CLOSED_VS_NUMERIC_TOL = 1e-10
 _CVAR_CROSSCHECK_TOL = 1e-8
 
@@ -96,66 +98,80 @@ def _alpha_value(alpha) -> float:
     return ConfidenceLevel(float(alpha)).alpha
 
 
-def _bracketed_newton(f, df, lo, hi, flo, fhi, x0=None):
-    """Root of f on [lo, hi] by Newton steps safeguarded by the bracket.
+def _inc_beta_inverse(a, b, p):
+    """(x, 1 - x) with I_x(a, b) = p for 0 < p < 1.
 
-    The caller has evaluated the ends: flo = f(lo) < 0 < f(hi) = fhi.
-    Any Newton step that would leave the current bracket is replaced by
-    bisection, so the single sign change guarantees progress.  If the
-    bracket collapses to adjacent floats before the residual tolerance is
-    met, the representable point closest to the root is returned.
+    By I_x(a, b) = 1 - I_{1-x}(b, a), whichever of x and 1 - x is below
+    1/2 is solved for, as u, to full relative precision; the residual is
+    that of min(p, 1 - p), relative to it.  Newton steps on log u start
+    from the leading term (p a B(a, b))^(1/a) and fall back to geometric
+    bisection (on [0, 1], as rounding can put u a hair above 1/2); a tiny
+    relative step, as kernel rounding makes at large shapes, ends the
+    solve too.  A u below the smallest positive double is a ValueError.
     """
-    x = x0 if (x0 is not None and lo < x0 < hi) else 0.5 * (lo + hi)
+    half = _inc_beta_tails(a, b, 0.5)[0]
+    small = min(p, 1.0 - p)
+    if abs(half - p) <= _ROOT_REL_TOL * small:
+        return 0.5, 0.5
+    mirrored = p > half
+    if mirrored:
+        a, b = b, a
+    # Whether small is the carried I_u(a, b) or its complement.
+    lower = (p <= 0.5) != mirrored
+    level = small if lower else 1.0 - small
+    ln_b = ln_beta(a, b)
+    t = (math.log(level) + math.log(a) + ln_b) / a
+    u = max(math.exp(min(t, math.log(0.5))), _TINY)
+    lo, hi = 0.0, 1.0
     for _ in range(_ROOT_MAX_ITERS):
-        fx = f(x)
-        if abs(fx) <= _ROOT_ABS_TOL:
-            return x
-        if fx > 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        if hi - lo <= 4.0 * max(abs(hi), 1.0) * 2.2e-16:
-            # Quantile saturated at the representation limit.
-            return lo if abs(flo) <= abs(fhi) else hi
-        d = df(x)
-        if d > 0.0 and math.isfinite(d):
-            x_new = x - fx / d
-            if not lo < x_new < hi:
-                x_new = 0.5 * (lo + hi)
-        else:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    raise RootConvergenceError(
-        f"root solve exhausted {_ROOT_MAX_ITERS} iterations; "
-        f"best bracket [{lo}, {hi}]",
-        bracket=(lo, hi),
-        best=x,
-    )
+        below, above = _inc_beta_tails(a, b, u)
+        side = below if lower else above
+        rel = (side - small) / small
+        if abs(rel) <= _ROOT_REL_TOL:
+            break
+        lo, hi = (lo, u) if (rel > 0.0) == lower else (u, hi)
+        try:
+            # Newton on log(side / small), which the leading term makes
+            # nearly linear in log u; d I_u / d log u = u^a (1-u)^(b-1) / B.
+            step = math.log1p(rel) * side / math.exp(
+                a * math.log(u) + (b - 1.0) * math.log1p(-u) - ln_b)
+            u_new = u * math.exp(-step if lower else step)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            u_new = lo  # a tail or the slope underflowed: bisect
+        if not lo < u_new < hi:
+            u_new = math.sqrt(max(lo, _TINY)) * math.sqrt(hi)
+            if not lo < u_new < hi:  # adjacent doubles
+                u = lo
+                break
+        u, u_old = u_new, u
+        if abs(u - u_old) <= _ROOT_STEP_TOL * u_old:
+            break
+    else:
+        raise RootConvergenceError(
+            f"incomplete-beta inversion exhausted {_ROOT_MAX_ITERS} iterations",
+            bracket=(1.0 - hi, 1.0 - lo) if mirrored else (lo, hi),
+            best=1.0 - u if mirrored else u,
+        )
+    if u == 0.0:
+        raise ValueError(f"the level-{p} quantile rounds to {float(mirrored)}: "
+                         f"it lies within 5e-324 of it")
+    return (1.0 - u, u) if mirrored else (u, 1.0 - u)
 
 
-def _quantile(p: BetaKotzParams, prob: float) -> float:
-    lo, hi = _BRACKET_EPS, 1.0 - _BRACKET_EPS
-    flo = cdf(p, lo) - prob
-    fhi = cdf(p, hi) - prob
-    # A quantile at or outside the clamp saturates there.
-    if flo >= 0.0:
-        return lo
-    if fhi <= 0.0:
-        return hi
-    return _bracketed_newton(
-        lambda x: cdf(p, x) - prob,
-        lambda x: pdf(p, x),
-        lo,
-        hi,
-        flo,
-        fhi,
-        x0=prob,
-    )
+def _var_pair(p: BetaKotzParams, a_level: float):
+    # (VaR, 1 - VaR), refusing a VaR that no double below 1 represents.
+    q, tail = _inc_beta_inverse(p.a, p.b, a_level)
+    if q == 1.0:
+        raise ValueError(
+            f"VaR rounds to 1: 1 - VaR = {tail:.3g} is below the spacing "
+            f"of doubles under 1 (a={p.a}, b={p.b}, alpha={a_level})"
+        )
+    return q, tail
 
 
 def var_numeric(p: BetaKotzParams, alpha) -> float:
-    """Quantile of the Beta-Kotz law by root finding on the CDF."""
-    return _quantile(p, _alpha_value(alpha))
+    """Quantile of the Beta-Kotz law by inverting its CDF I_x(a, b)."""
+    return _var_pair(p, _alpha_value(alpha))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +228,11 @@ def _lower_tail_root(pair, level):
     """Root of F(x) = level for a pair of _POLYNOMIAL_CDFS and level <= 1/2."""
     poly, dpoly, c = _POLYNOMIAL_CDFS[pair]
     if level < _LEADING_TERM_LEVEL:
-        x = (level / c) ** (1.0 / pair[0])
+        # Root first, as level / c can underflow; at a subnormal level the
+        # term is exact to rounding and the polish sees only subnormals.
+        x = level ** (1.0 / pair[0]) / c ** (1.0 / pair[0])
+        if level < sys.float_info.min:
+            return x
     elif pair == (2, 2):
         x = 0.5 + math.cos((2.0 * math.pi - math.acos(1.0 - 2.0 * level)) / 3.0)
     elif pair == (3, 2):
@@ -251,34 +271,30 @@ def var_closed(p: BetaKotzParams, alpha) -> float | None:
 # CVaR / EC
 # ---------------------------------------------------------------------------
 
-def _tail_expectation_cvar(p, a_level, q):
-    # E[X | X > q] through I_q(a+1, b); exact up to the quantile itself.
-    return mean(p) * (1.0 - reg_inc_beta(p.a + 1.0, p.b, q)) / (1.0 - a_level)
+def _tail_expectation_cvar(p, a_level, tail):
+    # E[X | X > q] = mean I_{1-q}(b, a+1) / (1 - alpha); exact up to q.
+    return mean(p) * reg_inc_beta(p.b, p.a + 1.0, tail) / (1.0 - a_level)
 
 
-def _density_cvar(p, a_level, q):
+def _density_cvar(p, a_level, q, tail):
     """CVaR as q + E[(X - q)+] / (1 - alpha), by quadrature of the density.
 
     This Rockafellar-Uryasev form is minimal, and flat, at the exact
-    quantile q*, where it equals CVaR.  A root off by dq moves it by
-    O(dq^2); a root saturated at a bracket clamp, within 1e-15 of q*, by
-    at most 1e-15 |F(q) - alpha| / (1 - alpha).  The identity moves to
-    first order, by q (alpha - F(q)) / (1 - alpha), so the routes part
-    exactly where the identity is off: at the 1 - 1e-15 clamp, where the
-    identity exceeds 1, and not at the 1e-15 clamp, where the mass it
-    leaves out lies below 1e-15.
+    quantile q*, where it equals CVaR: a root off by dq moves it by
+    O(dq^2), while the identity moves to first order, by
+    q (alpha - F(q)) / (1 - alpha), so the routes part exactly where the
+    identity is off.
 
-    E[(X - q)+] is the integral of (x - q) f(x) over [q, 1] by 16-point
-    Gauss-Legendre; the incomplete beta is never called.  [q, 1] is split
-    at its midpoint and each half is cut into geometric panels graded
-    toward its outer end: toward q, to resolve the fast decay of large-b
-    laws, and toward 1, where the innermost panel substitutes
-    y = y0 v^(1/b) to absorb the (1-x)^(b-1) singularity.  The density is
-    taken in log form, with log(x) and log(1-x) from the exact distances
-    to each end.
+    E[(X - q)+] is the integral of (x - q) f(x) over [q, 1], of length
+    tail = 1 - q, by 16-point Gauss-Legendre; the incomplete beta is
+    never called.  [q, 1] is split at its midpoint and each half is cut
+    into geometric panels graded toward its outer end: toward q, to
+    resolve the fast decay of large-b laws, and toward 1, where the
+    innermost panel substitutes y = y0 v^(1/b) to absorb the (1-x)^(b-1)
+    singularity.  The density is taken in log form, with log(x) and
+    log(1-x) from the exact distances to each end.
     """
     am1, bm1, c = p.a - 1.0, p.b - 1.0, p.log_norm_const
-    tail = 1.0 - q
     excess = 0.0
     # Lower half, x = q + s.
     scale = 0.5 * tail
@@ -315,13 +331,13 @@ def cvar(p: BetaKotzParams, alpha) -> float:
     beyond 1e-8 signals a kernel bug.
     """
     a_level = _alpha_value(alpha)
-    return _checked_cvar(p, a_level, _quantile(p, a_level))
+    return _checked_cvar(p, a_level, *_var_pair(p, a_level))
 
 
-def _checked_cvar(p, a_level, q):
-    # cvar() given the level-alpha quantile q, so report() solves it once.
-    identity = _tail_expectation_cvar(p, a_level, q)
-    density = _density_cvar(p, a_level, q)
+def _checked_cvar(p, a_level, q, tail):
+    # cvar() given q and tail = 1 - q, which report() solves for once.
+    identity = _tail_expectation_cvar(p, a_level, tail)
+    density = _density_cvar(p, a_level, q, tail)
     # Written as `not <=` so that a nan from either route raises too.
     if not abs(identity - density) <= _CVAR_CROSSCHECK_TOL:
         raise InternalConsistencyError(
@@ -370,7 +386,7 @@ def report(p: BetaKotzParams, alpha,
                 f"no closed form for (a={p.a}, b={p.b}); use --method numeric"
             )
     else:
-        q = var_numeric(p, a_level)
+        q, tail = _var_pair(p, a_level)
         v = var_closed(p, a_level) if method is SolveMethod.BOTH_AGREEING else None
         if v is None:
             v, method = q, SolveMethod.NUMERIC
@@ -379,7 +395,7 @@ def report(p: BetaKotzParams, alpha,
                 f"closed-form and numeric quantiles disagree: "
                 f"{v!r} vs {q!r} for (a={p.a}, b={p.b}, alpha={a_level})"
             )
-        c = _checked_cvar(p, a_level, q)
+        c = _checked_cvar(p, a_level, q, tail)
     m = mean(p)
     return RiskReport(
         alpha=ConfidenceLevel(a_level),
@@ -447,13 +463,6 @@ def cvar_normal(mu: float, sigma: float, alpha) -> float:
     return mu + sigma * std.pdf(std.inv_cdf(a_level)) / (1.0 - a_level)
 
 
-def _t_cdf(x, nu):
-    if x == 0.0:
-        return 0.5
-    w = reg_inc_beta(0.5 * nu, 0.5, nu / (nu + x * x))
-    return 1.0 - 0.5 * w if x > 0.0 else 0.5 * w
-
-
 def _t_pdf(x, nu):
     return math.exp(
         -ln_beta(0.5, 0.5 * nu) - 0.5 * math.log(nu)
@@ -462,38 +471,20 @@ def _t_pdf(x, nu):
 
 
 def _t_quantile(prob, nu):
+    # P(|T| > t) = I_x(nu/2, 1/2) with x = nu / (nu + t^2), so that
+    # t = sqrt(nu (1 - x) / x), both sides of x from one inversion.
     if prob == 0.5:
         return 0.0
-    if prob < 0.5:
-        return -_t_quantile(1.0 - prob, nu)
-    hi = 1.0
-    fhi = _t_cdf(hi, nu) - prob
-    while fhi < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RootConvergenceError(
-                f"t-quantile bracket expansion failed for alpha={prob}, nu={nu}",
-                bracket=(0.0, hi),
-                best=hi,
-            )
-        fhi = _t_cdf(hi, nu) - prob
-    if fhi == 0.0:
-        return hi
-    return _bracketed_newton(
-        lambda x: _t_cdf(x, nu) - prob,
-        lambda x: _t_pdf(x, nu),
-        0.0,
-        hi,
-        0.5 - prob,
-        fhi,
-    )
+    x, y = _inc_beta_inverse(0.5 * nu, 0.5, 2.0 * min(prob, 1.0 - prob))
+    t = math.sqrt(nu) * math.sqrt(y) / math.sqrt(x)
+    return t if prob > 0.5 else -t
 
 
 def var_student(mu: float, sigma: float, nu: float, alpha) -> float:
     """Student-t quantile mu + sigma * t_nu^{-1}(alpha).
 
-    The t CDF is expressed through the regularized incomplete beta and
-    inverted with the same bracketed root finder used for Beta-Kotz.
+    The two-sided t tail is an incomplete beta, inverted by the same
+    solver as the Beta-Kotz quantile.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")

@@ -253,8 +253,16 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
+    return _inc_beta_tails(a, b, x)[0]
+
+
+def _inc_beta_tails(a, b, x):
+    """(I_x(a, b), 1 - I_x(a, b)) for 0 < x < 1, unchecked: the side the
+    continued fraction computes keeps full relative precision."""
     ln_front = a * math.log(x) + b * math.log1p(-x) - ln_beta(a, b)
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_contfrac(a, b, x) / a
-    return 1.0 - math.exp(ln_front) * _beta_contfrac(b, a, 1.0 - x) / b
+        lower = math.exp(ln_front) * _beta_contfrac(a, b, x) / a
+        return lower, 1.0 - lower
+    upper = math.exp(ln_front) * _beta_contfrac(b, a, 1.0 - x) / b
+    return 1.0 - upper, upper
 

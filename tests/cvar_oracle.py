@@ -10,7 +10,7 @@ instead; here it stays as a third route, independent of both.
 
 import math
 
-from betakotz.risk import _gauss_legendre, _quantile
+from betakotz.risk import _gauss_legendre, var_numeric
 
 GL_NODES, GL_WEIGHTS = _gauss_legendre(64)
 
@@ -22,7 +22,7 @@ def quadrature_cvar(p, a_level):
     u_max = math.sqrt(1.0 - split)
     total = 0.0
     for xi, w in zip(GL_NODES, GL_WEIGHTS):
-        total += half * w * _quantile(p, mid + half * xi)
+        total += half * w * var_numeric(p, mid + half * xi)
         u = 0.5 * u_max * (xi + 1.0)
-        total += 0.5 * u_max * w * 2.0 * u * _quantile(p, 1.0 - u * u)
+        total += 0.5 * u_max * w * 2.0 * u * var_numeric(p, 1.0 - u * u)
     return total / (1.0 - a_level)

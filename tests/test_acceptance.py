@@ -239,12 +239,12 @@ def test_criterion_4_cvar_dual_method():
     for _ in range(200):
         p = BetaKotzParams(rng.uniform(0.2, 40.0), rng.uniform(0.2, 40.0))
         alpha = rng.uniform(0.01, 0.999)
-        q = risk.var_numeric(p, alpha)
+        q, tail = risk._var_pair(p, alpha)
         worst_resid = max(worst_resid, abs(cdf(p, q) - alpha))
         assert abs(cdf(p, q) - alpha) <= 1e-12
-        identity = risk._tail_expectation_cvar(p, alpha, q)
+        identity = risk._tail_expectation_cvar(p, alpha, tail)
         for route, other in (("quadrature", quadrature_cvar(p, alpha)),
-                             ("density", risk._density_cvar(p, alpha, q))):
+                             ("density", risk._density_cvar(p, alpha, q, tail))):
             gap = abs(identity - other)
             worst[route] = max(worst[route], gap)
             assert gap <= 1e-8, (

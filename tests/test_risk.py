@@ -7,8 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import betaincinv
 
-from betakotz import cli, distribution, specfun
+from betakotz import cli, specfun
 from betakotz.distribution import BetaKotzParams, ConfidenceLevel, cdf, mean
 from betakotz.risk import (
     InternalConsistencyError,
@@ -85,12 +86,40 @@ def test_var_numeric_monotone_in_alpha():
 
 
 def test_var_numeric_budget_exhaustion(monkeypatch):
-    monkeypatch.setattr(risk_mod, "_ROOT_ABS_TOL", 1e-16)
+    monkeypatch.setattr(risk_mod, "_ROOT_REL_TOL", 1e-16)
     monkeypatch.setattr(risk_mod, "_ROOT_MAX_ITERS", 1)
     with pytest.raises(RootConvergenceError) as exc:
         var_numeric(BetaKotzParams(6.2, 3.3), 0.7)
     lo, hi = exc.value.bracket
     assert 0.0 <= lo < hi <= 1.0
+
+
+def test_report_over_risk_sweep_domain_matches_scipy():
+    # a, b log-uniform on [0.05, 2000] and 1 - alpha log-uniform on
+    # [1e-6, 0.5], as the risk-sweep benchmark draws them.  Each triple is
+    # answered or refused with a ValueError (a representation limit),
+    # never an InternalConsistencyError; in an answer, the smaller of VaR
+    # and 1 - VaR, as the solver carries it, is within 1e-10 of scipy's
+    # inverse on that side.
+    rng = np.random.default_rng(7)
+    answered = 0
+    for _ in range(300):
+        a, b = np.exp(rng.uniform(math.log(0.05), math.log(2000.0), 2))
+        alpha = 1.0 - math.exp(rng.uniform(math.log(1e-6), math.log(0.5)))
+        p = BetaKotzParams(float(a), float(b))
+        try:
+            r = report(p, alpha)
+        except ValueError:
+            continue
+        answered += 1
+        q, tail = risk_mod._var_pair(p, alpha)
+        assert r.var == q
+        if q <= tail:
+            got, ref = q, betaincinv(p.a, p.b, alpha)
+        else:
+            got, ref = tail, betaincinv(p.b, p.a, 1.0 - alpha)
+        assert abs(got - ref) <= 1e-10 * ref, (p.a, p.b, alpha)
+    assert answered >= 250
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +230,34 @@ def test_var_closed_accurate_in_both_tails(a, b):
     assert not worst
 
 
+@pytest.mark.parametrize("a,b", CLOSED_FORM_CASES)
+def test_report_closed_form_pairs_in_far_tails(a, b):
+    # The numeric root meets the closed form within the 1e-10 gate at
+    # 10^-k and 1 - 10^-k; a level, VaR or CVaR that no double represents
+    # is a ValueError, never an InternalConsistencyError.
+    p = BetaKotzParams(a, b)
+    answered = 0
+    for k in range(1, 19):
+        for alpha in (10.0**-k, 1.0 - 10.0**-k):
+            try:
+                report(p, alpha)
+            except ValueError:
+                continue
+            answered += 1
+    assert answered >= 30
+
+
+@pytest.mark.parametrize("a,b,c", [(2, 2, 3), (3, 2, 4), (2, 3, 6)])
+def test_report_at_subnormal_levels(a, b, c):
+    # F(x) = c x^a (1 + O(x)), and x is below 1e-100 here, so the mpmath
+    # leading term is the quantile to far more digits than a double has.
+    for alpha in (5e-324, 1e-320, 1e-310):
+        with mp.workdps(30):
+            exact = (mp.mpf(alpha) / c) ** (mp.mpf(1) / a)
+        var = report(BetaKotzParams(a, b), alpha).var
+        assert abs(var - exact) <= 1e-13 * exact, alpha
+
+
 def test_closed_form_supported_sets_are_pinned():
     # The mirror identity must not add pairs: (1, 5) and (4, 2) stay out.
     quantile_pairs = {(1, 2), (1, 3), (1, 4), (2, 2), (3, 2), (2, 3)}
@@ -248,10 +305,10 @@ def test_cvar_dual_route_agreement():
     for _ in range(40):
         p = BetaKotzParams(rng.uniform(0.2, 40.0), rng.uniform(0.2, 40.0))
         alpha = rng.uniform(0.01, 0.999)
-        q = var_numeric(p, alpha)
-        identity = risk_mod._tail_expectation_cvar(p, alpha, q)
+        q, tail = risk_mod._var_pair(p, alpha)
+        identity = risk_mod._tail_expectation_cvar(p, alpha, tail)
         assert abs(identity - quadrature_cvar(p, alpha)) <= 1e-8
-        assert abs(identity - risk_mod._density_cvar(p, alpha, q)) <= 1e-8
+        assert abs(identity - risk_mod._density_cvar(p, alpha, q, tail)) <= 1e-8
 
 
 def test_gauss_legendre_nodes_match_numpy():
@@ -269,13 +326,13 @@ def test_density_cvar_matches_mpmath(a, b, alpha):
     # q + E[(X - q)+] / (1 - alpha) at the same q, with
     # E[(X - q)+] = mean * P_{a+1,b}(X > q) - q * P_{a,b}(X > q).
     p = BetaKotzParams(a, b)
-    q = var_numeric(p, alpha)
+    q, tail = risk_mod._var_pair(p, alpha)
     with mp.workdps(40):
         ma, mb, mq = mp.mpf(a), mp.mpf(b), mp.mpf(q)
         excess = (ma / (ma + mb) * mp.betainc(ma + 1, mb, mq, 1, regularized=True)
                   - mq * mp.betainc(ma, mb, mq, 1, regularized=True))
         exact = mq + excess / (1 - mp.mpf(alpha))
-        assert abs(risk_mod._density_cvar(p, alpha, q) - exact) <= 1e-10 * exact
+        assert abs(risk_mod._density_cvar(p, alpha, q, tail) - exact) <= 1e-10 * exact
 
 
 @pytest.mark.parametrize("a, b, alpha", [
@@ -283,74 +340,73 @@ def test_density_cvar_matches_mpmath(a, b, alpha):
     (0.09725873888739012, 0.09402820902167595, 0.9999850805598538),
 ])
 def test_report_refuses_saturated_quantile(a, b, alpha):
-    # The quantile saturates at the 1 - 1e-15 clamp, so the identity's
-    # E[X; X > q] / (1 - alpha) exceeds 1, while q + E[(X - q)+] / (1 - alpha)
-    # cannot exceed 1 by more than 1e-15 / (1 - alpha): the check must refuse.
-    with pytest.raises(InternalConsistencyError):
+    # mpmath puts 1 - VaR at 6.6e-54 and 5.4e-49: no double in (0, 1)
+    # represents the VaR, a representation limit and not a kernel fault.
+    with pytest.raises(ValueError, match="VaR rounds to 1"):
         report(BetaKotzParams(a, b), alpha)
 
 
 def test_report_lower_clamp_keeps_identity():
-    # F(1e-15) is about 0.09 here, so the 1e-4 quantile saturates at the
-    # lower clamp; all tail mass but a sliver below 1e-15 lies above it,
-    # and CVaR is mean / (1 - alpha) up to 1e-15.  A tail mean
-    # normalized by the quadrature's own mass above q would refuse this.
+    # F(1e-15) is about 0.09 here, so the 1e-4 quantile lies far below
+    # 1e-15 (mpmath: 9.7118236027201e-75); all tail mass but a sliver
+    # lies above it, and CVaR is mean / (1 - alpha) up to 1e-15.  A tail
+    # mean normalized by the quadrature's own mass above q would refuse it.
     p = BetaKotzParams(0.05, 0.05)
     r = report(p, 1e-4)
-    assert r.var == 1e-15
+    assert r.var == pytest.approx(9.7118236027201e-75, rel=1e-12)
     assert r.cvar == pytest.approx(mean(p) / (1.0 - 1e-4), abs=1e-14)
 
 
 def test_cvar_inconsistency_guard(monkeypatch):
     monkeypatch.setattr(
-        risk_mod, "_tail_expectation_cvar", lambda p, a, q: 123.0
+        risk_mod, "_tail_expectation_cvar", lambda p, a, tail: 123.0
     )
     with pytest.raises(InternalConsistencyError):
         cvar(BetaKotzParams(2, 2), 0.9)
 
 
 def test_cvar_density_inconsistency_guard(monkeypatch):
-    monkeypatch.setattr(risk_mod, "_density_cvar", lambda p, a, q: 123.0)
+    monkeypatch.setattr(risk_mod, "_density_cvar", lambda p, a, q, tail: 123.0)
     with pytest.raises(InternalConsistencyError):
         cvar(BetaKotzParams(2, 2), 0.9)
 
 
-def _count_reg_inc_beta(monkeypatch):
-    # Wrap the kernel where risk and distribution look it up.
+def _count_contfrac(monkeypatch):
+    # Every incomplete-beta evaluation, through reg_inc_beta or the
+    # inverse's _inc_beta_tails, runs one continued fraction.
     calls = [0]
+    kernel = specfun._beta_contfrac
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls[0] += 1
-        return specfun.reg_inc_beta(*args, **kwargs)
+        return kernel(*args)
 
-    monkeypatch.setattr(risk_mod, "reg_inc_beta", counted)
-    monkeypatch.setattr(distribution, "reg_inc_beta", counted)
+    monkeypatch.setattr(specfun, "_beta_contfrac", counted)
     return calls
 
 
 def test_report_reg_inc_beta_count(monkeypatch):
-    # The quantile solve plus the identity's I_q(a+1, b); the density
-    # cross-check adds none.
-    calls = _count_reg_inc_beta(monkeypatch)
+    # The side-of-1/2 call and six evaluations of the inversion, plus
+    # the identity's I_{1-q}(b, a+1); the density cross-check adds none.
+    calls = _count_contfrac(monkeypatch)
     report(BetaKotzParams(1.2, 11.4), 0.99)
-    assert calls[0] == 12
+    assert calls[0] == 8
 
 
 def test_tables_numeric_reg_inc_beta_count(monkeypatch, capsys):
-    # 21 rows at the default alpha, about ten calls each.
+    # 21 rows at the default alpha, about six evaluations each.
     monkeypatch.delenv(cli.ALPHA_ENV_VAR, raising=False)
-    calls = _count_reg_inc_beta(monkeypatch)
+    calls = _count_contfrac(monkeypatch)
     assert cli.main(["tables", "numeric"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert calls[0] == 213
+    assert calls[0] == 119
 
 
 def test_var_student_reg_inc_beta_count(monkeypatch):
-    # Three t CDFs expand the bracket to [0, 4] and seven more solve on
-    # it; the solver does not evaluate the bracket ends again.
-    calls = _count_reg_inc_beta(monkeypatch)
+    # One inversion of I_x(nu/2, 1/2): the side-of-1/2 call and four more.
+    calls = _count_contfrac(monkeypatch)
     var_student(0.0, 1.0, 5.0, 0.99)
-    assert calls[0] == 10
+    assert calls[0] == 5
 
 
 def test_cvar_closed_rows():
@@ -452,8 +508,8 @@ def test_report_invariants_hold():
 
 
 def test_report_saturated_tail_shapes():
-    # b < 1 pushes the 0.99 quantile within a few ulps of 1; the solver
-    # must saturate, not fail, and dominance must survive.
+    # b < 1 pushes the 0.99 quantile to within 8.6e-4 of 1, which the
+    # solver carries as 1 - VaR; dominance must survive.
     r = report(BetaKotzParams(0.6, 0.6), 0.99)
     assert r.cvar >= r.var > 0.99
 
@@ -557,6 +613,30 @@ def test_cvar_student_vs_quadrature():
         q = scipy.stats.t.ppf(alpha, nu)
         val, _ = si.quad(lambda x: x * scipy.stats.t.pdf(x, nu), q, math.inf)
         assert cvar_student(0.0, 1.0, nu, alpha) == pytest.approx(val / 0.01, rel=1e-8)
+
+
+def _t_quantile_mpmath(nu, alpha):
+    # Root of log I_x(nu/2, 1/2) = log(2 min(alpha, 1 - alpha)) in
+    # s = log|t|, x = nu / (nu + t^2), started from scipy.
+    with mp.workdps(40):
+        half_nu, al = mp.mpf(nu) / 2, mp.mpf(alpha)
+        level = mp.log(2 * min(al, 1 - al))
+        s = mp.findroot(
+            lambda s: mp.log(mp.betainc(half_nu, mp.mpf(1) / 2, 0,
+                                        nu / (nu + mp.exp(2 * s)),
+                                        regularized=True)) - level,
+            mp.log(abs(scipy.stats.t.ppf(alpha, nu))))
+        return float(mp.exp(s) if alpha > 0.5 else -mp.exp(s))
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 5.0, 30.0, 100.0, 1e4])
+def test_var_student_vs_mpmath(nu):
+    # Both tails, and next to the median, where t comes from 1 - x.
+    for alpha in (1e-12, 1e-6, 0.01, 0.3, 0.5 - 1e-12, 0.5 + 1e-9, 0.7, 0.99,
+                  1.0 - 1e-6, 1.0 - 1e-12):
+        exact = _t_quantile_mpmath(nu, alpha)
+        got = var_student(0.0, 1.0, nu, alpha)
+        assert abs(got - exact) <= 1e-10 * abs(exact), alpha
 
 
 def test_student_scaling():
