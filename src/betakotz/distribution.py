@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .specfun import ln_beta, ln_gamma, reg_inc_beta
+from .specfun import ln_beta, reg_inc_beta
 
 __all__ = [
     "KotzGeneratorParams",
@@ -158,7 +158,7 @@ def cdf(p: BetaKotzParams, x: float) -> float:
 
 
 def moment(p: BetaKotzParams, t: float) -> float:
-    """Raw moment E(X^t) = Gamma(a+t) Gamma(a+b) / (Gamma(a+b+t) Gamma(a)).
+    """Raw moment E(X^t) = B(a+t, b) / B(a, b).
 
     Evaluated in log space so large shapes cannot overflow.
     """
@@ -166,10 +166,7 @@ def moment(p: BetaKotzParams, t: float) -> float:
         raise ValueError(f"moment order must be >= 0, got {t}")
     if t == 0.0:
         return 1.0
-    return math.exp(
-        ln_gamma(p.a + t) + ln_gamma(p.a + p.b)
-        - ln_gamma(p.a + p.b + t) - ln_gamma(p.a)
-    )
+    return math.exp(ln_beta(p.a + t, p.b) + p.log_norm_const)
 
 
 def mean(p: BetaKotzParams) -> float:

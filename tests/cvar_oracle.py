@@ -10,9 +10,11 @@ instead; here it stays as a third route, independent of both.
 
 import math
 
-from betakotz.risk import _gauss_legendre, var_numeric
+from numpy.polynomial.legendre import leggauss
 
-GL_NODES, GL_WEIGHTS = _gauss_legendre(64)
+from betakotz.risk import var_numeric
+
+GL_NODES, GL_WEIGHTS = (nodes.tolist() for nodes in leggauss(64))
 
 
 def quadrature_cvar(p, a_level):

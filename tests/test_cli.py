@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from betakotz import cli, risk, specfun
+from betakotz import cli, estimation, risk, specfun
 from betakotz.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from betakotz.distribution import BetaKotzParams
 
@@ -143,6 +143,14 @@ def test_alpha_flag_error_unchanged(capsys):
     assert err == "error: confidence level must lie in (0, 1), got 2.0\n"
 
 
+def test_measures_quantile_that_rounds_to_zero_is_input_error(capsys):
+    # F(x) = x^0.05 puts the 1e-300 quantile at 1e-6000, below every double.
+    code, out, err = run_cli(capsys, "measures", "--a", "0.05", "--b", "1",
+                             "--alpha", "1e-300")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "rounds to 0" in err
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -182,6 +190,62 @@ def test_fit_mom_within_ten_percent(capsys, beta_2_5_file):
     payload = json.loads(out)
     assert abs(payload["a"] - 2.0) <= 0.2
     assert abs(payload["b"] - 5.0) <= 0.5
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_fit_renders_the_json_values(capsys, beta_2_5_file, fmt):
+    _, out, _ = run_cli(capsys, "fit", str(beta_2_5_file), "--output-format", "json")
+    payload = json.loads(out)
+    code, out, _ = run_cli(capsys, "fit", str(beta_2_5_file), "--output-format", fmt)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    split = (lambda line: line.split(",")) if fmt == "csv" else str.split
+    assert split(lines[0]) == ["a", "b", "n", "method", "iterations", "converged",
+                               "log_likelihood"]
+    assert split(lines[1]) == [
+        f"{payload['a']:.9g}", f"{payload['b']:.9g}", "10000", "mle",
+        str(payload["iterations"]), "True", f"{payload['log_likelihood']:.6f}",
+    ]
+    assert len(lines) == 2
+
+
+def test_fit_unconverged_is_numeric_failure(capsys, monkeypatch, beta_2_5_file):
+    monkeypatch.setattr(estimation, "_MAX_ITERS", 1)
+    code, out, err = run_cli(capsys, "fit", str(beta_2_5_file))
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("fit did not converge in 1 iterations (scaled score ")
+
+
+def test_fit_singular_hessian_is_numeric_failure(capsys, monkeypatch, beta_2_5_file):
+    monkeypatch.setattr(estimation, "_score_and_hessian",
+                        lambda a, b, stats: ((1.0, 1.0), (1.0, 1.0, 1.0)))
+    code, out, err = run_cli(capsys, "fit", str(beta_2_5_file))
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("fit failed: singular Hessian at (a=")
+
+
+def test_fit_damping_floor_is_numeric_failure(capsys, monkeypatch, beta_2_5_file):
+    # Every trial step lowers the likelihood below its starting value.
+    calls = []
+
+    def falling(p, stats):
+        calls.append(p)
+        return 0.0 if len(calls) == 1 else -1.0
+
+    monkeypatch.setattr(estimation, "log_likelihood", falling)
+    code, out, err = run_cli(capsys, "fit", str(beta_2_5_file))
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("fit failed: step damping floor reached at (a=")
+    assert len(calls) == 1 + estimation._MAX_HALVINGS + 1
+
+
+@pytest.mark.parametrize("text", ["0.5\n", "x\n0.5\n", "\n\n"])
+def test_fit_needs_two_usable_values(capsys, tmp_path, text):
+    path = tmp_path / "short.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "fit", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: sample file must hold at least 2 usable values\n"
 
 
 def test_fit_rejects_boundary_value(capsys, tmp_path):

@@ -311,28 +311,60 @@ def test_cvar_dual_route_agreement():
         assert abs(identity - risk_mod._density_cvar(p, alpha, q, tail)) <= 1e-8
 
 
-def test_gauss_legendre_nodes_match_numpy():
-    # 16 points for the density cross-check, 64 for the quadrature oracle.
-    for n in (16, 64):
-        ours = np.array(risk_mod._gauss_legendre(n))
-        assert np.max(np.abs(ours - np.polynomial.legendre.leggauss(n))) <= 1e-14
+def test_tanh_sinh_nodes_integrate_endpoint_singularities():
+    # 1, w^(-1/2) and -log w over (0, 1), the last two singular at 0;
+    # w^(c-1) for small c puts its mass near log w = -1/c, as large
+    # shapes put the density's, so the rule must reach far below it.
+    rule = risk_mod._TANH_SINH
+    assert abs(math.fsum(math.exp(lwt) for lw, lwt in rule) - 1.0) <= 1e-15
+    assert abs(math.fsum(math.exp(lwt - 0.5 * lw) for lw, lwt in rule) - 2.0) <= 2e-15
+    assert abs(math.fsum(-lw * math.exp(lwt) for lw, lwt in rule) - 1.0) <= 1e-15
+    c = 1e-4
+    total = math.fsum(math.exp(lwt + (c - 1.0) * lw) for lw, lwt in rule)
+    assert abs(c * total - 1.0) <= 1e-13
+
+
+def _mpmath_density_cvar(a, b, alpha, q):
+    # q + E[(X - q)+] / (1 - alpha) at the same q, with
+    # E[(X - q)+] = mean * P_{a+1,b}(X > q) - q * P_{a,b}(X > q).
+    with mp.workdps(40):
+        ma, mb, mq = mp.mpf(a), mp.mpf(b), mp.mpf(q)
+        excess = (ma / (ma + mb) * mp.betainc(ma + 1, mb, mq, 1, regularized=True)
+                  - mq * mp.betainc(ma, mb, mq, 1, regularized=True))
+        return mq + excess / (1 - mp.mpf(alpha))
 
 
 @pytest.mark.parametrize("a, b, alpha", [
     (0.03, 19000.0, 0.99), (0.6, 0.6, 0.999), (800.0, 800.0, 0.99),
     (0.5, 30.0, 0.9999),
+    # Graded Gauss-Legendre panels missed these by 1.2e-8 and 1.0e-9.
+    (0.02956770181703601, 35948.50447315845, 0.3258805652006198),
+    (0.017617868011376447, 2594.0157936021624, 0.6758288189707213),
 ])
 def test_density_cvar_matches_mpmath(a, b, alpha):
-    # q + E[(X - q)+] / (1 - alpha) at the same q, with
-    # E[(X - q)+] = mean * P_{a+1,b}(X > q) - q * P_{a,b}(X > q).
     p = BetaKotzParams(a, b)
     q, tail = risk_mod._var_pair(p, alpha)
-    with mp.workdps(40):
-        ma, mb, mq = mp.mpf(a), mp.mpf(b), mp.mpf(q)
-        excess = (ma / (ma + mb) * mp.betainc(ma + 1, mb, mq, 1, regularized=True)
-                  - mq * mp.betainc(ma, mb, mq, 1, regularized=True))
-        exact = mq + excess / (1 - mp.mpf(alpha))
-        assert abs(risk_mod._density_cvar(p, alpha, q, tail) - exact) <= 1e-10 * exact
+    exact = _mpmath_density_cvar(a, b, alpha, q)
+    assert abs(risk_mod._density_cvar(p, alpha, q, tail) - exact) <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("a, b, alpha", [
+    (1000.0, 1000.0, 1e-6), (1000.0, 1000.0, 1e-12), (400.0, 400.0, 1e-12),
+])
+def test_report_answers_large_symmetric_shapes_in_the_lower_tail(a, b, alpha):
+    # Graded Gauss-Legendre panels put the density route 2.2e-8 to 1.8e-6
+    # off here, so report() raised InternalConsistencyError.
+    p = BetaKotzParams(a, b)
+    r = report(p, alpha)
+    assert abs(r.cvar - _mpmath_density_cvar(a, b, alpha, r.var)) <= 1e-12
+    q, tail = risk_mod._var_pair(p, alpha)
+    assert abs(risk_mod._density_cvar(p, alpha, q, tail) - r.cvar) <= 1e-12
+
+
+def test_report_refuses_quantile_that_rounds_to_zero():
+    # F(x) = x^0.05 puts the 1e-300 quantile at 1e-6000, below every double.
+    with pytest.raises(ValueError, match="rounds to 0"):
+        report(BetaKotzParams(0.05, 1.0), 1e-300)
 
 
 @pytest.mark.parametrize("a, b, alpha", [

@@ -11,6 +11,12 @@ and prints:
   relative error of whichever of VaR and 1 - VaR the solver carries
   below 1/2, against `scipy.special.betaincinv` on that side (skipped
   when scipy is not installed);
+- the CVaR cross-check residual |identity - density| of the successes,
+  the figure `report()` gates at 1e-8 and then drops;
+- the density route's relative error against mpmath, at the same VaR,
+  over a fixed sample of 128 successes, counting the draws where
+  mpmath's `betainc` does not converge (skipped when mpmath is not
+  installed);
 - `specfun._beta_contfrac` evaluations per `report()`, the
   machine-independent count of incomplete-beta work, over the pool and
   over the fitted shapes of the portfolio-month pool
@@ -68,6 +74,29 @@ def var_error(a, b, alpha):
     return abs(got - ref) / ref
 
 
+def crosscheck_residual(a, b, alpha):
+    """|identity - density| of the two CVaR routes at the solved VaR."""
+    p = BetaKotzParams(a, b)
+    q, tail = risk._var_pair(p, alpha)
+    return abs(risk._tail_expectation_cvar(p, alpha, tail)
+               - risk._density_cvar(p, alpha, q, tail))
+
+
+def density_error(a, b, alpha):
+    """Relative error of the density route against mpmath at the same VaR."""
+    import mpmath as mp
+
+    p = BetaKotzParams(a, b)
+    q, tail = risk._var_pair(p, alpha)
+    with mp.workdps(40):
+        ma, mb, mq = mp.mpf(a), mp.mpf(b), mp.mpf(q)
+        # E[(X - q)+] = mean P_{a+1,b}(X > q) - q P_{a,b}(X > q).
+        excess = (ma / (ma + mb) * mp.betainc(ma + 1, mb, mq, 1, regularized=True)
+                  - mq * mp.betainc(ma, mb, mq, 1, regularized=True))
+        exact = mq + excess / (1 - mp.mpf(alpha))
+        return float(abs(risk._density_cvar(p, alpha, q, tail) - exact) / exact)
+
+
 def quantiles(values, probs=(0.5, 0.99, 1.0)):
     ordered = sorted(values)
     return [ordered[min(int(p * len(ordered)), len(ordered) - 1)] for p in probs]
@@ -113,6 +142,27 @@ def main(argv=None):
         p50, p99, worst = quantiles(errors)
         print(f"VaR error vs scipy betaincinv, smaller of x and 1 - x, over "
               f"{len(errors)} successes: p50 {p50:.2g}  p99 {p99:.2g}  max {worst:.2g}")
+
+    p50, p99, worst = quantiles([crosscheck_residual(*t) for t in successes])
+    print(f"CVaR cross-check |identity - density| over {len(successes)} "
+          f"successes: p50 {p50:.2g}  p99 {p99:.2g}  max {worst:.2g}")
+
+    sample = successes[::max(1, len(successes) // 128)][:128]
+    try:
+        from mpmath.libmp import NoConvergence
+    except ImportError:
+        print("density route error: mpmath not installed, skipped")
+    else:
+        errors, stalled = [], 0
+        for t in sample:
+            try:
+                errors.append(density_error(*t))
+            except NoConvergence:
+                stalled += 1
+        spread = ("p50 {:.2g}  p99 {:.2g}  max {:.2g}".format(*quantiles(errors))
+                  if errors else "no comparisons")
+        print(f"density route error vs mpmath over {len(errors)} of {len(sample)} "
+              f"sampled successes ({stalled} mpmath betainc did not converge): {spread}")
 
     shapes = fitted_shapes()
     month_calls = sum(count_contfrac(risk.report, p, alpha)[1] for p, alpha in shapes)
