@@ -56,20 +56,6 @@ def _alpha(args) -> ConfidenceLevel:
         ) from None
 
 
-def _add_alpha_option(parser):
-    parser.add_argument(
-        "--alpha", type=float, default=None,
-        help=f"confidence level in (0,1); default 0.99 or ${ALPHA_ENV_VAR}",
-    )
-
-
-def _add_format_option(parser):
-    parser.add_argument(
-        "--output-format", choices=("table", "csv", "json"), default="table",
-        help="rendering of the result (default: table)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="betakotz",
@@ -84,27 +70,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=tuple(_METHODS), default="both",
         help="closed form only, numeric only, or both with cross-check",
     )
-    _add_alpha_option(measures)
-    _add_format_option(measures)
 
     fit = sub.add_parser("fit", help="fit shapes from a sample file")
     fit.add_argument("input", help="newline-separated or single-column CSV of "
                                    "values strictly inside (0,1)")
     fit.add_argument("--method", choices=("mom", "mle"), default="mle")
-    _add_format_option(fit)
 
     portfolio = sub.add_parser("portfolio", help="credit-portfolio risk report")
     portfolio.add_argument("input", help="portfolio CSV (see docs for columns)")
     portfolio.add_argument("--label", default="portfolio",
                            help="period label for the report")
-    _add_alpha_option(portfolio)
-    _add_format_option(portfolio)
 
     tables = sub.add_parser("tables", help="reproduce the reference tables")
     tables.add_argument("which", choices=("analytic", "numeric"))
-    _add_alpha_option(tables)
-    _add_format_option(tables)
 
+    # fit uses no confidence level, so it takes no --alpha.
+    for name, command in sub.choices.items():
+        if name != "fit":
+            command.add_argument(
+                "--alpha", type=float, default=None,
+                help=f"confidence level in (0,1); default 0.99 or ${ALPHA_ENV_VAR}",
+            )
+        command.add_argument(
+            "--output-format", choices=("table", "csv", "json"), default="table",
+            help="rendering of the result (default: table)",
+        )
     return parser
 
 
@@ -112,38 +102,36 @@ def build_parser() -> argparse.ArgumentParser:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _render_rows(header, rows, fmt, out):
-    """Deterministic table/CSV rendering of uniform rows."""
+def _write(payload, columns, fmt, out):
+    """Write a record, or a list of records, in the requested format.
+
+    JSON carries full precision: a record with sorted keys, a list of
+    records in column order.  Table and CSV write one row per record,
+    each declared (key, format spec) column formatted for eyes.
+    """
+    if fmt == "json":
+        out.write(json.dumps(payload, indent=2,
+                             sort_keys=isinstance(payload, dict)) + "\n")
+        return
+    records = [payload] if isinstance(payload, dict) else payload
+    lines = [[key for key, _ in columns]]
+    lines += [[format(r[key], spec) for key, spec in columns] for r in records]
     if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
+        widths = [0] * len(columns)
+        sep = ","
     else:
-        widths = [
-            max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-            for i, h in enumerate(header)
-        ]
-        out.write("  ".join(h.rjust(w) for h, w in zip(header, widths)) + "\n")
-        for row in rows:
-            out.write("  ".join(v.rjust(w) for v, w in zip(row, widths)) + "\n")
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        sep = "  "
+    for line in lines:
+        out.write(sep.join(v.rjust(w) for v, w in zip(line, widths)) + "\n")
 
 
 def cmd_measures(alpha: ConfidenceLevel, shape_a: float, shape_b: float,
                  method: str, output_format: str, out) -> int:
     result = risk.report(BetaKotzParams(shape_a, shape_b), alpha, _METHODS[method])
-    if output_format == "json":
-        out.write(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
-    else:
-        header = ["alpha", "var", "cvar", "ec", "mean", "method"]
-        row = [
-            f"{result.alpha.alpha:.9g}",
-            f"{result.var:.9f}",
-            f"{result.cvar:.9f}",
-            f"{result.ec:.9f}",
-            f"{result.mean:.9f}",
-            result.method.value,
-        ]
-        _render_rows(header, [row], output_format, out)
+    _write(result.to_dict(), (("alpha", ".9g"), ("var", ".9f"), ("cvar", ".9f"),
+                              ("ec", ".9f"), ("mean", ".9f"), ("method", "")),
+           output_format, out)
     return EXIT_OK
 
 
@@ -179,42 +167,33 @@ def cmd_fit(path: str, method: str, output_format: str, out) -> int:
     stats = estimation.stats_from_samples(values)
     try:
         if method == "mom":
-            params = estimation.fit_moments(stats)
-            result = estimation.FitResult(
-                params=params, iterations=0, converged=True,
-                log_likelihood=estimation.log_likelihood(params, stats),
-                gradient_norm=float("nan"),
-            )
+            params, iterations = estimation.fit_moments(stats), 0
+            ll = estimation.log_likelihood(params, stats)
         else:
             result = estimation.fit_mle(stats)
+            if not result.converged:
+                sys.stderr.write(
+                    f"fit did not converge in {result.iterations} iterations "
+                    f"(scaled score {result.gradient_norm:.3e})\n"
+                )
+                return EXIT_NUMERIC
+            params, iterations, ll = (result.params, result.iterations,
+                                      result.log_likelihood)
     except (estimation.InfeasibleMomentsError, estimation.StepFailureError) as err:
         sys.stderr.write(f"fit failed: {err}\n")
         return EXIT_NUMERIC
-    if not result.converged:
-        sys.stderr.write(
-            f"fit did not converge in {result.iterations} iterations "
-            f"(scaled score {result.gradient_norm:.3e})\n"
-        )
-        return EXIT_NUMERIC
     payload = {
-        "a": result.params.a,
-        "b": result.params.b,
+        "a": params.a,
+        "b": params.b,
         "n": stats.n,
         "method": method,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "log_likelihood": result.log_likelihood,
+        "iterations": iterations,
+        "converged": True,
+        "log_likelihood": ll,
     }
-    if output_format == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        header = list(payload.keys())
-        row = [
-            f"{payload['a']:.9g}", f"{payload['b']:.9g}", str(stats.n), method,
-            str(result.iterations), str(result.converged),
-            f"{result.log_likelihood:.6f}",
-        ]
-        _render_rows(header, [row], output_format, out)
+    _write(payload, (("a", ".9g"), ("b", ".9g"), ("n", ""), ("method", ""),
+                     ("iterations", ""), ("converged", ""),
+                     ("log_likelihood", ".6f")), output_format, out)
     return EXIT_OK
 
 
@@ -231,35 +210,24 @@ def cmd_portfolio(alpha: ConfidenceLevel, path: str, label: str,
     elif output_format == "csv":
         out.write(credit.report_to_csv(result))
     else:
-        d = result.to_rendered_dict()
-        header = ["field", "value"]
-        rows = [[k, credit._format_currency(v, ",") if k in credit.CURRENCY_FIELDS
-                 else str(v)]
-                for k, v in d.items()]
-        _render_rows(header, rows, "table", out)
+        fields = [{"field": k, "value": credit._format_currency(v, ",")
+                   if k in credit.CURRENCY_FIELDS else v}
+                  for k, v in result.to_rendered_dict().items()]
+        _write(fields, (("field", ""), ("value", "")), output_format, out)
     return EXIT_OK
 
 
 def cmd_tables(alpha: ConfidenceLevel, which: str, output_format: str, out) -> int:
-    header = ["a", "b", "var", "cvar", "ec"]
     if which == "analytic":
         shapes, method = ANALYTIC_ROWS, risk.SolveMethod.CLOSED_FORM
     else:
         shapes, method = NUMERIC_ROWS, risk.SolveMethod.NUMERIC
-    values = []
+    rows = []
     for a, b in shapes:
         r = risk.report(BetaKotzParams(a, b), alpha, method)
-        values.append((a, b, r.var, r.cvar, r.ec))
-    if output_format == "json":
-        # Machine form carries full precision; text forms round for eyes.
-        out.write(json.dumps([dict(zip(header, row)) for row in values],
-                             indent=2) + "\n")
-    else:
-        rows = [
-            [f"{a:g}", f"{b:g}", f"{v:.6f}", f"{c:.6f}", f"{e:.6f}"]
-            for a, b, v, c, e in values
-        ]
-        _render_rows(header, rows, output_format, out)
+        rows.append({"a": a, "b": b, "var": r.var, "cvar": r.cvar, "ec": r.ec})
+    _write(rows, (("a", "g"), ("b", "g"), ("var", ".6f"), ("cvar", ".6f"),
+                  ("ec", ".6f")), output_format, out)
     return EXIT_OK
 
 
