@@ -97,10 +97,8 @@ class BetaKotzParams(_Record):
             raise ValueError(f"shape a must be finite and > 0, got {a}")
         if not 0.0 < b <= sys.float_info.max:
             raise ValueError(f"shape b must be finite and > 0, got {b}")
-        log_norm_const = -ln_beta(a, b)  # ValueError if a + b overflows
-        if not math.isfinite(log_norm_const):
-            raise ValueError(f"ln B(a, b) overflows for shapes a={a}, b={b}")
-        self.__setstate__((a, b, log_norm_const))
+        # Finite whenever a + b is; ValueError if a + b overflows.
+        self.__setstate__((a, b, -ln_beta(a, b)))
 
     def __repr__(self):
         # log_norm_const is derived from (a, b), so the repr leaves it out.

@@ -151,6 +151,15 @@ def test_measures_quantile_that_rounds_to_zero_is_input_error(capsys):
     assert "rounds to 0" in err
 
 
+def test_measures_large_shape_routes_agree(capsys):
+    # A sum of ln-gammas near 1.5e8 put the identity route 2e-8 off, and
+    # the command exited 3; mpmath's CVaR is 0.999999992867408.
+    code, out, _ = run_cli(capsys, "measures", "--a", "1e7", "--b", "0.5",
+                           "--alpha", "0.5", "--output-format", "json")
+    assert code == EXIT_OK
+    assert abs(json.loads(out)["cvar"] - 0.999999992867408) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------

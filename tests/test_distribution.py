@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -60,16 +61,40 @@ def test_norm_const_matches_definition():
 
 
 @pytest.mark.parametrize("make, args, name", [
-    (BetaKotzParams, (1e306, 1.0), "a=1e"),
+    (BetaKotzParams, (1.7e308, 1.7e308), "finite sum"),
     (BetaKotzParams, (10**400, 1.0), "shape a"),
     (BetaKotzParams, (1.0, 10**400), "shape b"),
     (ln_gamma, (10**400,), "ln_gamma requires"),
     (ConfidenceLevel, (10**400,), "confidence level"),
 ])
 def test_unrepresentable_arguments_are_value_errors(make, args, name):
-    # ln B(1e306, 1) is inf - inf in doubles, and 10**400 has no float.
+    # a + b = 3.4e308 and 10**400 have no double.
     with pytest.raises(ValueError, match=name):
         make(*args)
+
+
+def test_extreme_shapes_have_finite_norm_const():
+    # ln B(1e306, 1) = -ln(1e306); a sum of ln-gammas near 1e308 would
+    # be inf - inf.  ln B stays finite wherever a + b is a double.
+    assert BetaKotzParams(1e306, 1.0).log_norm_const == pytest.approx(
+        math.log(1e306), rel=4e-16)
+    with mpmath.workdps(400):  # the ln-gammas cancel in 300 digits
+        for a, b in [(1e308, 7e307), (10.0, 1.7e308), (1.7e308, 5.0)]:
+            a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+            exact = float(mpmath.loggamma(a_ + b_) - mpmath.loggamma(a_)
+                          - mpmath.loggamma(b_))
+            got = BetaKotzParams(a, b).log_norm_const
+            assert math.isfinite(got) and got == pytest.approx(exact, rel=1e-15)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(n1=0.0, n2=2.0, t1=1.0, t2=1.0), "n1 > 0"),
+    (dict(n1=2.0, n2=-1.0, t1=1.0, t2=1.0), "n2 > 0"),
+    (dict(n1=2.0, n2=2.0, t1=1.0, t2=0.0), r"t2 \+ n2/2 - 1 > 0"),
+])
+def test_kotz_generator_invariants(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        KotzGeneratorParams(**kwargs)
 
 
 def test_invalid_shapes_rejected():

@@ -102,6 +102,8 @@ def test_sample_stats_validation():
         SampleStats(n=5, mean=1.5, variance=0.1, sum_log_x=-1.0, sum_log_1mx=-1.0)
     with pytest.raises(ValueError):
         SampleStats(n=5, mean=0.5, variance=-0.1, sum_log_x=-1.0, sum_log_1mx=-1.0)
+    with pytest.raises(ValueError, match="log-sums"):
+        SampleStats(n=5, mean=0.5, variance=0.1, sum_log_x=-math.inf, sum_log_1mx=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +299,13 @@ def test_fit_mle_small_shape_damping_stays_positive():
     assert r.params.a > 0.0 and r.params.b > 0.0
     assert abs(r.params.a - 0.15) < 0.05
     assert abs(r.params.b - 0.2) < 0.05
+
+
+@pytest.mark.parametrize("a, b, seed", [(0.7, 5000.0, 0), (2.0, 800.0, 6),
+                                        (0.7, 5000.0, 16)])
+def test_fit_mle_converges_on_loss_rate_like_samples(a, b, seed):
+    # With ln B as a difference of ln-gamma values near 4e4, its rounding
+    # stalled these fits: one step failure and two unconverged.
+    r = fit_mle(stats_from_samples(seeded_beta_sample(a, b, 500, seed=seed)))
+    assert r.converged
+    assert r.gradient_norm <= 1e-10
