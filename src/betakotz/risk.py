@@ -289,7 +289,9 @@ def _density_cvar(p, a_level, q, tail):
     by the tanh-sinh rule _TANH_SINH, in log form.
     """
     am1, inv_b = p.a - 1.0, 1.0 / p.b
-    lead = p.log_norm_const + p.b * math.log(tail) - math.log(p.b)
+    # ln(1 - q) from the carried side: b would scale the rounding of the other.
+    ln_tail = math.log1p(-q) if q < 0.5 else math.log(tail)
+    lead = p.log_norm_const + p.b * ln_tail - math.log(p.b)
     excess = 0.0
     for log_w, log_weight in _TANH_SINH:
         gap = -tail * math.expm1(log_w * inv_b)

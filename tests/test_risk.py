@@ -349,6 +349,18 @@ def test_density_cvar_matches_mpmath(a, b, alpha):
 
 
 @pytest.mark.parametrize("a, b, alpha", [
+    (2.0, 2000.0, 0.99), (5.0, 3000.0, 0.999), (0.05, 40000.0, 0.99),
+])
+def test_density_cvar_reads_the_carried_side(a, b, alpha):
+    # VaR is carried below 1/2 here; b ln(1 - VaR) from the rounded
+    # 1 - VaR put the route 6.7e-15 to 7.9e-13 off.
+    p = BetaKotzParams(a, b)
+    q, tail = risk_mod._var_pair(p, alpha)
+    exact = _mpmath_density_cvar(a, b, alpha, q)
+    assert abs(risk_mod._density_cvar(p, alpha, q, tail) - exact) <= 2e-15 * exact
+
+
+@pytest.mark.parametrize("a, b, alpha", [
     (1000.0, 1000.0, 1e-6), (1000.0, 1000.0, 1e-12), (400.0, 400.0, 1e-12),
 ])
 def test_report_answers_large_symmetric_shapes_in_the_lower_tail(a, b, alpha):
@@ -696,3 +708,7 @@ def test_baseline_domain_errors():
         cvar_student(0.0, 1.0, 1.0, 0.9)
     with pytest.raises(ValueError):
         cvar_normal(0.0, -1.0, 0.9)
+    with pytest.raises(ValueError, match="sigma"):
+        var_student(0.0, 0.0, 5.0, 0.9)
+    with pytest.raises(ValueError, match="sigma"):
+        cvar_student(0.0, -1.0, 5.0, 0.9)
