@@ -4,8 +4,9 @@ Writes one month with the portfolio-month workload's generator
 (`bench/workloads.py`, seeded), then times `read_portfolio_csv` and
 `period_report` on it: the minimum of N `timeit` repeats, in ms per
 month, µs per row and rows/s.  Next to the times it prints the
-machine-independent count: the Python-level calls that `loss_rates`
-makes per obligor, from `sys.setprofile` call events.
+machine-independent count for each of the two: the Python-level calls
+it makes per row, from `sys.setprofile` call events, with the four
+most frequent callees.
 
     python tools/time_credit.py [--rows 10000] [--repeats 7] [--seed 1]
 
@@ -27,11 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from bench.workloads import write_portfolio  # noqa: E402
-from betakotz.credit import loss_rates, period_report, read_portfolio_csv  # noqa: E402
+from betakotz.credit import period_report, read_portfolio_csv  # noqa: E402
 
 
-def loss_rates_calls(portfolio) -> Counter:
-    """Python-level call events inside one `loss_rates(portfolio)`, by name."""
+def python_calls(run) -> Counter:
+    """Python-level call events inside one `run()`, by name."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -40,7 +41,7 @@ def loss_rates_calls(portfolio) -> Counter:
 
     sys.setprofile(profile)
     try:
-        loss_rates(portfolio)
+        run()
     finally:
         sys.setprofile(None)
     return calls
@@ -62,16 +63,17 @@ def main(argv=None):
         write_portfolio(path, args.rows, random.Random(f"time-credit-{args.seed}"),
                         label="M", alpha=0.99)
         portfolio = read_portfolio_csv(path)
-        read_s = min(timeit.repeat(lambda: read_portfolio_csv(path),
-                                   number=1, repeat=args.repeats))
-    report_s = min(timeit.repeat(lambda: period_report("M", portfolio, 0.99),
-                                 number=1, repeat=args.repeats))
-    print(f"{args.rows:,} rows, min of {args.repeats} repeats")
-    print(_line("read_portfolio_csv", read_s, args.rows))
-    print(_line("period_report", report_s, args.rows))
-    calls = loss_rates_calls(portfolio)
-    print(f"loss_rates: {sum(calls.values()) / args.rows:.4f} Python-level calls"
-          f" per obligor ({', '.join(f'{k} {v}' for k, v in calls.most_common())})")
+        runs = {"read_portfolio_csv": lambda: read_portfolio_csv(path),
+                "period_report": lambda: period_report("M", portfolio, 0.99)}
+        print(f"{args.rows:,} rows, min of {args.repeats} repeats")
+        for name, run in runs.items():
+            print(_line(name, min(timeit.repeat(run, number=1,
+                                                repeat=args.repeats)), args.rows))
+        for name, run in runs.items():
+            calls = python_calls(run)
+            top = ", ".join(f"{k} {v}" for k, v in calls.most_common(4))
+            print(f"{name}: {sum(calls.values()) / args.rows:.4f} Python-level"
+                  f" calls per row ({top})")
 
 
 if __name__ == "__main__":
