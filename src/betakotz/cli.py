@@ -210,9 +210,11 @@ def cmd_portfolio(alpha: ConfidenceLevel, path: str, label: str,
     elif output_format == "csv":
         out.write(credit.report_to_csv(result))
     else:
-        fields = [{"field": k, "value": credit._format_currency(v, ",")
-                   if k in credit.CURRENCY_FIELDS else v}
-                  for k, v in result.to_rendered_dict().items()]
+        # Money with thousands separators, every other field as rendered.
+        rendered = result.to_rendered_dict()
+        fields = [{"field": key,
+                   "value": format(rendered[key], ",.2f" if spec == ".2f" else "")}
+                  for key, spec in credit.REPORT_COLUMNS]
         _write(fields, (("field", ""), ("value", "")), output_format, out)
     return EXIT_OK
 

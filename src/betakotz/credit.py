@@ -210,15 +210,13 @@ def _rates(portfolio, total):
     return [el / total for el in map(expected_loss, portfolio)]
 
 
-# Rendered fields of a PortfolioReport: money at 2 decimals, rate-domain
-# values at 9 significant digits.
-CURRENCY_FIELDS = ("total_exposure", "expected_loss", "var", "ec", "cvar")
-RATE_FIELDS = ("fitted_a", "fitted_b", "alpha")
-
-
-def _format_currency(value: float, sep: str = "") -> str:
-    """Money at 2 decimals, with `sep` (e.g. ",") between thousands."""
-    return format(value, sep + ".2f")
+# The wire format of a PortfolioReport, as (key, format spec) in to_dict
+# order: money at 2 decimals, rate-domain values at 9 significant digits.
+REPORT_COLUMNS = (
+    ("label", ""), ("total_exposure", ".2f"), ("expected_loss", ".2f"),
+    ("var", ".2f"), ("ec", ".2f"), ("cvar", ".2f"),
+    ("fitted_a", ".9g"), ("fitted_b", ".9g"), ("alpha", ".9g"), ("obligor_count", ""),
+)
 
 
 class PortfolioReport(_Record):
@@ -255,18 +253,10 @@ class PortfolioReport(_Record):
         }
 
     def to_rendered_dict(self) -> dict:
-        """Wire form: currency at 2 decimals, rates at 9 significant digits."""
+        """Wire form: each value of REPORT_COLUMNS read back at its precision."""
         d = self.to_dict()
-        for key in CURRENCY_FIELDS:
-            d[key] = float(_format_currency(d[key]))
-        for key in RATE_FIELDS:
-            d[key] = float(f"{d[key]:.9g}")
-        return d
-
-
-def _currency(rate_measure: float, total_exposure: float) -> float:
-    # The single place where rate-domain measures become money.
-    return rate_measure * total_exposure
+        return {key: float(format(d[key], spec)) if spec else d[key]
+                for key, spec in REPORT_COLUMNS}
 
 
 def period_report(
@@ -293,9 +283,9 @@ def period_report(
     stats = stats_from_samples(rates)
     fitted = fit_moments(stats)
     measures = risk.report(fitted, alpha)
-    el = _currency(measures.mean, total)
-    var_cur = _currency(measures.var, total)
-    cvar_cur = _currency(measures.cvar, total)
+    el = measures.mean * total
+    var_cur = measures.var * total
+    cvar_cur = measures.cvar * total
     return PortfolioReport(
         label=label,
         total_exposure=total,
@@ -434,11 +424,6 @@ def report_to_json(report: PortfolioReport) -> str:
 
 def report_to_csv(report: PortfolioReport) -> str:
     """Rendered single-record CSV wire form of a period report."""
-    d = report.to_rendered_dict()
-    values = [
-        _format_currency(v) if k in CURRENCY_FIELDS
-        else f"{v:.9g}" if k in RATE_FIELDS
-        else str(v)
-        for k, v in d.items()
-    ]
-    return ",".join(d) + "\n" + ",".join(values) + "\n"
+    d = report.to_dict()
+    return (",".join(key for key, _ in REPORT_COLUMNS) + "\n"
+            + ",".join(format(d[key], spec) for key, spec in REPORT_COLUMNS) + "\n")
