@@ -56,7 +56,7 @@ print("=" * 72)
 for a, b in [(1.0, 3.0), (2.0, 3.0), (0.5, 30.0)]:
     q = BetaKotzParams(a, b)
     level, tail = risk._var_pair(q, ALPHA)
-    identity = risk._tail_expectation_cvar(q, ALPHA, tail)
+    identity = risk._tail_expectation_cvar(q, ALPHA, level, tail)
     density = risk._density_cvar(q, ALPHA, level, tail)
     print(f"shapes ({a:g}, {b:g}): identity {identity:.12f}   "
           f"density {density:.12f}   gap {abs(identity - density):.1e}")

@@ -18,7 +18,7 @@ import math
 import sys
 
 from .distribution import BetaKotzParams, ConfidenceLevel, _Record, mean
-from .specfun import ConvergenceError, _inc_beta_tails, ln_beta, reg_inc_beta
+from .specfun import ConvergenceError, _inc_beta_tails, ln_beta
 
 __all__ = [
     "SolveMethod",
@@ -105,7 +105,7 @@ def _inc_beta_inverse(a, b, p):
     relative step, as kernel rounding makes at large shapes, ends the
     solve too.  A u below the smallest positive double is a ValueError.
     """
-    half = _inc_beta_tails(a, b, 0.5)[0]
+    half = _inc_beta_tails(a, b, 0.5, 0.5)[0]
     small = min(p, 1.0 - p)
     if abs(half - p) <= _ROOT_REL_TOL * small:
         return 0.5, 0.5
@@ -120,7 +120,7 @@ def _inc_beta_inverse(a, b, p):
     u = max(math.exp(min(t, math.log(0.5))), _TINY)
     lo, hi = 0.0, 1.0
     for _ in range(_ROOT_MAX_ITERS):
-        below, above = _inc_beta_tails(a, b, u)
+        below, above = _inc_beta_tails(a, b, u, 1.0 - u)
         side = below if lower else above
         rel = (side - small) / small
         if abs(rel) <= _ROOT_REL_TOL:
@@ -267,9 +267,9 @@ def var_closed(p: BetaKotzParams, alpha) -> float | None:
 # CVaR / EC
 # ---------------------------------------------------------------------------
 
-def _tail_expectation_cvar(p, a_level, tail):
+def _tail_expectation_cvar(p, a_level, q, tail):
     # E[X | X > q] = mean I_{1-q}(b, a+1) / (1 - alpha); exact up to q.
-    return mean(p) * reg_inc_beta(p.b, p.a + 1.0, tail) / (1.0 - a_level)
+    return mean(p) * _inc_beta_tails(p.b, p.a + 1.0, tail, q)[0] / (1.0 - a_level)
 
 
 def _density_cvar(p, a_level, q, tail):
@@ -313,7 +313,7 @@ def cvar(p: BetaKotzParams, alpha) -> float:
 
 def _checked_cvar(p, a_level, q, tail):
     # cvar() given q and tail = 1 - q, which report() solves for once.
-    identity = _tail_expectation_cvar(p, a_level, tail)
+    identity = _tail_expectation_cvar(p, a_level, q, tail)
     density = _density_cvar(p, a_level, q, tail)
     # Written as `not <=` so that a nan from either route raises too.
     if not abs(identity - density) <= _CVAR_CROSSCHECK_TOL:

@@ -242,7 +242,7 @@ def test_criterion_4_cvar_dual_method():
         q, tail = risk._var_pair(p, alpha)
         worst_resid = max(worst_resid, abs(cdf(p, q) - alpha))
         assert abs(cdf(p, q) - alpha) <= 1e-12
-        identity = risk._tail_expectation_cvar(p, alpha, tail)
+        identity = risk._tail_expectation_cvar(p, alpha, q, tail)
         for route, other in (("quadrature", quadrature_cvar(p, alpha)),
                              ("density", risk._density_cvar(p, alpha, q, tail))):
             gap = abs(identity - other)

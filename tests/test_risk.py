@@ -306,7 +306,7 @@ def test_cvar_dual_route_agreement():
         p = BetaKotzParams(rng.uniform(0.2, 40.0), rng.uniform(0.2, 40.0))
         alpha = rng.uniform(0.01, 0.999)
         q, tail = risk_mod._var_pair(p, alpha)
-        identity = risk_mod._tail_expectation_cvar(p, alpha, tail)
+        identity = risk_mod._tail_expectation_cvar(p, alpha, q, tail)
         assert abs(identity - quadrature_cvar(p, alpha)) <= 1e-8
         assert abs(identity - risk_mod._density_cvar(p, alpha, q, tail)) <= 1e-8
 
@@ -361,6 +361,23 @@ def test_density_cvar_reads_the_carried_side(a, b, alpha):
 
 
 @pytest.mark.parametrize("a, b, alpha", [
+    (0.01, 1e8, 0.99), (0.5, 1e6, 0.9), (0.05, 40000.0, 0.99),
+])
+def test_identity_cvar_reads_the_carried_side(a, b, alpha):
+    # VaR is carried below 1/2 here; b ln(1 - VaR) from the rounded
+    # 1 - VaR put the returned route 2.0e-12 to 4.6e-9 off.
+    p = BetaKotzParams(a, b)
+    q, tail = risk_mod._var_pair(p, alpha)
+    assert q < tail
+    with mp.workdps(40):
+        ma, mb = mp.mpf(a), mp.mpf(b)
+        exact = (ma / (ma + mb) * mp.betainc(ma + 1, mb, mp.mpf(q), 1, regularized=True)
+                 / (1 - mp.mpf(alpha)))
+    got = risk_mod._tail_expectation_cvar(p, alpha, q, tail)
+    assert abs(got - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("a, b, alpha", [
     (1000.0, 1000.0, 1e-6), (1000.0, 1000.0, 1e-12), (400.0, 400.0, 1e-12),
 ])
 def test_report_answers_large_symmetric_shapes_in_the_lower_tail(a, b, alpha):
@@ -403,7 +420,7 @@ def test_report_lower_clamp_keeps_identity():
 
 def test_cvar_inconsistency_guard(monkeypatch):
     monkeypatch.setattr(
-        risk_mod, "_tail_expectation_cvar", lambda p, a, tail: 123.0
+        risk_mod, "_tail_expectation_cvar", lambda p, a, q, tail: 123.0
     )
     with pytest.raises(InternalConsistencyError):
         cvar(BetaKotzParams(2, 2), 0.9)

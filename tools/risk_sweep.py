@@ -78,7 +78,7 @@ def crosscheck_residual(a, b, alpha):
     """|identity - density| of the two CVaR routes at the solved VaR."""
     p = BetaKotzParams(a, b)
     q, tail = risk._var_pair(p, alpha)
-    return abs(risk._tail_expectation_cvar(p, alpha, tail)
+    return abs(risk._tail_expectation_cvar(p, alpha, q, tail)
                - risk._density_cvar(p, alpha, q, tail))
 
 
