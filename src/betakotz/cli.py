@@ -247,9 +247,7 @@ def main(argv=None) -> int:
                                 fmt, out)
         if args.command == "portfolio":
             return cmd_portfolio(alpha, args.input, args.label, fmt, out)
-        if args.command == "tables":
-            return cmd_tables(alpha, args.which, fmt, out)
-        raise AssertionError(f"unhandled command {args.command}")
+        return cmd_tables(alpha, args.which, fmt, out)
     except risk.InternalConsistencyError as err:
         sys.stderr.write(f"internal consistency failure: {err}\n")
         return EXIT_INCONSISTENT

@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from betakotz import cli, estimation, risk, specfun
+from betakotz import cli, credit, estimation, risk, specfun
 from betakotz.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from betakotz.distribution import BetaKotzParams
+from betakotz.distribution import BetaKotzParams, ConfidenceLevel
 
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "portfolio_synthetic.csv"
 
@@ -350,6 +350,35 @@ def test_portfolio_pipeline_failure(capsys, tmp_path):
     code, _, err = run_cli(capsys, "portfolio", str(path))
     assert code == EXIT_NUMERIC
     assert "pipeline" in err
+
+
+def test_portfolio_zero_total_exposure(capsys, tmp_path):
+    path = tmp_path / "zero.csv"
+    path.write_text(
+        "id,rating,segment,ead,guarantee,days_past_due\n"
+        "a,AA,Other,0,NoGuarantee,0\n"
+        "b,B,Other,0.0,NoGuarantee,5\n"
+    )
+    code, out, err = run_cli(capsys, "portfolio", str(path))
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == "portfolio pipeline failed: total exposure must be positive\n"
+
+
+def test_portfolio_table_prints_rate_fields_as_rendered(capsys, monkeypatch):
+    # The table prints each rate field's rendered float, where the CSV
+    # prints its 9 significant digits ("2", "1.23456789e+09").
+    report = credit.PortfolioReport(
+        label="rates", total_exposure=1000.0, expected_loss=5.0, var=10.0,
+        ec=5.0, cvar=12.0, fitted=BetaKotzParams(2.0, 1234567890.5),
+        alpha=ConfidenceLevel(0.99), obligor_count=3)
+    monkeypatch.setattr(credit, "period_report", lambda label, obligors, alpha: report)
+    code, out, _ = run_cli(capsys, "portfolio", str(FIXTURE))
+    assert code == EXIT_OK
+    rows = dict(line.split() for line in out.splitlines()[1:])
+    assert rows["fitted_a"] == "2.0"
+    assert rows["fitted_b"] == "1234567890.0"
+    assert rows["total_exposure"] == "1,000.00"
 
 
 # ---------------------------------------------------------------------------

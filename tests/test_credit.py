@@ -368,6 +368,12 @@ def test_period_report_needs_two_positive_rates():
         period_report("p", [])
 
 
+def test_period_report_needs_positive_total_exposure():
+    no_exposure = [make_obligor(id="a", ead=0.0), make_obligor(id="b", ead=0.0)]
+    with pytest.raises(ValueError, match="total exposure must be positive"):
+        period_report("p", no_exposure)
+
+
 def test_portfolio_report_validation():
     from betakotz.distribution import BetaKotzParams
 
@@ -380,6 +386,15 @@ def test_portfolio_report_validation():
         PortfolioReport(label="x", total_exposure=100.0, expected_loss=5.0,
                         var=10.0, ec=5.5, cvar=12.0, fitted=fitted,
                         alpha=ConfidenceLevel(0.99), obligor_count=10)
+
+
+def test_portfolio_report_needs_an_obligor():
+    from betakotz.distribution import BetaKotzParams
+
+    with pytest.raises(ValueError, match="obligor_count must be positive"):
+        PortfolioReport(label="x", total_exposure=100.0, expected_loss=5.0,
+                        var=10.0, ec=5.0, cvar=12.0, fitted=BetaKotzParams(0.2, 30.0),
+                        alpha=ConfidenceLevel(0.99), obligor_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -524,3 +539,21 @@ def test_report_rendering_precision():
     values = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert values["expected_loss"] == f"{round(r.expected_loss, 2):.2f}"
     assert values["alpha"] == "0.99"
+
+
+def test_report_rate_fields_render_at_nine_digits():
+    # 9 significant digits of 2.0 and 1234567890.5 print differently
+    # from the floats they round to.
+    from betakotz.distribution import BetaKotzParams
+
+    r = PortfolioReport(label="rates", total_exposure=1000.0, expected_loss=5.0,
+                        var=10.0, ec=5.0, cvar=12.0,
+                        fitted=BetaKotzParams(2.0, 1234567890.5),
+                        alpha=ConfidenceLevel(0.99), obligor_count=3)
+    rendered = r.to_rendered_dict()
+    assert (rendered["fitted_a"], rendered["fitted_b"]) == (2.0, 1234567890.0)
+    text = report_to_json(r)
+    assert '"fitted_a": 2.0,' in text and '"fitted_b": 1234567890.0,' in text
+    header, row = report_to_csv(r).splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert (values["fitted_a"], values["fitted_b"]) == ("2", "1.23456789e+09")
