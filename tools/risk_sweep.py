@@ -13,10 +13,10 @@ and prints:
   when scipy is not installed);
 - the CVaR cross-check residual |identity - density| of the successes,
   the figure `report()` gates at 1e-8 and then drops;
-- the density route's relative error against mpmath, at the same VaR,
-  over a fixed sample of 128 successes, counting the draws where
-  mpmath's `betainc` does not converge (skipped when mpmath is not
-  installed);
+- the relative error against mpmath, at the same VaR, of the density
+  route and of the identity route, whose value `report()` returns, over
+  a fixed sample of 128 successes, counting the draws where mpmath's
+  `betainc` does not converge (skipped when mpmath is not installed);
 - `specfun._beta_contfrac` evaluations per `report()`, the
   machine-independent count of incomplete-beta work, over the pool and
   over the fitted shapes of the portfolio-month pool
@@ -82,19 +82,26 @@ def crosscheck_residual(a, b, alpha):
                - risk._density_cvar(p, alpha, q, tail))
 
 
-def density_error(a, b, alpha):
-    """Relative error of the density route against mpmath at the same VaR."""
+def route_errors(a, b, alpha):
+    """Relative errors of the density and identity routes against mpmath,
+    each at the VaR the solver carries (the identity moves with VaR to
+    first order, so its reference is taken at the same point)."""
     import mpmath as mp
 
     p = BetaKotzParams(a, b)
     q, tail = risk._var_pair(p, alpha)
     with mp.workdps(40):
-        ma, mb, mq = mp.mpf(a), mp.mpf(b), mp.mpf(q)
-        # E[(X - q)+] = mean P_{a+1,b}(X > q) - q P_{a,b}(X > q).
-        excess = (ma / (ma + mb) * mp.betainc(ma + 1, mb, mq, 1, regularized=True)
-                  - mq * mp.betainc(ma, mb, mq, 1, regularized=True))
-        exact = mq + excess / (1 - mp.mpf(alpha))
-        return float(abs(risk._density_cvar(p, alpha, q, tail) - exact) / exact)
+        ma, mb = mp.mpf(a), mp.mpf(b)
+        mq = mp.mpf(q) if q <= tail else 1 - mp.mpf(tail)
+        level = 1 - mp.mpf(alpha)
+        # E[X; X > q] = mean P_{a+1,b}(X > q), and
+        # E[(X - q)+] = E[X; X > q] - q P_{a,b}(X > q).
+        tail_mean = ma / (ma + mb) * mp.betainc(ma + 1, mb, mq, 1, regularized=True)
+        density = mq + (tail_mean - mq * mp.betainc(ma, mb, mq, 1, regularized=True)) / level
+        identity = tail_mean / level
+        return (float(abs(risk._density_cvar(p, alpha, q, tail) - density) / density),
+                float(abs(risk._tail_expectation_cvar(p, alpha, q, tail) - identity)
+                      / identity))
 
 
 def quantiles(values, probs=(0.5, 0.99, 1.0)):
@@ -151,18 +158,19 @@ def main(argv=None):
     try:
         from mpmath.libmp import NoConvergence
     except ImportError:
-        print("density route error: mpmath not installed, skipped")
+        print("CVaR route errors: mpmath not installed, skipped")
     else:
         errors, stalled = [], 0
         for t in sample:
             try:
-                errors.append(density_error(*t))
+                errors.append(route_errors(*t))
             except NoConvergence:
                 stalled += 1
-        spread = ("p50 {:.2g}  p99 {:.2g}  max {:.2g}".format(*quantiles(errors))
-                  if errors else "no comparisons")
-        print(f"density route error vs mpmath over {len(errors)} of {len(sample)} "
-              f"sampled successes ({stalled} mpmath betainc did not converge): {spread}")
+        print(f"CVaR route errors vs mpmath over {len(errors)} of {len(sample)} "
+              f"sampled successes ({stalled} mpmath betainc did not converge):")
+        for name, route in zip(("density", "identity (returned)"), zip(*errors)):
+            p50, p99, worst = quantiles(route)
+            print(f"  {name:<20} p50 {p50:.2g}  p99 {p99:.2g}  max {worst:.2g}")
 
     shapes = fitted_shapes()
     month_calls = sum(count_contfrac(risk.report, p, alpha)[1] for p, alpha in shapes)
