@@ -6,9 +6,11 @@ import csv
 import io
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
+from betakotz import credit
 from betakotz.credit import read_portfolio_csv
 from csv_oracle import read_portfolio_csv as oracle_read_portfolio_csv
 
@@ -185,3 +187,154 @@ def test_reader_matches_oracle_on_edge_files(tmp_path, text):
     path = tmp_path / "p.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert outcome(read_portfolio_csv, path) == outcome(oracle_read_portfolio_csv, path)
+
+
+# ---------------------------------------------------------------------------
+# chunked reading: files several chunks long
+# ---------------------------------------------------------------------------
+
+CHUNK = credit._CHUNK_ROWS
+COLUMNS = REQUIRED + OPTIONAL
+ROWS = 4 * CHUNK + CHUNK // 3
+THIRD = 2 * CHUNK + CHUNK // 4  # a row of the third chunk
+
+
+def _plain_row(rng, k):
+    """A row whose cells the column route takes as they stand."""
+    row = [_good_cell(rng, c) for c in COLUMNS]
+    row[0] = f"OBL-{k}"
+    row[COLUMNS.index("days_past_due")] = rng.choice(("0", " 45 ", "+7", "900"))
+    return row
+
+
+def _write_rows(path, rows, blank_before=()):
+    """Write the header and `rows`, with two blank lines before each row
+    index in `blank_before`."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for k, row in enumerate(rows):
+        if k in blank_before:
+            out.write("\n\n")
+        writer.writerow(row)
+    path.write_text(out.getvalue(), encoding="utf-8", newline="")
+
+
+def _set(rows, k, column, text):
+    rows[k][COLUMNS.index(column)] = text
+
+
+def _chunked_rows(faults=()):
+    """ROWS rows, of whose chunks all but the third and the last, part
+    one take the row route: a blank days_past_due in the first, a short
+    and a long row in the second, cells padded with \\x1c in the fourth
+    (an ead that float() refuses as it stands, but strip() mends).
+    `faults` are (row index, column, text) to set on top."""
+    rng = random.Random(20261019)
+    rows = [_plain_row(rng, k) for k in range(ROWS)]
+    _set(rows, 3, "days_past_due", "")
+    rows[CHUNK + 5] = rows[CHUNK + 5][:len(REQUIRED)]
+    rows[CHUNK + 9] += ["extra", "cells, quoted"]
+    _set(rows, 3 * CHUNK + 10, "days_past_due", "\x1c45")
+    _set(rows, 3 * CHUNK + 11, "ead", "\x1c5")
+    for k, column, text in faults:
+        _set(rows, k, column, text)
+    return rows
+
+
+def outcome_or_csv_error(reader, path):
+    try:
+        return reader(path)
+    except (ValueError, csv.Error) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+# Each file has blank lines just before the second and the fourth chunk,
+# which must not shift the chunks or the row numbers.  The expected
+# outcome is the number of obligors, or the row number the error names.
+# A fault in the third or the last chunk is one the column route refuses.
+@pytest.mark.parametrize("faults, expected", [
+    ((), ROWS),
+    # row numbers run on across chunks and blank lines
+    (((4 * CHUNK + 20, "rating", "Gold"),), f"row {4 * CHUNK + 22},"),
+    # the earlier of two faulty chunks wins, whichever route each takes
+    (((THIRD + 9, "lgd_override", "2"), (3 * CHUNK + 1, "ead", "-5")),
+     f"row {THIRD + 11},"),
+    (((CHUNK + 7, "ead", "nan"), (2 * CHUNK + 3, "guarantee", "None")),
+     f"row {CHUNK + 9}:"),
+    # each check of the column route
+    (((THIRD, "ead", "inf"),), f"row {THIRD + 2}:"),
+    (((THIRD, "ead", "-1e-300"),), f"row {THIRD + 2},"),
+    (((THIRD, "days_past_due", "-3"),), f"row {THIRD + 2}:"),
+    (((THIRD, "pd_override", "nan"),), f"row {THIRD + 2}:"),
+    (((THIRD, "segment", "Nowhere"),), f"row {THIRD + 2},"),
+], ids=["accepted", "later-chunk", "two-chunks", "two-chunks-row-route",
+        "ead-inf", "ead-negative", "days-negative", "pd-nan", "segment"])
+def test_chunked_reader_matches_oracle(tmp_path, faults, expected):
+    path = tmp_path / "p.csv"
+    _write_rows(path, _chunked_rows(faults), blank_before=(CHUNK, 3 * CHUNK))
+    got = outcome(read_portfolio_csv, path)
+    assert got == outcome(oracle_read_portfolio_csv, path)
+    if isinstance(expected, int):
+        assert len(got) == expected
+    else:
+        assert got.startswith(f"ValueError: {expected}"), got
+
+
+def test_plain_chunks_skip_obligor_init(tmp_path, monkeypatch):
+    # Only the three chunks with a cell the column route leaves to the
+    # row route build their obligors through Obligor.__init__.
+    path = tmp_path / "p.csv"
+    _write_rows(path, _chunked_rows(), blank_before=(CHUNK, 3 * CHUNK))
+    calls = []
+    init = credit.Obligor.__init__
+    monkeypatch.setattr(credit.Obligor, "__init__",
+                        lambda self, *args: calls.append(1) or init(self, *args))
+    assert len(read_portfolio_csv(path)) == ROWS
+    assert len(calls) == 3 * CHUNK
+
+
+@pytest.mark.parametrize("fault", [None, 5])
+def test_fault_before_a_malformed_line_comes_first(tmp_path, fault):
+    # csv.reader refuses a field over its size limit.  A faulty row before
+    # that line in the same chunk is still reported first, as row by row.
+    rng = random.Random(7)
+    rows = [_plain_row(rng, k) for k in range(20)]
+    _set(rows, 12, "id", "x" * (csv.field_size_limit() + 1))
+    if fault is not None:
+        _set(rows, fault, "segment", "Nowhere")
+    path = tmp_path / "p.csv"
+    _write_rows(path, rows)
+    got = outcome_or_csv_error(read_portfolio_csv, path)
+    assert got == outcome_or_csv_error(oracle_read_portfolio_csv, path)
+    expected = "Error: field larger" if fault is None else "ValueError: row 7,"
+    assert got.startswith(expected), got
+
+
+def test_transient_memory_is_bounded_by_the_chunk(tmp_path):
+    # What the reader holds at its peak beyond the obligors it returns
+    # must not grow with the file: reading the whole of a 20,000-row file
+    # before converting it holds about 10 MB more, and the process's peak
+    # RSS grows with it.  The enums are spelled as in the schema, since
+    # each distinct spelling is kept until the file is read.
+    def transient(count):
+        path = tmp_path / f"p{count}.csv"
+        rng = random.Random(count)
+        _write_rows(path, [
+            [f"OBL-{k}", rng.choice(RATINGS), rng.choice(SEGMENTS),
+             f"{rng.lognormvariate(10.5, 1.3):.2f}", rng.choice(GUARANTEES),
+             rng.choice(("0", "45", "400")),
+             f"{rng.random():.6f}" if rng.random() < 0.04 else "",
+             f"{rng.random():.6f}" if rng.random() < 0.04 else ""]
+            for k in range(count)])
+        tracemalloc.start()
+        try:
+            obligors = read_portfolio_csv(path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(obligors) == count
+        return peak - current
+
+    small, large = transient(2_000), transient(20_000)
+    assert large - small < 128 * 1024, (small, large)
