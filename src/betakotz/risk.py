@@ -397,6 +397,12 @@ class RiskReport(_Record):
             raise ValueError(
                 f"cvar must dominate var, got cvar={cvar} < var={var}"
             )
+        if cvar > 1.0:
+            raise ValueError(
+                f"cvar must not exceed 1, the top of the support, got "
+                f"cvar={cvar} (var={var}): with VaR this close to 1, the "
+                f"tail mean rounds above it"
+            )
         if ec != var - mean:
             raise ValueError("ec must equal var - mean exactly")
         self.__setstate__((alpha, var, cvar, ec, mean, method))

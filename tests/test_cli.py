@@ -417,6 +417,16 @@ def test_tables_numeric_grid(capsys):
     assert rows[(0.5, 30.0)]["var"] == pytest.approx(0.106, abs=5e-3)
 
 
+def test_tables_refuse_cvar_above_one(capsys):
+    # At the last double below 1, (2, 1)'s closed-form CVaR rounds to
+    # 1.0000000000000002; the table is refused instead of printing it.
+    code, out, err = run_cli(capsys, "tables", "analytic", "--alpha",
+                             "0.9999999999999998", "--output-format", "json")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: cvar must not exceed 1, the top of the support")
+
+
 def test_tables_deterministic(capsys):
     _, first, _ = run_cli(capsys, "tables", "numeric")
     _, second, _ = run_cli(capsys, "tables", "numeric")

@@ -586,6 +586,18 @@ def test_risk_report_validation():
     with pytest.raises(ValueError):
         RiskReport(alpha=level, var=0.8, cvar=0.9, ec=0.25, mean=0.5,
                    method=SolveMethod.NUMERIC)
+    with pytest.raises(ValueError, match="cvar must not exceed 1"):
+        RiskReport(alpha=level, var=0.75, cvar=1.0 + 2**-52, ec=0.25, mean=0.5,
+                   method=SolveMethod.NUMERIC)
+    assert RiskReport(alpha=level, var=0.75, cvar=1.0, ec=0.25, mean=0.5,
+                      method=SolveMethod.NUMERIC).cvar == 1.0
+
+
+def test_report_refuses_cvar_above_the_support():
+    # One ulp below alpha = 1, (3, 1)'s tail mean rounds to 1 + 7 ulps;
+    # a CVaR above the support's top is refused, with the reason.
+    with pytest.raises(ValueError, match="cvar must not exceed 1.*rounds above it"):
+        report(BetaKotzParams(3, 1), 1 - 2**-52)
 
 
 # ---------------------------------------------------------------------------
