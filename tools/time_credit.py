@@ -4,9 +4,12 @@ Writes one month with the portfolio-month workload's generator
 (`bench/workloads.py`, seeded), then times `read_portfolio_csv` and
 `period_report` on it: the minimum of N `timeit` repeats, in ms per
 month, µs per row and rows/s.  Next to the times it prints the
-machine-independent count for each of the two: the Python-level calls
+machine-independent counts for each of the two: the Python-level calls
 it makes per row, from `sys.setprofile` call events, with the four
-most frequent callees.
+most frequent callees; its transient memory, the `tracemalloc` peak
+above what it returns, in KB; and the garbage collections it sets off,
+by generation.  The reader's chunk size trades the last two against
+each other.
 
     python tools/time_credit.py [--rows 10000] [--repeats 7] [--seed 1]
 
@@ -17,10 +20,12 @@ in another checkout times that checkout.
 from __future__ import annotations
 
 import argparse
+import gc
 import random
 import sys
 import tempfile
 import timeit
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -45,6 +50,26 @@ def python_calls(run) -> Counter:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def transient_kb(run) -> float:
+    """The `tracemalloc` peak inside one `run()` above what it leaves
+    allocated (its result), in KB."""
+    tracemalloc.start()
+    try:
+        kept = run()
+        current, peak = tracemalloc.get_traced_memory()
+        del kept
+    finally:
+        tracemalloc.stop()
+    return (peak - current) / 1024
+
+
+def collections(run) -> list[int]:
+    """Garbage collections of each generation during one `run()`."""
+    before = [g["collections"] for g in gc.get_stats()]
+    run()
+    return [g["collections"] - b for g, b in zip(gc.get_stats(), before)]
 
 
 def _line(name, seconds, rows):
@@ -74,6 +99,9 @@ def main(argv=None):
             top = ", ".join(f"{k} {v}" for k, v in calls.most_common(4))
             print(f"{name}: {sum(calls.values()) / args.rows:.4f} Python-level"
                   f" calls per row ({top})")
+            gcs = collections(run)
+            print(f"{name}: {transient_kb(run):.1f} KB transient peak,"
+                  f" {sum(gcs)} GC collections ({'/'.join(map(str, gcs))})")
 
 
 if __name__ == "__main__":
