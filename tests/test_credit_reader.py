@@ -225,11 +225,12 @@ def _set(rows, k, column, text):
 
 
 def _chunked_rows(faults=()):
-    """ROWS rows, of whose chunks all but the third and the last, part
-    one take the row route: a blank days_past_due in the first, a short
-    and a long row in the second, cells padded with \\x1c in the fourth
-    (an ead that float() refuses as it stands, but strip() mends).
-    `faults` are (row index, column, text) to set on top."""
+    """ROWS rows: four full chunks and a part one.  The first, second
+    and fourth take the row route, for a blank days_past_due, a short
+    and a long row, and cells padded with \\x1c (an ead that float()
+    refuses as it stands but strip() mends); the third and the last
+    take the column route.  `faults` are (row index, column, text) to
+    set on top."""
     rng = random.Random(20261019)
     rows = [_plain_row(rng, k) for k in range(ROWS)]
     _set(rows, 3, "days_past_due", "")
