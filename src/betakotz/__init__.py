@@ -4,77 +4,49 @@ A distribution on [0, 1] driven by two Kotz-type generating factors,
 with Value-at-Risk, Conditional Value-at-Risk and economic capital by
 both closed forms and root finding, method-of-moments and maximum-
 likelihood fitting, and a credit-portfolio reporting pipeline.
+
+`import betakotz` executes no layer module: each public name is looked
+up in its layer on access (PEP 562), which imports the layer the first
+time.
 """
 
-from .distribution import (
-    BetaKotzParams,
-    ConfidenceLevel,
-    KotzGeneratorParams,
-    cdf,
-    from_kotz,
-    mean,
-    moment,
-    pdf,
-    variance,
-)
-from .estimation import (
-    FitResult,
-    InfeasibleMomentsError,
-    SampleStats,
-    StepFailureError,
-    fit_mle,
-    fit_moments,
-    log_likelihood,
-    stats_from_samples,
-)
-from .risk import (
-    InternalConsistencyError,
-    RiskReport,
-    SolveMethod,
-    cvar,
-    cvar_closed,
-    cvar_normal,
-    cvar_student,
-    report,
-    var_closed,
-    var_normal,
-    var_numeric,
-    var_student,
-)
-from .specfun import ConvergenceError
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BetaKotzParams",
-    "ConfidenceLevel",
-    "KotzGeneratorParams",
-    "from_kotz",
-    "pdf",
-    "cdf",
-    "moment",
-    "mean",
-    "variance",
-    "RiskReport",
-    "SolveMethod",
-    "InternalConsistencyError",
-    "var_numeric",
-    "var_closed",
-    "cvar",
-    "cvar_closed",
-    "report",
-    "var_normal",
-    "cvar_normal",
-    "var_student",
-    "cvar_student",
-    "SampleStats",
-    "FitResult",
-    "InfeasibleMomentsError",
-    "StepFailureError",
-    "stats_from_samples",
-    "fit_moments",
-    "fit_mle",
-    "log_likelihood",
-    "ConvergenceError",
-    "__version__",
-]
+# Each public name and the layer module that defines it.
+_LAYER_OF = {
+    **dict.fromkeys((
+        "BetaKotzParams", "ConfidenceLevel", "KotzGeneratorParams", "from_kotz",
+        "pdf", "cdf", "moment", "mean", "variance",
+    ), "distribution"),
+    **dict.fromkeys((
+        "RiskReport", "SolveMethod", "InternalConsistencyError", "var_numeric",
+        "var_closed", "cvar", "cvar_closed", "report", "var_normal",
+        "cvar_normal", "var_student", "cvar_student",
+    ), "risk"),
+    **dict.fromkeys((
+        "SampleStats", "FitResult", "InfeasibleMomentsError", "StepFailureError",
+        "stats_from_samples", "fit_moments", "fit_mle", "log_likelihood",
+    ), "estimation"),
+    "ConvergenceError": "specfun",
+}
+_LAYERS = frozenset(_LAYER_OF.values())
+
+__all__ = [*_LAYER_OF, "__version__"]
+
+
+def __getattr__(name):
+    # Looked up on every access, never cached here: a layer's attribute
+    # may be replaced (by a test's monkeypatch, or a tracer's wrapper)
+    # and later restored.
+    layer = _LAYER_OF.get(name)
+    if layer is not None:
+        return getattr(_import_module(f"{__name__}.{layer}"), name)
+    if name in _LAYERS:
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

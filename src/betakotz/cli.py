@@ -5,16 +5,22 @@ Exit codes: 0 success, 2 input error, 3 internal inconsistency,
 level, 0.99 by default (the setting of the reference tables); it can
 also be set through the BETAKOTZ_ALPHA environment variable, with the
 --alpha flag winning.
+
+`credit`, `estimation` and `risk` are bound lazily: a layer's module is
+executed on the first use of one of its attributes, so a subcommand
+compiles only the layers it runs (`measures` and `tables` never run
+`credit` or `estimation`, `fit` never runs `credit` or `risk`).  The
+first use is not thread-safe on Python 3.11; the CLI is single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
-from . import credit, estimation, risk
 from .distribution import BetaKotzParams, ConfidenceLevel
 from .specfun import ConvergenceError
 
@@ -25,8 +31,26 @@ EXIT_NUMERIC = 4
 
 ALPHA_ENV_VAR = "BETAKOTZ_ALPHA"
 
-_METHODS = {"closed": risk.SolveMethod.CLOSED_FORM, "numeric": risk.SolveMethod.NUMERIC,
-            "both": risk.SolveMethod.BOTH_AGREEING}
+
+def _lazy(layer):
+    """The module `betakotz.<layer>`, executed on its first attribute
+    access rather than now, unless it is imported already.  Like an
+    import, it goes into `sys.modules` and onto the package."""
+    name = f"{__package__}.{layer}"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], layer, module)
+    return module
+
+
+credit, estimation, risk = map(_lazy, ("credit", "estimation", "risk"))
+
+# --method choices, each naming a risk.SolveMethod member.
+_METHODS = {"closed": "CLOSED_FORM", "numeric": "NUMERIC", "both": "BOTH_AGREEING"}
 
 # Reference (a, b) grids: the closed-form table rows and the numeric
 # grid (integer rows plus the non-integer extension rows).
@@ -128,7 +152,8 @@ def _write(payload, columns, fmt, out):
 
 def cmd_measures(alpha: ConfidenceLevel, shape_a: float, shape_b: float,
                  method: str, output_format: str, out) -> int:
-    result = risk.report(BetaKotzParams(shape_a, shape_b), alpha, _METHODS[method])
+    result = risk.report(BetaKotzParams(shape_a, shape_b), alpha,
+                         risk.SolveMethod[_METHODS[method]])
     _write(result.to_dict(), (("alpha", ".9g"), ("var", ".9f"), ("cvar", ".9f"),
                               ("ec", ".9f"), ("mean", ".9f"), ("method", "")),
            output_format, out)
@@ -248,15 +273,17 @@ def main(argv=None) -> int:
         if args.command == "portfolio":
             return cmd_portfolio(alpha, args.input, args.label, fmt, out)
         return cmd_tables(alpha, args.which, fmt, out)
-    except risk.InternalConsistencyError as err:
-        sys.stderr.write(f"internal consistency failure: {err}\n")
-        return EXIT_INCONSISTENT
     except ConvergenceError as err:
         sys.stderr.write(f"numerical failure: {err}\n")
         return EXIT_NUMERIC
     except (ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT
+    # Last, as naming the class executes `risk`; the three hierarchies
+    # are disjoint, so the order decides nothing else.
+    except risk.InternalConsistencyError as err:
+        sys.stderr.write(f"internal consistency failure: {err}\n")
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -345,11 +345,15 @@ def read_portfolio_csv(path) -> list[Obligor]:
     table lookups when non-empty.  Blank lines are skipped and not
     counted as rows, a short row reads its missing cells as empty, and
     cells beyond the header are ignored.  Schema violations name the
-    offending row and column.
+    offending row and column; a line that `csv.reader` refuses (a field
+    over `csv.field_size_limit()`) raises ValueError naming its row.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as err:
+            raise ValueError(f"row 1: {err}") from None
         if header is None:
             raise ValueError("portfolio CSV is empty (missing header row)")
         width = len(header)
@@ -374,11 +378,11 @@ def read_portfolio_csv(path) -> list[Obligor]:
             rows = []
             try:
                 rows.extend(islice(rows_left, _CHUNK_ROWS))
-            except csv.Error:
+            except csv.Error as err:
                 # extend keeps the rows before the malformed line, and a
                 # fault among them is reported first, as row by row.
                 _row_obligors(rows, cells, width, spellings, row_num)
-                raise
+                raise ValueError(f"row {row_num + len(rows) + 1}: {err}") from None
             if not rows:
                 break
             chunk = _column_obligors(rows, cells, width, spellings)

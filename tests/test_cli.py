@@ -365,6 +365,22 @@ def test_portfolio_zero_total_exposure(capsys, tmp_path):
     assert err == "portfolio pipeline failed: total exposure must be positive\n"
 
 
+@pytest.mark.parametrize("row", [1, 3])
+def test_portfolio_field_over_the_csv_limit_names_the_row(capsys, tmp_path, row):
+    # csv.reader refuses a field over csv.field_size_limit(): an input
+    # error naming the row, not a traceback.
+    lines = ["id,rating,segment,ead,guarantee,days_past_due",
+             "a,AA,Other,1000,NoGuarantee,0",
+             "b,AA,Other,500,NoGuarantee,0"]
+    lines[row - 1] += "," + "5" * 200_000
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "portfolio", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: row {row}: field larger than field limit (131072)\n"
+
+
 def test_portfolio_table_prints_rate_fields_as_rendered(capsys, monkeypatch):
     # The table prints each rate field's rendered float, where the CSV
     # prints its 9 significant digits ("2", "1.23456789e+09").
@@ -479,3 +495,63 @@ def test_cli_import_does_not_load_numpy(child_env):
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, check=True, env=child_env)
     assert done.stdout.strip() == "False"
+
+
+# Run in a fresh interpreter: the betakotz modules that executed, the
+# package root aside.  A module bound lazily and not yet used is in
+# sys.modules but is not a plain module.
+_EXECUTED_LAYERS = """
+import contextlib, io, sys, types
+if sys.argv[1:]:
+    from betakotz import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+else:
+    import betakotz
+print(" ".join(sorted(k[len("betakotz."):] for k, m in sys.modules.items()
+                      if k.startswith("betakotz.")
+                      and type(m) is types.ModuleType)))
+"""
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ((), ""),
+    (("measures", "--a", "1.2", "--b", "11.4"), "cli distribution risk specfun"),
+    (("tables", "analytic"), "cli distribution risk specfun"),
+    (("fit", "SAMPLE"), "cli distribution estimation specfun"),
+    (("portfolio", str(FIXTURE)),
+     "cli credit distribution estimation risk specfun"),
+], ids=("import", "measures", "tables", "fit", "portfolio"))
+def test_subcommand_executes_only_its_layers(child_env, beta_2_5_file, argv, layers):
+    # Each process compiles only the layers its subcommand runs.
+    argv = [str(beta_2_5_file) if a == "SAMPLE" else a for a in argv]
+    done = subprocess.run([sys.executable, "-c", _EXECUTED_LAYERS, *argv],
+                          capture_output=True, text=True, check=True, env=child_env)
+    assert done.stdout.strip() == layers
+
+
+def test_layers_are_reachable_as_the_tracer_reads_them(child_env):
+    # What the benchmark's tracer relies on: after `import betakotz.cli`
+    # every layer is in sys.modules, and vars() of it holds its public
+    # functions.  A bare `import betakotz` still reaches its submodules.
+    code = """
+import sys
+import betakotz.cli
+public = {"specfun": "ln_beta", "distribution": "cdf", "risk": "report",
+          "estimation": "fit_mle", "credit": "read_portfolio_csv", "cli": "main"}
+for layer, name in public.items():
+    module = sys.modules[f"betakotz.{layer}"]
+    assert callable(vars(module)[name]), layer
+    assert vars(module)[name].__module__ == module.__name__, layer
+import betakotz.credit
+assert betakotz.credit.read_portfolio_csv is vars(sys.modules["betakotz.credit"])["read_portfolio_csv"]
+"""
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env)
+    code = """
+import betakotz
+assert betakotz.risk.report is betakotz.report
+assert betakotz.distribution.cdf is betakotz.cdf
+assert betakotz.estimation.fit_mle is betakotz.fit_mle
+assert betakotz.specfun.ConvergenceError is betakotz.ConvergenceError
+"""
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env)

@@ -297,8 +297,10 @@ def test_plain_chunks_skip_obligor_init(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fault", [None, 5])
 def test_fault_before_a_malformed_line_comes_first(tmp_path, fault):
-    # csv.reader refuses a field over its size limit.  A faulty row before
-    # that line in the same chunk is still reported first, as row by row.
+    # csv.reader refuses a field over its size limit, which the reader
+    # reports as a ValueError naming that row (the oracle lets csv.Error
+    # through).  A faulty row before that line in the same chunk is still
+    # reported first, as row by row.
     rng = random.Random(7)
     rows = [_plain_row(rng, k) for k in range(20)]
     _set(rows, 12, "id", "x" * (csv.field_size_limit() + 1))
@@ -307,9 +309,11 @@ def test_fault_before_a_malformed_line_comes_first(tmp_path, fault):
     path = tmp_path / "p.csv"
     _write_rows(path, rows)
     got = outcome_or_csv_error(read_portfolio_csv, path)
-    assert got == outcome_or_csv_error(oracle_read_portfolio_csv, path)
-    expected = "Error: field larger" if fault is None else "ValueError: row 7,"
-    assert got.startswith(expected), got
+    if fault is None:
+        assert got == "ValueError: row 14: field larger than field limit (131072)"
+    else:
+        assert got == outcome_or_csv_error(oracle_read_portfolio_csv, path)
+        assert got.startswith("ValueError: row 7,"), got
 
 
 def test_transient_memory_is_bounded_by_the_chunk(tmp_path):

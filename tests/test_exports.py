@@ -10,6 +10,7 @@ import pkgutil
 import pytest
 
 import betakotz
+from betakotz import risk
 
 MODULES = ["betakotz"] + [
     f"betakotz.{m.name}" for m in pkgutil.iter_modules(betakotz.__path__)
@@ -22,6 +23,22 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_package_root_lists_its_names():
+    assert len(set(betakotz.__all__)) == len(betakotz.__all__)
+    assert set(betakotz.__all__) <= set(dir(betakotz))
+
+
+def test_package_names_follow_their_layer(monkeypatch):
+    # Looked up on each access, never cached: a layer function replaced
+    # (as the benchmark's tracer does) shows through the package root,
+    # and so does its restoration.
+    original = risk.report
+    monkeypatch.setattr(risk, "report", len)
+    assert betakotz.report is len
+    monkeypatch.undo()
+    assert betakotz.report is original
 
 
 def _traced_functions():
