@@ -29,6 +29,7 @@ __all__ = [
     "Segment",
     "Guarantee",
     "Obligor",
+    "Portfolio",
     "PortfolioReport",
     "SFC_PD_TABLE",
     "SFC_LGD_SCHEDULE",
@@ -77,7 +78,8 @@ class Guarantee(enum.Enum):
     NO_GUARANTEE = "NoGuarantee"
 
 
-# Case-insensitive member lookup for each enum column of the CSV.
+# Case-insensitive member lookup for each enum column of the CSV, in
+# Rating, Segment, Guarantee order.
 _ENUM_BY_KEY = {
     cls: {member.value.lower(): member for member in cls}
     for cls in (Rating, Segment, Guarantee)
@@ -135,6 +137,75 @@ _SLOT_SETTERS = tuple(vars(Obligor)[name].__set__ for name in Obligor.__slots__)
 (_set_id, _set_rating, _set_segment, _set_ead, _set_guarantee, _set_days_past_due,
  _set_pd_override, _set_lgd_override) = _SLOT_SETTERS
 
+# Each field of an obligor, in Obligor.__slots__ order.
+_FIELD_GETTERS = tuple(map(operator.attrgetter, Obligor.__slots__))
+
+# Runs an iterator to its end at C level, keeping nothing.
+_exhaust = deque(maxlen=0).extend
+
+
+def _obligors(columns):
+    """The obligors of checked field columns, in Obligor.__slots__ order,
+    built with C-level maps and without Obligor.__init__."""
+    obligors = list(map(object.__new__, repeat(Obligor, len(columns[0]))))
+    for setter, values in zip(_SLOT_SETTERS, columns):
+        _exhaust(map(setter, obligors, values))
+    return obligors
+
+
+class Portfolio(Sequence):
+    """A read-only sequence of obligors, held as eight columns.
+
+    The columns are the obligors' fields in `Obligor.__slots__` order;
+    an `Obligor` is built only when an item is read.  A slice is a
+    Portfolio, and a Portfolio equals another of equal columns, or a
+    list or tuple of equal obligors.  `list(portfolio)` gives the
+    obligors as a list.
+    """
+
+    __slots__ = ("_columns",)
+    __hash__ = None
+
+    def __init__(self, obligors=()):
+        obligors = list(obligors)
+        for o in obligors:
+            if type(o) is not Obligor:
+                raise TypeError(f"a Portfolio holds Obligor records, not {o!r}")
+        self._columns = [list(map(get, obligors)) for get in _FIELD_GETTERS]
+
+    @classmethod
+    def _of_columns(cls, columns):
+        portfolio = object.__new__(cls)
+        portfolio._columns = columns
+        return portfolio
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Portfolio._of_columns([column[index] for column in self._columns])
+        return _obligors([[column[index]] for column in self._columns])[0]
+
+    def __iter__(self):
+        # A chunk of obligors at a time: as fast as building all at once.
+        for start in range(0, len(self), _CHUNK_ROWS):
+            yield from _obligors([column[start:start + _CHUNK_ROWS]
+                                  for column in self._columns])
+
+    def __eq__(self, other):
+        if isinstance(other, Portfolio):
+            return self._columns == other._columns
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Portfolio({list(self)!r})"
+
+    def __reduce__(self):
+        return Portfolio._of_columns, (self._columns,)
+
 
 # SFC consumer-portfolio PD matrix, (rating, segment) -> PD.
 SFC_PD_TABLE = {
@@ -186,15 +257,7 @@ def lgd_lookup(guarantee: Guarantee, days_past_due: int) -> float:
 
 def expected_loss(o: Obligor) -> float:
     """EAD x PD x LGD for one obligor; overrides win over table lookups."""
-    # pd_lookup and lgd_lookup inlined: one Python call per obligor.
-    pd_value = o.pd_override
-    if pd_value is None:
-        pd_value = SFC_PD_TABLE[o.rating, o.segment]
-    lgd_value = o.lgd_override
-    if lgd_value is None:
-        thresholds, lgds = _LGD_TIERS[o.guarantee]
-        lgd_value = lgds[bisect_right(thresholds, o.days_past_due)]
-    return o.ead * pd_value * lgd_value
+    return _loss_rates([_RATE_FIELDS(o)], 1.0)[0]  # x / 1.0 is x
 
 
 def loss_rates(portfolio: Sequence[Obligor]) -> list[float]:
@@ -202,14 +265,44 @@ def loss_rates(portfolio: Sequence[Obligor]) -> list[float]:
 
     The rates sum to the portfolio's total expected loss rate.
     """
-    total = math.fsum(map(operator.attrgetter("ead"), portfolio))
+    columns = _rate_columns(portfolio)
+    total = math.fsum(columns[2])
     if not total > 0.0:
         raise ValueError("total exposure must be positive to form loss rates")
-    return _rates(portfolio, total)
+    return _loss_rates(zip(*columns), total)
 
 
-def _rates(portfolio, total):
-    return [el / total for el in map(expected_loss, portfolio)]
+# The fields an obligor's expected loss reads: all but its id.
+_RATE_FIELDS = operator.attrgetter(*Obligor.__slots__[1:])
+
+
+def _rate_columns(portfolio):
+    """The `_RATE_FIELDS` columns (rating, segment, ead, guarantee,
+    days_past_due, pd_override, lgd_override) of a sequence of obligors:
+    a Portfolio's own, or those of any other sequence, read field by
+    field with no Python call per obligor."""
+    if type(portfolio) is Portfolio:  # isinstance runs ABCMeta's Python hooks
+        return portfolio._columns[1:]
+    return ([o.rating for o in portfolio], [o.segment for o in portfolio],
+            [o.ead for o in portfolio], [o.guarantee for o in portfolio],
+            [o.days_past_due for o in portfolio],
+            [o.pd_override for o in portfolio], [o.lgd_override for o in portfolio])
+
+
+def _loss_rates(rows, total):
+    """Each obligor's expected loss EAD x PD x LGD, in that order, divided
+    by `total`, from its `_RATE_FIELDS` values: the one definition of an
+    obligor's expected loss, with pd_lookup and lgd_lookup inlined."""
+    rates = []
+    append = rates.append
+    for rating, segment, ead, guarantee, days, pd_value, lgd_value in rows:
+        if pd_value is None:
+            pd_value = SFC_PD_TABLE[rating, segment]
+        if lgd_value is None:
+            thresholds, lgds = _LGD_TIERS[guarantee]
+            lgd_value = lgds[bisect_right(thresholds, days)]
+        append(ead * pd_value * lgd_value / total)
+    return rates
 
 
 # The wire format of a PortfolioReport, as (key, format spec) in to_dict
@@ -274,10 +367,11 @@ def period_report(
     """
     if not portfolio:
         raise ValueError("portfolio must be non-empty")
-    total = math.fsum(map(operator.attrgetter("ead"), portfolio))
+    columns = _rate_columns(portfolio)
+    total = math.fsum(columns[2])
     if not total > 0.0:
         raise ValueError("total exposure must be positive")
-    rates = [r for r in _rates(portfolio, total) if r > 0.0]
+    rates = [r for r in _loss_rates(zip(*columns), total) if r > 0.0]
     if len(rates) < 2:
         raise ValueError(
             f"need at least 2 obligors with positive expected loss, got {len(rates)}"
@@ -308,17 +402,12 @@ def period_report(
 _REQUIRED_COLUMNS = ("id", "rating", "segment", "ead", "guarantee", "days_past_due")
 _OPTIONAL_COLUMNS = ("pd_override", "lgd_override")
 
-# Non-blank rows per chunk of read_portfolio_csv.  A chunk's rows, columns
-# and obligors are alive at once, so the reader's transient memory grows
-# with the chunk: reading a whole 20,000-row file at once held about 10 MB
-# more.  Each chunk's rows also count towards the next garbage collection
-# until they are freed: at 20,000 rows, 256-row chunks set off 39
-# collections and 128-row chunks 31, against 28 row by row.  The time per
-# row is the same at either size (tools/time_credit.py).
+# Non-blank rows per chunk of read_portfolio_csv.  A chunk's rows and
+# converted cells are alive at once, so the reader's transient memory
+# grows with the chunk: reading a whole 20,000-row file at once held
+# about 10 MB more.  The time per row is the same at 128 or 256 rows
+# (tools/time_credit.py).
 _CHUNK_ROWS = 128
-
-# Runs an iterator to its end at C level, keeping nothing.
-_exhaust = deque(maxlen=0).extend
 
 
 def _parse_float(text, column, row_num, lo=None, hi=None):
@@ -336,7 +425,7 @@ def _parse_float(text, column, row_num, lo=None, hi=None):
     return value
 
 
-def read_portfolio_csv(path) -> list[Obligor]:
+def read_portfolio_csv(path) -> Portfolio:
     """Load obligors from the portfolio CSV wire format.
 
     Header row required; header names are stripped and lower-cased, and
@@ -347,6 +436,8 @@ def read_portfolio_csv(path) -> list[Obligor]:
     cells beyond the header are ignored.  Schema violations name the
     offending row and column; a line that `csv.reader` refuses (a field
     over `csv.field_size_limit()`) raises ValueError naming its row.
+    The obligors come as a Portfolio, which holds their fields as
+    columns.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -367,14 +458,14 @@ def read_portfolio_csv(path) -> list[Obligor]:
         cells = operator.itemgetter(*(
             index.get(c, width) for c in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS
         ))
-        # Enum members by cell text as spelled in this file; each new
-        # spelling is resolved (or refused) once.
-        spellings = tuple(dict(_ENUM_BY_KEY[cls])
-                          for cls in (Rating, Segment, Guarantee))
-        obligors = []
+        columns = [[] for _ in Obligor.__slots__]
         row_num = 1  # the last row read; blank lines are not rows
         rows_left = filter(None, reader)
         while True:
+            # Enum members by cell text as spelled in this chunk; each new
+            # spelling is resolved (or refused) once per chunk, so a file
+            # of many spellings holds no more of them than a chunk has.
+            spellings = tuple(map(dict, _ENUM_BY_KEY.values()))
             rows = []
             try:
                 rows.extend(islice(rows_left, _CHUNK_ROWS))
@@ -385,18 +476,21 @@ def read_portfolio_csv(path) -> list[Obligor]:
                 raise ValueError(f"row {row_num + len(rows) + 1}: {err}") from None
             if not rows:
                 break
-            chunk = _column_obligors(rows, cells, width, spellings)
+            chunk = _column_fields(rows, cells, width, spellings)
             if chunk is None:
-                chunk = _row_obligors(rows, cells, width, spellings, row_num)
-            obligors += chunk
+                obligors = _row_obligors(rows, cells, width, spellings, row_num)
+                chunk = [map(get, obligors) for get in _FIELD_GETTERS]
+            for column, values in zip(columns, chunk):
+                column += values
             row_num += len(rows)
-    if not obligors:
+    if not columns[0]:
         raise ValueError("portfolio CSV contains no obligor rows")
-    return obligors
+    return Portfolio._of_columns(columns)
 
 
-def _column_obligors(rows, cells, width, spellings):
-    """A chunk's obligors, converted column by column with C-level maps.
+def _column_fields(rows, cells, width, spellings):
+    """A chunk's eight obligor fields, converted column by column with
+    C-level maps.
 
     None when a row is short or long, or when a cell fails a check or
     is one that only the row route reads (a blank days_past_due, or a
@@ -429,12 +523,8 @@ def _column_obligors(rows, cells, width, spellings):
             by_text[text] = member
         members.append(map(by_text.__getitem__, texts))
     ratings, segments, guarantees = members
-    obligors = list(map(object.__new__, repeat(Obligor, len(rows))))
-    for setter, values in zip(_SLOT_SETTERS, (
-            map(str.strip, ids), ratings, segments, eads, guarantees, days,
-            pd_overrides, lgd_overrides)):
-        _exhaust(map(setter, obligors, values))
-    return obligors
+    return (map(str.strip, ids), ratings, segments, eads, guarantees, days,
+            pd_overrides, lgd_overrides)
 
 
 def _override_column(texts):

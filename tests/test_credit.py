@@ -16,6 +16,7 @@ import pytest
 from betakotz.credit import (
     Guarantee,
     Obligor,
+    Portfolio,
     PortfolioReport,
     Rating,
     SFC_LGD_SCHEDULE,
@@ -177,33 +178,41 @@ def test_expected_loss_is_exactly_ead_pd_lgd_on_grid(pd_override, lgd_override):
         assert expected_loss(o) == o.ead * pd_value * lgd_value
 
 
-def test_loss_rates_make_one_python_call_per_obligor():
-    # The machine-independent cost of loss_rates: expected_loss is the
-    # only Python function that runs once per obligor.
-    rng = random.Random(50)
-    portfolio = [
-        make_obligor(id=f"O{k}", rating=rng.choice(list(Rating)),
-                     segment=rng.choice(list(Segment)), ead=rng.uniform(1, 1e6),
-                     guarantee=rng.choice(list(Guarantee)),
-                     days_past_due=rng.choice(GRID_DAYS),
-                     pd_override=0.2 if k % 7 == 0 else None,
-                     lgd_override=0.4 if k % 5 == 0 else None)
-        for k in range(50)
-    ]
-    calls = Counter()
+@pytest.mark.parametrize("container", [Portfolio, list])
+def test_loss_rates_make_no_python_call_per_obligor(container):
+    # The machine-independent cost of loss_rates: no Python function
+    # runs once per obligor, on a Portfolio's columns or on a plain list,
+    # so 50 and 100 obligors make the same calls.
+    def calls_for(count):
+        rng = random.Random(50)
+        portfolio = container(
+            make_obligor(id=f"O{k}", rating=rng.choice(list(Rating)),
+                         segment=rng.choice(list(Segment)), ead=rng.uniform(1, 1e6),
+                         guarantee=rng.choice(list(Guarantee)),
+                         days_past_due=rng.choice(GRID_DAYS),
+                         pd_override=0.2 if k % 7 == 0 else None,
+                         lgd_override=0.4 if k % 5 == 0 else None)
+            for k in range(count)
+        )
+        calls = Counter()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            calls[frame.f_code.co_name] += 1
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
 
-    sys.setprofile(profile)
-    try:
-        loss_rates(portfolio)
-    finally:
-        sys.setprofile(None)
-    assert calls.pop("expected_loss") == 50
+        sys.setprofile(profile)
+        try:
+            rates = loss_rates(portfolio)
+        finally:
+            sys.setprofile(None)
+        assert len(rates) == count
+        return calls
+
+    calls = calls_for(50)
+    assert calls == calls_for(100)
+    assert "expected_loss" not in calls
     assert "pd_lookup" not in calls and "lgd_lookup" not in calls
-    assert all(count == 1 for count in calls.values()), calls
+    assert sum(calls.values()) < 50, calls
 
 
 def test_loss_rates_hand_case():

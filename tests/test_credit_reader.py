@@ -2,16 +2,19 @@
 oracle: on seeded, generated CSVs full of wire-format corner cases, both
 return equal obligors or raise a ValueError with the same message."""
 
+import copy
 import csv
 import io
 import pathlib
+import pickle
 import random
 import tracemalloc
+from collections.abc import Sequence
 
 import pytest
 
 from betakotz import credit
-from betakotz.credit import read_portfolio_csv
+from betakotz.credit import Portfolio, loss_rates, period_report, read_portfolio_csv
 from csv_oracle import read_portfolio_csv as oracle_read_portfolio_csv
 
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "portfolio_synthetic.csv"
@@ -316,18 +319,22 @@ def test_fault_before_a_malformed_line_comes_first(tmp_path, fault):
         assert got.startswith("ValueError: row 7,"), got
 
 
-def test_transient_memory_is_bounded_by_the_chunk(tmp_path):
-    # What the reader holds at its peak beyond the obligors it returns
+@pytest.mark.parametrize("spell", [lambda rng, value: value, _spelling],
+                         ids=["schema-spellings", "mangled-spellings"])
+def test_transient_memory_is_bounded_by_the_chunk(tmp_path, spell):
+    # What the reader holds at its peak beyond the portfolio it returns
     # must not grow with the file: reading the whole of a 20,000-row file
     # before converting it holds about 10 MB more, and the process's peak
-    # RSS grows with it.  The enums are spelled as in the schema, since
-    # each distinct spelling is kept until the file is read.
+    # RSS grows with it.  Nor may it grow with the number of distinct
+    # enum spellings, of which a file of case-mangled, padded cells has
+    # thousands.
     def transient(count):
         path = tmp_path / f"p{count}.csv"
         rng = random.Random(count)
         _write_rows(path, [
-            [f"OBL-{k}", rng.choice(RATINGS), rng.choice(SEGMENTS),
-             f"{rng.lognormvariate(10.5, 1.3):.2f}", rng.choice(GUARANTEES),
+            [f"OBL-{k}", spell(rng, rng.choice(RATINGS)),
+             spell(rng, rng.choice(SEGMENTS)),
+             f"{rng.lognormvariate(10.5, 1.3):.2f}", spell(rng, rng.choice(GUARANTEES)),
              rng.choice(("0", "45", "400")),
              f"{rng.random():.6f}" if rng.random() < 0.04 else "",
              f"{rng.random():.6f}" if rng.random() < 0.04 else ""]
@@ -343,3 +350,84 @@ def test_transient_memory_is_bounded_by_the_chunk(tmp_path):
 
     small, large = transient(2_000), transient(20_000)
     assert large - small < 128 * 1024, (small, large)
+
+
+# ---------------------------------------------------------------------------
+# the Portfolio that a read returns
+# ---------------------------------------------------------------------------
+
+def test_portfolio_is_a_read_only_sequence():
+    portfolio = read_portfolio_csv(FIXTURE)
+    obligors = oracle_read_portfolio_csv(FIXTURE)
+    n = len(obligors)
+    assert isinstance(portfolio, Sequence) and len(portfolio) == n == 59
+    assert list(portfolio) == obligors
+    assert [portfolio[k] for k in range(-n, n)] == obligors + obligors
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            portfolio[k]
+    for part in (slice(3, 17), slice(None, None, -2), slice(50, 500), slice(5, 5)):
+        assert type(portfolio[part]) is Portfolio
+        assert list(portfolio[part]) == obligors[part]
+    assert repr(portfolio) == f"Portfolio({obligors!r})"
+    assert Portfolio(obligors) == portfolio and len(Portfolio()) == 0
+    with pytest.raises(TypeError):
+        Portfolio([*obligors, "OBL-0060"])
+    # read-only: no hash, no mutating method, nothing public but the
+    # two Sequence methods
+    assert Portfolio.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(portfolio)
+    with pytest.raises(TypeError):
+        portfolio[0] = obligors[0]
+    with pytest.raises(AttributeError):
+        portfolio.extra = 1
+    assert {name for name in dir(portfolio) if not name.startswith("_")} == {
+        "count", "index"}
+
+
+def test_portfolio_copies_and_pickles_round_trip():
+    portfolio = read_portfolio_csv(FIXTURE)
+    copies = [copy.copy(portfolio), copy.deepcopy(portfolio), *(
+        pickle.loads(pickle.dumps(portfolio, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+    for copied in copies:
+        assert type(copied) is Portfolio
+        assert copied == portfolio and list(copied) == list(portfolio)
+
+
+def test_portfolio_equality():
+    portfolio = read_portfolio_csv(FIXTURE)
+    obligors = oracle_read_portfolio_csv(FIXTURE)
+    changed = list(obligors)
+    changed[7] = obligors[8]
+    for same in (obligors, tuple(obligors), read_portfolio_csv(FIXTURE),
+                 Portfolio(obligors)):
+        assert portfolio == same and same == portfolio
+        assert not (portfolio != same or same != portfolio)
+    for other in (changed, tuple(changed), obligors[:-1], Portfolio(changed),
+                  portfolio[1:], [], repr(portfolio), "", None):
+        assert portfolio != other and other != portfolio
+        assert not (portfolio == other or other == portfolio)
+
+
+@pytest.mark.parametrize("source", ["fixture", "chunked"])
+def test_reports_on_a_portfolio_match_a_list(tmp_path, source):
+    # The columns a read keeps and the obligors of list(...) give the
+    # same loss rates and report, bit for bit.
+    path = FIXTURE
+    if source == "chunked":
+        path = tmp_path / "p.csv"
+        _write_rows(path, _chunked_rows(), blank_before=(CHUNK, 3 * CHUNK))
+    portfolio = read_portfolio_csv(path)
+    obligors = list(portfolio)
+    assert type(obligors) is list and obligors == oracle_read_portfolio_csv(path)
+    assert (list(map(float.hex, loss_rates(portfolio)))
+            == list(map(float.hex, loss_rates(obligors))))
+
+    def exact(report):
+        return {key: value.hex() if isinstance(value, float) else value
+                for key, value in report.to_dict().items()}
+
+    assert (exact(period_report("m", portfolio, 0.99))
+            == exact(period_report("m", obligors, 0.99)))

@@ -1,10 +1,13 @@
 """The measurement scripts in tools/ run and report consistent counts."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
-COMPILE_COST = pathlib.Path(__file__).resolve().parent.parent / "tools" / "compile_cost.py"
+TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+COMPILE_COST = TOOLS / "compile_cost.py"
+TIME_CREDIT = TOOLS / "time_credit.py"
 
 
 def test_compile_cost_reports_each_subcommand(child_env):
@@ -31,3 +34,35 @@ def test_compile_cost_reports_each_subcommand(child_env):
         "portfolio": set(sizes),
         "tables": common | {"risk"},
     }
+
+
+def test_time_credit_times_and_counts_each_run(child_env):
+    done = subprocess.run([sys.executable, str(TIME_CREDIT), "--rows", "500",
+                           "--repeats", "1"],
+                          capture_output=True, text=True, check=True, env=child_env)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "500 rows, min of 1 repeats"
+    runs = ["read_portfolio_csv", "period_report", "period_report(list)",
+            "portfolio_op"]
+    # time rows: name, ms, µs/row, rows/s
+    assert [line.split()[0] for line in lines[1:5]] == runs
+    assert all(float(line.split()[1]) > 0.0 for line in lines[1:5])
+    calls, transient, collections = {}, {}, {}
+    for line in lines[5:]:
+        name, rest = line.split(": ", 1)
+        if "Python-level calls per row" in rest:
+            calls[name] = float(rest.split()[0])
+        else:
+            found = re.fullmatch(r"(\S+) KB transient peak, (\d+) GC collections "
+                                 r"\((\d+)/(\d+)/(\d+)\)", rest)
+            assert found, line
+            transient[name] = float(found[1])
+            collections[name] = int(found[2])
+            assert collections[name] == sum(map(int, found.groups()[2:]))
+    assert list(calls) == list(transient) == runs
+    # Neither report makes a Python call per obligor: on 500 rows they
+    # make fewer calls than there are rows, the fit's and risk's own.
+    assert calls["period_report"] * 500 < 500
+    assert calls["period_report(list)"] * 500 < 500
+    # the whole op reads and reports the month, and renders the report
+    assert calls["portfolio_op"] > calls["read_portfolio_csv"] + calls["period_report"]

@@ -1,15 +1,17 @@
 """Time the credit layer per 10,000-row generated month.
 
 Writes one month with the portfolio-month workload's generator
-(`bench/workloads.py`, seeded), then times `read_portfolio_csv` and
-`period_report` on it: the minimum of N `timeit` repeats, in ms per
-month, µs per row and rows/s.  Next to the times it prints the
-machine-independent counts for each of the two: the Python-level calls
-it makes per row, from `sys.setprofile` call events, with the four
-most frequent callees; its transient memory, the `tracemalloc` peak
-above what it returns, in KB; and the garbage collections it sets off,
-by generation.  The reader's chunk size trades the last two against
-each other.
+(`bench/workloads.py`, seeded), then times four runs on it:
+`read_portfolio_csv`; `period_report` on the Portfolio that the read
+returns, and on a plain list of the same obligors; and the benchmark's
+whole portfolio-month op on the month (read, `period_report`,
+`report_to_json` and `report_to_csv`).  Each time is the minimum of N
+`timeit` repeats, in ms per month, µs per row and rows/s.  Next to the
+times it prints the machine-independent counts for each run: the
+Python-level calls it makes per row, from `sys.setprofile` call
+events, with the four most frequent callees; its transient memory, the
+`tracemalloc` peak above what it returns, in KB; and the garbage
+collections it sets off, by generation.
 
     python tools/time_credit.py [--rows 10000] [--repeats 7] [--seed 1]
 
@@ -32,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from bench.workloads import write_portfolio  # noqa: E402
+from bench.workloads import portfolio_op, write_portfolio  # noqa: E402
 from betakotz.credit import period_report, read_portfolio_csv  # noqa: E402
 
 
@@ -85,11 +87,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "month.csv"
-        write_portfolio(path, args.rows, random.Random(f"time-credit-{args.seed}"),
-                        label="M", alpha=0.99)
+        month = write_portfolio(path, args.rows,
+                                random.Random(f"time-credit-{args.seed}"),
+                                label="M", alpha=0.99)
         portfolio = read_portfolio_csv(path)
+        obligors = list(portfolio)
         runs = {"read_portfolio_csv": lambda: read_portfolio_csv(path),
-                "period_report": lambda: period_report("M", portfolio, 0.99)}
+                "period_report": lambda: period_report("M", portfolio, 0.99),
+                "period_report(list)": lambda: period_report("M", obligors, 0.99),
+                "portfolio_op": lambda: portfolio_op(month)}
         print(f"{args.rows:,} rows, min of {args.repeats} repeats")
         for name, run in runs.items():
             print(_line(name, min(timeit.repeat(run, number=1,
