@@ -162,7 +162,7 @@ def cmd_measures(alpha: ConfidenceLevel, shape_a: float, shape_b: float,
 
 def _read_sample_file(path):
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.read().splitlines()
     except OSError as err:
         raise ValueError(f"cannot read sample file: {err}") from None

@@ -18,7 +18,7 @@ import operator
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
-from itertools import islice, repeat
+from itertools import chain, compress, islice, repeat
 
 from . import risk
 from .distribution import BetaKotzParams, ConfidenceLevel, _Record
@@ -428,18 +428,18 @@ def _parse_float(text, column, row_num, lo=None, hi=None):
 def read_portfolio_csv(path) -> Portfolio:
     """Load obligors from the portfolio CSV wire format.
 
-    Header row required; header names are stripped and lower-cased, and
-    of two that collide the last column wins.  Enum columns are
-    case-insensitive; optional pd_override/lgd_override columns win over
-    table lookups when non-empty.  Blank lines are skipped and not
-    counted as rows, a short row reads its missing cells as empty, and
-    cells beyond the header are ignored.  Schema violations name the
-    offending row and column; a line that `csv.reader` refuses (a field
-    over `csv.field_size_limit()`) raises ValueError naming its row.
-    The obligors come as a Portfolio, which holds their fields as
-    columns.
+    UTF-8, with or without a byte-order mark.  Header row required;
+    header names are stripped and lower-cased, and of two that collide
+    the last column wins.  Enum columns are case-insensitive; optional
+    pd_override/lgd_override columns win over table lookups when
+    non-empty.  Blank lines are skipped and not counted as rows, a short
+    row reads its missing cells as empty, and cells beyond the header
+    are ignored.  Schema violations name the offending row and column; a
+    line that `csv.reader` refuses (a field over
+    `csv.field_size_limit()`) raises ValueError naming its row.  The
+    obligors come as a Portfolio, which holds their fields as columns.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -452,62 +452,114 @@ def read_portfolio_csv(path) -> Portfolio:
         missing = [c for c in _REQUIRED_COLUMNS if c not in index]
         if missing:
             raise ValueError(f"portfolio CSV is missing columns: {missing}")
-        # The eight cells of a row cut or padded to the header's width plus
-        # one empty cell, which an absent optional column reads; applied to
-        # a chunk's columns, the eight columns.
-        cells = operator.itemgetter(*(
-            index.get(c, width) for c in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS
-        ))
+        # The index of each of the eight cells of a row; an absent optional
+        # column reads an empty cell past the header's width.
+        picked = [index.get(c, width) for c in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS]
         columns = [[] for _ in Obligor.__slots__]
-        row_num = 1  # the last row read; blank lines are not rows
-        rows_left = filter(None, reader)
-        while True:
-            # Enum members by cell text as spelled in this chunk; each new
-            # spelling is resolved (or refused) once per chunk, so a file
-            # of many spellings holds no more of them than a chunk has.
-            spellings = tuple(map(dict, _ENUM_BY_KEY.values()))
+        for chunk in _field_chunks(handle, width, picked):
+            for column, values in zip(columns, chunk):
+                column += values
+    if not columns[0]:
+        raise ValueError("portfolio CSV contains no obligor rows")
+    return Portfolio._of_columns(columns)
+
+
+def _field_chunks(handle, width, picked):
+    """The obligor fields of the rows after the header, as eight columns
+    (iterables) per chunk of _CHUNK_ROWS non-blank rows.
+
+    A chunk of lines with no quote is split into cells with one str.split
+    when that reads it as csv.reader would: when no line is blank or
+    ragged and none has a \\r other than in a "\\r\\n" line end, a NUL,
+    or a field over csv.field_size_limit().  Any other chunk is read by
+    csv.reader, which goes on into the next lines until it has _CHUNK_ROWS
+    non-blank rows, so the chunks are those of a reader of rows; from the
+    first chunk that holds a quote on, it reads the rest of the file, as a
+    quoted field may span lines.  Either way the cells are converted by
+    `_column_fields`, or by `_row_obligors` where that refuses them.
+    """
+    # The eight cells of a row cut or padded to the header's width plus
+    # one empty cell.
+    row_cells = operator.itemgetter(*picked)
+    limit = csv.field_size_limit()
+    step = width + 1
+    # Split cells are a line's cells and then a "\n" cell, so a column is
+    # every step-th cell; an absent optional column has no cells.
+    slices = [slice(i, -1, step) if i < width else slice(0) for i in picked]
+    row_num = 1  # the last row read; blank lines are not rows
+    quoted = False
+    while True:
+        # The last chunk's cells go before the next is read: holding two
+        # chunks at once would double the transient memory.
+        cells = texts = rows = obligors = None
+        # Enum members by cell text as spelled in this chunk; each new
+        # spelling is resolved (or refused) once per chunk, so a file of
+        # many spellings holds no more of them than a chunk has.
+        spellings = tuple(map(dict, _ENUM_BY_KEY.values()))
+        if not quoted:
+            lines = list(islice(handle, _CHUNK_ROWS))
+            if not lines:
+                return
+            text = "".join(lines)
+            quoted = '"' in text
+            if "\r\n" in text and text.count("\r") == text.count("\r\n"):
+                text = text.replace("\r\n", "\n")
+            if not (quoted or "\r" in text or "\0" in text or len(text) > limit):
+                if text[-1] != "\n":  # the file's last line
+                    text += "\n"
+                cells = text.replace("\n", ",\n,").split(",")
+                # The text has a "\n" only at the end of each of its lines,
+                # so with a "\n" cell after every width cells, each line has
+                # width cells.
+                n = len(lines)
+                if len(cells) != step * n + 1 or cells[width::step] != ["\n"] * n:
+                    cells = None
+            if cells is None:
+                rows_left = filter(None, csv.reader(chain(lines, handle)))
+        if cells is not None:
+            texts = list(map(cells.__getitem__, slices))
+            # each line's cells, sliced only if they are read
+            rows = map(cells.__getitem__, map(
+                slice, range(0, len(cells), step), range(width, len(cells), step)))
+        else:
             rows = []
             try:
                 rows.extend(islice(rows_left, _CHUNK_ROWS))
             except csv.Error as err:
                 # extend keeps the rows before the malformed line, and a
                 # fault among them is reported first, as row by row.
-                _row_obligors(rows, cells, width, spellings, row_num)
+                _row_obligors(rows, row_cells, width, spellings, row_num)
                 raise ValueError(f"row {row_num + len(rows) + 1}: {err}") from None
             if not rows:
-                break
-            chunk = _column_fields(rows, cells, width, spellings)
-            if chunk is None:
-                obligors = _row_obligors(rows, cells, width, spellings, row_num)
-                chunk = [map(get, obligors) for get in _FIELD_GETTERS]
-            for column, values in zip(columns, chunk):
-                column += values
-            row_num += len(rows)
-    if not columns[0]:
-        raise ValueError("portfolio CSV contains no obligor rows")
-    return Portfolio._of_columns(columns)
+                return
+            n = len(rows)
+            if set(map(len, rows)) == {width}:
+                # the columns, and one with no cells at the header's width
+                texts = list(map([*zip(*rows), ()].__getitem__, picked))
+        chunk = None if texts is None else _column_fields(texts, spellings)
+        if chunk is None:
+            obligors = _row_obligors(rows, row_cells, width, spellings, row_num)
+            chunk = [map(get, obligors) for get in _FIELD_GETTERS]
+        row_num += n
+        yield chunk
 
 
-def _column_fields(rows, cells, width, spellings):
-    """A chunk's eight obligor fields, converted column by column with
-    C-level maps.
+def _column_fields(cell_columns, spellings):
+    """A chunk's eight obligor fields from its eight cell columns (an
+    absent override column has no cells), converted column by column
+    with C-level maps.
 
-    None when a row is short or long, or when a cell fails a check or
-    is one that only the row route reads (a blank days_past_due, or a
-    number padded with \\x1c-\\x1f): the chunk then takes the row route,
-    which names the first faulty row.
+    None when a cell fails a check or is one that only the row route
+    reads (a blank days_past_due, or a number padded with \\x1c-\\x1f):
+    the chunk then takes the row route, which names the first faulty row.
     """
-    if set(map(len, rows)) != {width}:
-        return None
-    columns = list(zip(*rows))
-    columns.append(("",) * len(rows))
     (ids, rating_cells, segment_cells, ead_cells, guarantee_cells, days_cells,
-     pd_cells, lgd_cells) = cells(columns)
+     pd_cells, lgd_cells) = cell_columns
     try:
         days = list(map(int, days_cells))
         eads = list(map(float, ead_cells))
-        pd_overrides = _override_column(pd_cells)
-        lgd_overrides = _override_column(lgd_cells)
+        pd_overrides = _override_column(pd_cells, len(days))
+        lgd_overrides = _override_column(lgd_cells, len(days))
     except ValueError:
         return None
     # The sum only tests finiteness: a NaN or an infinity makes it non-finite.
@@ -527,18 +579,18 @@ def _column_fields(rows, cells, width, spellings):
             pd_overrides, lgd_overrides)
 
 
-def _override_column(texts):
-    """An override column's values: None for a blank cell, else its float,
-    parsed once per distinct spelling.  ValueError for a value that
-    float() refuses or that lies outside [0, 1], NaN included."""
-    values = dict.fromkeys(texts)
-    for text in values:
-        stripped = text.strip()
+def _override_column(texts, n):
+    """The n values of an override column: None for a blank or absent
+    cell, else its float.  ValueError for a value that float() refuses or
+    that lies outside [0, 1], NaN included."""
+    values = [None] * n
+    for k in compress(range(n), texts):
+        stripped = texts[k].strip()
         if stripped:
-            value = values[text] = float(stripped)
+            value = values[k] = float(stripped)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"override outside [0, 1]: {value}")
-    return map(values.__getitem__, texts)
+    return values
 
 
 def _row_obligors(rows, cells, width, spellings, row_num):

@@ -283,6 +283,17 @@ def test_fit_skips_a_rate_header(capsys, tmp_path):
     assert json.loads(out)["n"] == 3
 
 
+def test_fit_reads_a_byte_order_mark_as_nothing(capsys, tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("rate\n0.2\n0.4\n0.6\n", encoding="utf-8")
+    marked.write_text("rate\n0.2\n0.4\n0.6\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    outputs = [run_cli(capsys, "fit", str(path), "--method", "mom",
+                       "--output-format", "json") for path in (plain, marked)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
+
+
 def test_fit_names_a_malformed_first_value(capsys, tmp_path):
     # Only a bare column name counts as a header; any other first line
     # that is not a number is an error on line 1, not a skipped header.
@@ -320,6 +331,14 @@ def test_portfolio_fixture_json(capsys):
     payload = json.loads(out)
     assert payload["cvar"] >= payload["var"] >= payload["expected_loss"]
     assert payload["obligor_count"] == 59
+
+
+def test_portfolio_reads_a_byte_order_mark_as_nothing(capsys, tmp_path):
+    path = tmp_path / "marked.csv"
+    path.write_text(FIXTURE.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    outputs = [run_cli(capsys, "portfolio", str(p), "--output-format", "json")
+               for p in (FIXTURE, path)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
 
 
 def test_portfolio_schema_violation(capsys, tmp_path):

@@ -51,6 +51,15 @@ BAD = {
 }
 
 
+def _quote_free(cells):
+    return {column: tuple(c for c in texts if "," not in c and '"' not in c)
+            for column, texts in cells.items()}
+
+
+# The cells of GOOD and BAD that csv.writer writes without quotes.
+QUOTE_FREE_GOOD, QUOTE_FREE_BAD = _quote_free(GOOD), _quote_free(BAD)
+
+
 def _spelling(rng, value):
     """A case-mangled, sometimes padded spelling of an enum value."""
     text = "".join(c.upper() if rng.random() < 0.3 else c.lower()
@@ -58,14 +67,14 @@ def _spelling(rng, value):
     return rng.choice(("", " ", "  ")) + text + rng.choice(("", " "))
 
 
-def _good_cell(rng, column):
+def _good_cell(rng, column, good=GOOD):
     if column == "rating":
         return _spelling(rng, rng.choice(RATINGS))
     if column == "segment":
         return _spelling(rng, rng.choice(SEGMENTS))
     if column == "guarantee":
         return _spelling(rng, rng.choice(GUARANTEES))
-    return rng.choice(GOOD[column])
+    return rng.choice(good[column])
 
 
 def _header_name(rng, name):
@@ -76,8 +85,12 @@ def _header_name(rng, name):
     return name
 
 
-def generate_csv(rng):
-    """One portfolio CSV as text, drawn from the wire format's corners."""
+def generate_csv(rng, quote_free=False):
+    """One portfolio CSV as text, drawn from the wire format's corners;
+    with `quote_free`, of cells that need no quotes, each line ended by
+    "\\n"."""
+    good, bad = (QUOTE_FREE_GOOD, QUOTE_FREE_BAD) if quote_free else (GOOD, BAD)
+    extra = ["extra", "more"] if quote_free else ["extra", "cells, quoted"]
     columns = list(REQUIRED) + [c for c in OPTIONAL if rng.random() < 0.6]
     if rng.random() < 0.05:
         columns.remove(rng.choice(REQUIRED))
@@ -89,22 +102,24 @@ def generate_csv(rng):
     lines = [header]
     fault_rate = rng.choice((0.0, 0.0, 0.02, 0.05))
     for _ in range(rng.choice((0, 1, 2, 3, 4, 6, 8, 12))):
-        row = [_good_cell(rng, c) for c in columns]
+        row = [_good_cell(rng, c, good) for c in columns]
         faults = 2 if rng.random() < 0.05 else int(rng.random() < 8 * fault_rate)
         for _ in range(faults):
             k = rng.randrange(len(columns))
-            if columns[k] in BAD:
-                row[k] = rng.choice(BAD[columns[k]])
+            if columns[k] in bad:
+                row[k] = rng.choice(bad[columns[k]])
         shape = rng.random()
         if shape < 0.04:
             row = row[:rng.randrange(len(row))]  # short row
         elif shape < 0.14:
-            row += ["extra", "cells, quoted"][:rng.randint(1, 2)]
+            row += extra[:rng.randint(1, 2)]
         while rng.random() < 0.15:
             lines.append([])  # blank line
         lines.append(row)
     if rng.random() < 0.1:
         lines.append([])
+    if quote_free:
+        return "".join(",".join(line) + "\n" for line in lines)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=rng.choice(("\n", "\r\n")))
     for line in lines:
@@ -138,13 +153,12 @@ def outcome(reader, path):
         return f"ValueError: {err}"
 
 
-def test_reader_matches_dictreader_oracle(tmp_path):
-    rng = random.Random(20261018)
-    path = tmp_path / "p.csv"
+def assert_matches_oracle(path, texts):
+    """Each of `texts`, written to `path`, reads the same through the reader
+    and the oracle, and the texts exercise both outcomes and every check."""
     accepted = 0
     messages = []
-    for case in range(CASES):
-        text = generate_csv(rng)
+    for case, text in enumerate(texts):
         path.write_text(text, encoding="utf-8", newline="")
         expected = outcome(oracle_read_portfolio_csv, path)
         assert outcome(read_portfolio_csv, path) == expected, (case, text)
@@ -156,6 +170,32 @@ def test_reader_matches_dictreader_oracle(tmp_path):
     assert accepted >= CASES // 4 and len(messages) >= CASES // 4
     missed = [c for c in CHECKS if not any(c in m for m in messages)]
     assert missed == []
+
+
+def test_reader_matches_dictreader_oracle(tmp_path):
+    rng = random.Random(20261018)
+    assert_matches_oracle(tmp_path / "p.csv",
+                          (generate_csv(rng) for _ in range(CASES)))
+
+
+# Line ends of a quote-free file: each "\n" as it stands, each "\r\n",
+# and no line end after the last line.
+LINE_ENDS = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text.removesuffix("\n"),
+}
+
+
+@pytest.mark.parametrize("line_ends", LINE_ENDS)
+def test_quote_free_reader_matches_dictreader_oracle(tmp_path, line_ends):
+    # Files without a quote are split with str.split where csv.reader
+    # would read them the same, so they get a corpus of their own.
+    rng = random.Random(20261021)
+    texts = [LINE_ENDS[line_ends](generate_csv(rng, quote_free=True))
+             for _ in range(CASES)]
+    assert not any('"' in text for text in texts)
+    assert_matches_oracle(tmp_path / "p.csv", texts)
 
 
 def test_reader_matches_oracle_on_fixture():
@@ -296,6 +336,100 @@ def test_plain_chunks_skip_obligor_init(tmp_path, monkeypatch):
                         lambda self, *args: calls.append(1) or init(self, *args))
     assert len(read_portfolio_csv(path)) == ROWS
     assert len(calls) == 3 * CHUNK
+
+
+@pytest.mark.parametrize("source, readers", [
+    ("plain-lf", 1), ("plain-crlf", 1), ("plain-no-final-newline", 1),
+    ("quote-free-chunked", 3), ("chunked", 2)])
+def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
+                                                readers):
+    # csv.reader reads the header, and no chunk of a plain file, with
+    # "\n" or "\r\n" line ends or none after the last line.  Of the
+    # chunked file's five chunks, the two with blank lines go through
+    # csv.reader, and the other three are split (the first of them to be
+    # converted row by row); but the quoted extra cell of its second chunk
+    # sends the rest of the file through the one csv.reader.
+    path = tmp_path / "p.csv"
+    if source.endswith("chunked"):
+        rows = _chunked_rows()
+        if source == "quote-free-chunked":
+            rows[CHUNK + 9][-1] = "more"
+        _write_rows(path, rows, blank_before=(CHUNK, 3 * CHUNK))
+    else:
+        rng = random.Random(11)
+        _write_rows(path, [_plain_row(rng, k) for k in range(ROWS)])
+        text = path.read_text(encoding="utf-8")
+        path.write_text(LINE_ENDS[source.removeprefix("plain-")](text),
+                        encoding="utf-8", newline="")
+    assert ('"' in path.read_text(encoding="utf-8")) == (source == "chunked")
+    expected = oracle_read_portfolio_csv(path)
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(credit.csv, "reader",
+                        lambda *args: calls.append(1) or reader(*args))
+    assert read_portfolio_csv(path) == expected and len(expected) == ROWS
+    assert len(calls) == readers
+
+
+def _quoted_newline(rows):
+    # The id of the last line of the second chunk of lines holds a quoted
+    # line break, so its field ends in the third chunk.
+    _set(rows, 2 * CHUNK - 1, "id", "OBL\nsplit")
+    return rows
+
+
+def _blank_lines(path):
+    # a chunk of lines that are all blank, and blank lines to the file's end
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[CHUNK:CHUNK] = ["\n"] * (2 * CHUNK + 7)
+    path.write_text("".join(lines) + "\r\n" * (CHUNK + 3), encoding="utf-8",
+                    newline="")
+
+
+def _line_ends(end):
+    def rewrite(path):
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
+    return rewrite
+
+
+@pytest.mark.parametrize("edit_rows, edit_file", [
+    (_quoted_newline, None),
+    (None, _blank_lines),
+    (None, _line_ends(b"\r")),
+    (None, _line_ends(b"\r\r\n")),
+    (lambda rows: _set(rows, CHUNK + 4, "id", "OBL\x00nul") or rows, None),
+    (lambda rows: _set(rows, 3 * CHUNK, "segment", "Nowhere\x00") or rows, None),
+], ids=["quote-spans-chunks", "blank-chunks", "lone-cr", "cr-crlf", "nul",
+        "nul-fault"])
+def test_chunk_edges_match_oracle(tmp_path, edit_rows, edit_file):
+    # Chunks that the split leaves to csv.reader: a quote first seen in a
+    # later chunk, a chunk of blank lines, a \r that is not part of a
+    # "\r\n", a NUL.  Row numbers and chunks run on across them.
+    rng = random.Random(23)
+    rows = [_plain_row(rng, k) for k in range(ROWS)]
+    path = tmp_path / "p.csv"
+    _write_rows(path, edit_rows(rows) if edit_rows else rows)
+    if edit_file:
+        edit_file(path)
+    got = outcome(read_portfolio_csv, path)
+    assert got == outcome(oracle_read_portfolio_csv, path)
+    if edit_rows and "Nowhere\x00" in rows[3 * CHUNK]:
+        assert got.startswith(f"ValueError: row {3 * CHUNK + 2},"), got
+    else:
+        assert len(got) == ROWS
+
+
+@pytest.mark.parametrize("source", ["fixture", "chunked"])
+def test_byte_order_mark_reads_as_nothing(tmp_path, source):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark, which
+    # must not become part of the first header name.
+    plain = FIXTURE
+    if source == "chunked":
+        plain = tmp_path / "plain.csv"
+        _write_rows(plain, _chunked_rows(), blank_before=(CHUNK, 3 * CHUNK))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_portfolio_csv(marked) == read_portfolio_csv(plain)
 
 
 @pytest.mark.parametrize("fault", [None, 5])

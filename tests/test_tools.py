@@ -66,3 +66,31 @@ def test_time_credit_times_and_counts_each_run(child_env):
     assert calls["period_report(list)"] * 500 < 500
     # the whole op reads and reports the month, and renders the report
     assert calls["portfolio_op"] > calls["read_portfolio_csv"] + calls["period_report"]
+
+
+def test_time_credit_compares_with_a_parent_tree(child_env):
+    # Its own tree as the parent: both trees give equal outputs, each time
+    # row carries the parent's time and the ratio, and the two trees make
+    # the same calls.
+    root = TOOLS.parent
+    done = subprocess.run([sys.executable, str(TIME_CREDIT), "--rows", "500",
+                           "--repeats", "2", "--parent", str(root)],
+                          capture_output=True, text=True, check=True, env=child_env)
+    lines = done.stdout.splitlines()
+    assert lines[0] == (f"500 rows, min of 2 repeats, alternating with the parent"
+                        f" {root} (equal outputs)")
+    for line in lines[1:5]:
+        found = re.fullmatch(r"\S+ +([\d.]+) ms .* parent +([\d.]+) ms  ratio ([\d.]+)",
+                             line)
+        assert found and all(float(value) > 0.0 for value in found.groups()), line
+    counts = lines[5:]
+    assert len(counts) == 16
+    ours, parents = counts[:8], counts[8:]
+    assert parents[0::2] == ["parent " + line for line in ours[0::2]]
+    for line, parent in zip(ours[1::2], parents[1::2]):
+        assert parent.startswith("parent " + line.split(": ", 1)[0] + ": ")
+    # csv.reader reads only the header of the generated month, whose
+    # chunks are all split with str.split
+    read = ours[0].split("; ")[-1]
+    assert read == f"{1 / 500:.4f} csv.reader rows per row"
+    assert parents[0].split("; ")[-1] == read

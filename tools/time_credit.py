@@ -9,20 +9,31 @@ whole portfolio-month op on the month (read, `period_report`,
 `timeit` repeats, in ms per month, µs per row and rows/s.  Next to the
 times it prints the machine-independent counts for each run: the
 Python-level calls it makes per row, from `sys.setprofile` call
-events, with the four most frequent callees; its transient memory, the
-`tracemalloc` peak above what it returns, in KB; and the garbage
-collections it sets off, by generation.
+events, with the four most frequent callees, and the rows that
+`csv.reader` yields per row (the header is one of them); its transient
+memory, the `tracemalloc` peak above what it returns, in KB; and the
+garbage collections it sets off, by generation.
 
     python tools/time_credit.py [--rows 10000] [--repeats 7] [--seed 1]
+                                [--parent DIR]
 
 It imports betakotz from the `src/` next to it, so a copy of the script
-in another checkout times that checkout.
+in another checkout times that checkout.  With `--parent DIR` it also
+imports `DIR/src/betakotz` under another package name and times both
+in the one process, the two trees taking turns within each repeat, as
+the host's speed drifts too much between processes for two separate
+runs to compare.  It checks that both trees give equal outputs (by
+repr) and prints the parent's time and the ratio of this tree's to it
+next to each time, and the parent's counts after this tree's.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
+import importlib
+import importlib.util
 import random
 import sys
 import tempfile
@@ -34,8 +45,38 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from bench.workloads import portfolio_op, write_portfolio  # noqa: E402
-from betakotz.credit import period_report, read_portfolio_csv  # noqa: E402
+from bench.workloads import write_portfolio  # noqa: E402
+from betakotz import credit as this_credit  # noqa: E402
+
+
+def load_credit(tree, name):
+    """The credit module of `tree`/src/betakotz, imported as the package
+    `name`."""
+    package = Path(tree).resolve() / "src" / "betakotz"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.credit")
+
+
+def timed_runs(credit, month):
+    """The four timed runs on `month`, through the module `credit`."""
+    portfolio = credit.read_portfolio_csv(month.path)
+    obligors = list(portfolio)
+
+    def portfolio_op():
+        # bench/workloads.py's portfolio_op, on this credit module
+        rep = credit.period_report(month.label, credit.read_portfolio_csv(month.path),
+                                   alpha=month.alpha)
+        return (rep.fitted.a, rep.fitted.b,
+                credit.report_to_json(rep), credit.report_to_csv(rep))
+
+    return {"read_portfolio_csv": lambda: credit.read_portfolio_csv(month.path),
+            "period_report": lambda: credit.period_report("M", portfolio, 0.99),
+            "period_report(list)": lambda: credit.period_report("M", obligors, 0.99),
+            "portfolio_op": portfolio_op}
 
 
 def python_calls(run) -> Counter:
@@ -52,6 +93,25 @@ def python_calls(run) -> Counter:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def csv_rows(run) -> int:
+    """Rows that `csv.reader` yields inside one `run()`."""
+    rows = 0
+    reader = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        nonlocal rows
+        for row in reader(*args, **kwargs):
+            rows += 1
+            yield row
+
+    csv.reader = counting_reader
+    try:
+        run()
+    finally:
+        csv.reader = reader
+    return rows
 
 
 def transient_kb(run) -> float:
@@ -79,35 +139,60 @@ def _line(name, seconds, rows):
             f"  {rows / seconds:9,.0f} rows/s")
 
 
+def print_counts(prefix, runs, rows):
+    for name, run in runs.items():
+        calls = python_calls(run)
+        top = ", ".join(f"{k} {v}" for k, v in calls.most_common(4))
+        print(f"{prefix}{name}: {sum(calls.values()) / rows:.4f} Python-level"
+              f" calls per row ({top}); {csv_rows(run) / rows:.4f} csv.reader"
+              f" rows per row")
+        gcs = collections(run)
+        print(f"{prefix}{name}: {transient_kb(run):.1f} KB transient peak,"
+              f" {sum(gcs)} GC collections ({'/'.join(map(str, gcs))})")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rows", type=int, default=10_000)
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--parent", type=Path, metavar="DIR",
+                        help="a checkout to time alongside this one")
     args = parser.parse_args(argv)
+    credits = {"this": this_credit}
+    if args.parent is not None:
+        credits["parent"] = load_credit(args.parent, "betakotz_parent")
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "month.csv"
-        month = write_portfolio(path, args.rows,
+        month = write_portfolio(Path(tmp) / "month.csv", args.rows,
                                 random.Random(f"time-credit-{args.seed}"),
                                 label="M", alpha=0.99)
-        portfolio = read_portfolio_csv(path)
-        obligors = list(portfolio)
-        runs = {"read_portfolio_csv": lambda: read_portfolio_csv(path),
-                "period_report": lambda: period_report("M", portfolio, 0.99),
-                "period_report(list)": lambda: period_report("M", obligors, 0.99),
-                "portfolio_op": lambda: portfolio_op(month)}
-        print(f"{args.rows:,} rows, min of {args.repeats} repeats")
-        for name, run in runs.items():
-            print(_line(name, min(timeit.repeat(run, number=1,
-                                                repeat=args.repeats)), args.rows))
-        for name, run in runs.items():
-            calls = python_calls(run)
-            top = ", ".join(f"{k} {v}" for k, v in calls.most_common(4))
-            print(f"{name}: {sum(calls.values()) / args.rows:.4f} Python-level"
-                  f" calls per row ({top})")
-            gcs = collections(run)
-            print(f"{name}: {transient_kb(run):.1f} KB transient peak,"
-                  f" {sum(gcs)} GC collections ({'/'.join(map(str, gcs))})")
+        runs = {tree: timed_runs(credit, month) for tree, credit in credits.items()}
+        names = list(runs["this"])
+        for name in names:
+            if len({repr(tree_runs[name]()) for tree_runs in runs.values()}) != 1:
+                sys.exit(f"{name}: the outputs of this tree and the parent differ")
+        times = {tree: {name: [] for name in names} for tree in runs}
+        order = list(runs)
+        for _ in range(args.repeats):
+            for name in names:
+                for tree in order:
+                    times[tree][name].append(timeit.timeit(runs[tree][name], number=1))
+            order.reverse()  # each tree goes first in every other repeat
+        best = {tree: {name: min(t) for name, t in by_name.items()}
+                for tree, by_name in times.items()}
+        heading = f"{args.rows:,} rows, min of {args.repeats} repeats"
+        if args.parent is not None:
+            heading += f", alternating with the parent {args.parent} (equal outputs)"
+        print(heading)
+        for name in names:
+            line = _line(name, best["this"][name], args.rows)
+            if args.parent is not None:
+                parent = best["parent"][name]
+                line += (f"  parent {parent * 1e3:8.2f} ms"
+                         f"  ratio {best['this'][name] / parent:.3f}")
+            print(line)
+        for tree, tree_runs in runs.items():
+            print_counts("parent " if tree == "parent" else "", tree_runs, args.rows)
 
 
 if __name__ == "__main__":
