@@ -18,7 +18,7 @@ import operator
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice, repeat, zip_longest
 
 from . import risk
 from .distribution import BetaKotzParams, ConfidenceLevel, _Record
@@ -86,8 +86,14 @@ _ENUM_BY_KEY = {
 }
 
 
+def _enum_members(cls, texts):
+    """The member of `cls` that each of `texts` spells, stripped and in
+    any case, or None, as an iterator of C-level maps."""
+    return map(_ENUM_BY_KEY[cls].get, map(str.lower, map(str.strip, texts)))
+
+
 def _parse_enum(cls, text, column, row_num):
-    member = _ENUM_BY_KEY[cls].get(text.strip().lower())
+    member, = _enum_members(cls, [text])
     if member is None:
         raise ValueError(
             f"row {row_num}, column '{column}': unknown value {text!r}; "
@@ -121,21 +127,11 @@ class Obligor(_Record):
                 f"obligor {id!r}: lgd_override must lie in [0, 1], "
                 f"got {lgd_override}"
             )
-        # Each slot's descriptor __set__ (bound below) takes half the time of
-        # object.__setattr__, which checks the call first.
-        _set_id(self, id)
-        _set_rating(self, rating)
-        _set_segment(self, segment)
-        _set_ead(self, ead)
-        _set_guarantee(self, guarantee)
-        _set_days_past_due(self, days_past_due)
-        _set_pd_override(self, pd_override)
-        _set_lgd_override(self, lgd_override)
+        self.__setstate__((id, rating, segment, ead, guarantee, days_past_due,
+                           pd_override, lgd_override))
 
 
 _SLOT_SETTERS = tuple(vars(Obligor)[name].__set__ for name in Obligor.__slots__)
-(_set_id, _set_rating, _set_segment, _set_ead, _set_guarantee, _set_days_past_due,
- _set_pd_override, _set_lgd_override) = _SLOT_SETTERS
 
 # Each field of an obligor, in Obligor.__slots__ order.
 _FIELD_GETTERS = tuple(map(operator.attrgetter, Obligor.__slots__))
@@ -475,12 +471,10 @@ def _field_chunks(handle, width, picked):
     csv.reader, which goes on into the next lines until it has _CHUNK_ROWS
     non-blank rows, so the chunks are those of a reader of rows; from the
     first chunk that holds a quote on, it reads the rest of the file, as a
-    quoted field may span lines.  Either way the cells are converted by
-    `_column_fields`, or by `_row_obligors` where that refuses them.
+    quoted field may span lines.  Either way `_column_fields` converts the
+    cells, and `_row_obligors` names the first faulty row of a chunk that
+    it refuses.
     """
-    # The eight cells of a row cut or padded to the header's width plus
-    # one empty cell.
-    row_cells = operator.itemgetter(*picked)
     limit = csv.field_size_limit()
     step = width + 1
     # Split cells are a line's cells and then a "\n" cell, so a column is
@@ -491,11 +485,7 @@ def _field_chunks(handle, width, picked):
     while True:
         # The last chunk's cells go before the next is read: holding two
         # chunks at once would double the transient memory.
-        cells = texts = rows = obligors = None
-        # Enum members by cell text as spelled in this chunk; each new
-        # spelling is resolved (or refused) once per chunk, so a file of
-        # many spellings holds no more of them than a chunk has.
-        spellings = tuple(map(dict, _ENUM_BY_KEY.values()))
+        cells = texts = rows = error = None
         if not quoted:
             lines = list(islice(handle, _CHUNK_ROWS))
             if not lines:
@@ -518,9 +508,6 @@ def _field_chunks(handle, width, picked):
                 rows_left = filter(None, csv.reader(chain(lines, handle)))
         if cells is not None:
             texts = list(map(cells.__getitem__, slices))
-            # each line's cells, sliced only if they are read
-            rows = map(cells.__getitem__, map(
-                slice, range(0, len(cells), step), range(width, len(cells), step)))
         else:
             rows = []
             try:
@@ -528,36 +515,44 @@ def _field_chunks(handle, width, picked):
             except csv.Error as err:
                 # extend keeps the rows before the malformed line, and a
                 # fault among them is reported first, as row by row.
-                _row_obligors(rows, row_cells, width, spellings, row_num)
-                raise ValueError(f"row {row_num + len(rows) + 1}: {err}") from None
+                error = ValueError(f"row {row_num + len(rows) + 1}: {err}")
             if not rows:
-                return
-            n = len(rows)
-            if set(map(len, rows)) == {width}:
-                # the columns, and one with no cells at the header's width
-                texts = list(map([*zip(*rows), ()].__getitem__, picked))
-        chunk = None if texts is None else _column_fields(texts, spellings)
+                if error is None:
+                    return
+                raise error
+            if set(map(len, rows)) != {width}:  # a short or long row
+                rows = [(row + [""] * width)[:width] for row in rows]
+            # the columns, and one with no cells at the header's width
+            texts = list(map([*zip(*rows), ()].__getitem__, picked))
+        chunk = _column_fields(texts)
         if chunk is None:
-            obligors = _row_obligors(rows, row_cells, width, spellings, row_num)
+            obligors = _row_obligors(texts, row_num)
             chunk = [map(get, obligors) for get in _FIELD_GETTERS]
-        row_num += n
+        if error is not None:
+            raise error
+        row_num += len(texts[0])
         yield chunk
 
 
-def _column_fields(cell_columns, spellings):
+def _column_fields(cell_columns):
     """A chunk's eight obligor fields from its eight cell columns (an
     absent override column has no cells), converted column by column
-    with C-level maps.
-
-    None when a cell fails a check or is one that only the row route
-    reads (a blank days_past_due, or a number padded with \\x1c-\\x1f):
-    the chunk then takes the row route, which names the first faulty row.
+    with C-level maps; None when a cell fails a check.
     """
     (ids, rating_cells, segment_cells, ead_cells, guarantee_cells, days_cells,
      pd_cells, lgd_cells) = cell_columns
     try:
-        days = list(map(int, days_cells))
-        eads = list(map(float, ead_cells))
+        # int() and float() skip surrounding whitespace other than
+        # \x1c-\x1f, which strip() also removes: only a column they refuse
+        # is stripped, and a blank day then reads as 0.
+        try:
+            days = list(map(int, days_cells))
+        except ValueError:
+            days = [int(text or 0) for text in map(str.strip, days_cells)]
+        try:
+            eads = list(map(float, ead_cells))
+        except ValueError:
+            eads = list(map(float, map(str.strip, ead_cells)))
         pd_overrides = _override_column(pd_cells, len(days))
         lgd_overrides = _override_column(lgd_cells, len(days))
     except ValueError:
@@ -566,13 +561,12 @@ def _column_fields(cell_columns, spellings):
     if min(days) < 0 or not (math.isfinite(sum(eads)) and min(eads) >= 0.0):
         return None
     members = []
-    for texts, by_text, cls in zip((rating_cells, segment_cells, guarantee_cells),
-                                   spellings, (Rating, Segment, Guarantee)):
-        for text in set(texts).difference(by_text):
-            member = _ENUM_BY_KEY[cls].get(text.strip().lower())
-            if member is None:
-                return None
-            by_text[text] = member
+    for texts, cls in zip((rating_cells, segment_cells, guarantee_cells),
+                          (Rating, Segment, Guarantee)):
+        spellings = set(texts)  # each looked up once
+        by_text = dict(zip(spellings, _enum_members(cls, spellings)))
+        if None in by_text.values():
+            return None
         members.append(map(by_text.__getitem__, texts))
     ratings, segments, guarantees = members
     return (map(str.strip, ids), ratings, segments, eads, guarantees, days,
@@ -593,65 +587,36 @@ def _override_column(texts, n):
     return values
 
 
-def _row_obligors(rows, cells, width, spellings, row_num):
-    """A chunk's obligors, one row at a time: the source of every error
+def _row_obligors(cell_columns, row_num):
+    """A chunk's obligors from its eight cell columns, one row at a time,
+    each cell stripped and parsed on its own: the source of every error
     message.  `row_num` is the number of the row before the chunk."""
-    ratings, segments, guarantees = spellings
     obligors = []
-    for row in rows:
-        if len(row) == width:
-            row.append("")
-        else:
-            row = (row + [""] * width)[:width]
-            row.append("")
-        row_num += 1
-        (id_text, rating_text, segment_text, ead_text, guarantee_text,
-         days_text, pd_text, lgd_text) = cells(row)
+    for row_num, (id_text, rating_text, segment_text, ead_text, guarantee_text,
+                  days_text, pd_text, lgd_text) in enumerate(
+            zip_longest(*cell_columns, fillvalue=""), row_num + 1):
         # Checks run in a fixed order, so a row with several faults
         # always reports the same one.
-        # int() and float() skip surrounding whitespace other than
-        # \x1c-\x1f, which strip() also removes: only a cell they refuse
-        # is stripped.
+        days_text = days_text.strip()
         try:
-            days = int(days_text)
+            days = int(days_text) if days_text else 0
         except ValueError:
-            days_text = days_text.strip()
-            try:
-                days = int(days_text) if days_text else 0
-            except ValueError:
-                raise ValueError(
-                    f"row {row_num}, column 'days_past_due': not an "
-                    f"integer: {days_text!r}"
-                ) from None
+            raise ValueError(
+                f"row {row_num}, column 'days_past_due': not an "
+                f"integer: {days_text!r}"
+            ) from None
+        pd_text, lgd_text = pd_text.strip(), lgd_text.strip()
         pd_override = _parse_float(
-            pd_text.strip(), "pd_override", row_num, lo=0.0, hi=1.0
-        ) if pd_text and not pd_text.isspace() else None
+            pd_text, "pd_override", row_num, lo=0.0, hi=1.0) if pd_text else None
         lgd_override = _parse_float(
-            lgd_text.strip(), "lgd_override", row_num, lo=0.0, hi=1.0
-        ) if lgd_text and not lgd_text.isspace() else None
-        rating = ratings.get(rating_text)
-        if rating is None:
-            rating = ratings[rating_text] = _parse_enum(
-                Rating, rating_text, "rating", row_num)
-        segment = segments.get(segment_text)
-        if segment is None:
-            segment = segments[segment_text] = _parse_enum(
-                Segment, segment_text, "segment", row_num)
+            lgd_text, "lgd_override", row_num, lo=0.0, hi=1.0) if lgd_text else None
+        rating = _parse_enum(Rating, rating_text, "rating", row_num)
+        segment = _parse_enum(Segment, segment_text, "segment", row_num)
+        ead = _parse_float(ead_text, "ead", row_num, lo=0.0)
+        guarantee = _parse_enum(Guarantee, guarantee_text, "guarantee", row_num)
         try:
-            ead = float(ead_text)
-        except ValueError:
-            ead = None
-        if ead is None or ead < 0.0:
-            ead = _parse_float(ead_text, "ead", row_num, lo=0.0)
-        guarantee = guarantees.get(guarantee_text)
-        if guarantee is None:
-            guarantee = guarantees[guarantee_text] = _parse_enum(
-                Guarantee, guarantee_text, "guarantee", row_num)
-        try:
-            obligors.append(Obligor(  # positional: cheaper than keywords
-                id_text.strip(), rating, segment, ead, guarantee, days,
-                pd_override, lgd_override,
-            ))
+            obligors.append(Obligor(id_text.strip(), rating, segment, ead, guarantee,
+                                    days, pd_override, lgd_override))
         except ValueError as err:
             raise ValueError(f"row {row_num}: {err}") from None
     return obligors

@@ -85,15 +85,19 @@ def _header_name(rng, name):
     return name
 
 
-def generate_csv(rng, quote_free=False):
+def generate_csv(rng, quote_free=False, plant=None):
     """One portfolio CSV as text, drawn from the wire format's corners;
     with `quote_free`, of cells that need no quotes, each line ended by
-    "\\n"."""
+    "\\n".  With a `plant`, the file's one fault is that one: "missing
+    columns", "no obligor rows", or a (column, bad cell) pair set in one
+    row."""
     good, bad = (QUOTE_FREE_GOOD, QUOTE_FREE_BAD) if quote_free else (GOOD, BAD)
     extra = ["extra", "more"] if quote_free else ["extra", "cells, quoted"]
     columns = list(REQUIRED) + [c for c in OPTIONAL if rng.random() < 0.6]
-    if rng.random() < 0.05:
+    if plant == "missing columns" or not plant and rng.random() < 0.05:
         columns.remove(rng.choice(REQUIRED))
+    if isinstance(plant, tuple) and plant[0] not in columns:
+        columns.append(plant[0])
     rng.shuffle(columns)
     if rng.random() < 0.25:
         # a duplicate normalized name: the last column of that name wins
@@ -101,18 +105,30 @@ def generate_csv(rng, quote_free=False):
     header = [_header_name(rng, c) for c in columns]
     lines = [header]
     fault_rate = rng.choice((0.0, 0.0, 0.02, 0.05))
-    for _ in range(rng.choice((0, 1, 2, 3, 4, 6, 8, 12))):
+    count = rng.choice((0, 1, 2, 3, 4, 6, 8, 12))
+    planted_row = None
+    if plant == "no obligor rows":
+        count = 0
+    elif isinstance(plant, tuple):
+        count = max(count, 1)
+        planted_row = rng.randrange(count)
+        # the last column of the planted name is the one read
+        planted_cell = len(columns) - 1 - columns[::-1].index(plant[0])
+    for row_index in range(count):
         row = [_good_cell(rng, c, good) for c in columns]
-        faults = 2 if rng.random() < 0.05 else int(rng.random() < 8 * fault_rate)
-        for _ in range(faults):
-            k = rng.randrange(len(columns))
-            if columns[k] in bad:
-                row[k] = rng.choice(bad[columns[k]])
-        shape = rng.random()
-        if shape < 0.04:
-            row = row[:rng.randrange(len(row))]  # short row
-        elif shape < 0.14:
-            row += extra[:rng.randint(1, 2)]
+        if row_index == planted_row:
+            row[planted_cell] = plant[1]
+        elif not plant:
+            faults = 2 if rng.random() < 0.05 else int(rng.random() < 8 * fault_rate)
+            for _ in range(faults):
+                k = rng.randrange(len(columns))
+                if columns[k] in bad:
+                    row[k] = rng.choice(bad[columns[k]])
+            shape = rng.random()
+            if shape < 0.04:
+                row = row[:rng.randrange(len(row))]  # short row
+            elif shape < 0.14:
+                row += extra[:rng.randint(1, 2)]
         while rng.random() < 0.15:
             lines.append([])  # blank line
         lines.append(row)
@@ -128,6 +144,17 @@ def generate_csv(rng, quote_free=False):
         else:
             out.write("\n")
     return out.getvalue()
+
+
+def generate_corpus(rng, quote_free=False):
+    """CASES files of generate_csv: random ones, then one for each fault
+    planted once (each bad cell, a missing column and no obligor rows),
+    so that the corpus fails every check whatever the seed."""
+    bad = QUOTE_FREE_BAD if quote_free else BAD
+    plants = ["missing columns", "no obligor rows",
+              *((column, text) for column, texts in bad.items() for text in texts)]
+    return ([generate_csv(rng, quote_free) for _ in range(CASES - len(plants))]
+            + [generate_csv(rng, quote_free, plant) for plant in plants])
 
 
 # A fragment of each error message the reader can give.
@@ -155,17 +182,25 @@ def outcome(reader, path):
 
 def assert_matches_oracle(path, texts):
     """Each of `texts`, written to `path`, reads the same through the reader
-    and the oracle, and the texts exercise both outcomes and every check."""
+    and the oracle, an accepted text without the row route, and the texts
+    exercise both outcomes and every check."""
     accepted = 0
     messages = []
-    for case, text in enumerate(texts):
-        path.write_text(text, encoding="utf-8", newline="")
-        expected = outcome(oracle_read_portfolio_csv, path)
-        assert outcome(read_portfolio_csv, path) == expected, (case, text)
-        if isinstance(expected, str):
-            messages.append(expected)
-        else:
-            accepted += 1
+    row_route = []
+    row_obligors = credit._row_obligors
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(credit, "_row_obligors",
+                      lambda *args: row_route.append(1) or row_obligors(*args))
+        for case, text in enumerate(texts):
+            path.write_text(text, encoding="utf-8", newline="")
+            expected = outcome(oracle_read_portfolio_csv, path)
+            row_route.clear()
+            assert outcome(read_portfolio_csv, path) == expected, (case, text)
+            if isinstance(expected, str):
+                messages.append(expected)
+            else:
+                accepted += 1
+                assert row_route == [], (case, text)
     # The generator must exercise both outcomes and every check.
     assert accepted >= CASES // 4 and len(messages) >= CASES // 4
     missed = [c for c in CHECKS if not any(c in m for m in messages)]
@@ -174,8 +209,7 @@ def assert_matches_oracle(path, texts):
 
 def test_reader_matches_dictreader_oracle(tmp_path):
     rng = random.Random(20261018)
-    assert_matches_oracle(tmp_path / "p.csv",
-                          (generate_csv(rng) for _ in range(CASES)))
+    assert_matches_oracle(tmp_path / "p.csv", generate_corpus(rng))
 
 
 # Line ends of a quote-free file: each "\n" as it stands, each "\r\n",
@@ -192,8 +226,8 @@ def test_quote_free_reader_matches_dictreader_oracle(tmp_path, line_ends):
     # Files without a quote are split with str.split where csv.reader
     # would read them the same, so they get a corpus of their own.
     rng = random.Random(20261021)
-    texts = [LINE_ENDS[line_ends](generate_csv(rng, quote_free=True))
-             for _ in range(CASES)]
+    texts = [LINE_ENDS[line_ends](text)
+             for text in generate_corpus(rng, quote_free=True)]
     assert not any('"' in text for text in texts)
     assert_matches_oracle(tmp_path / "p.csv", texts)
 
@@ -268,12 +302,12 @@ def _set(rows, k, column, text):
 
 
 def _chunked_rows(faults=()):
-    """ROWS rows: four full chunks and a part one.  The first, second
-    and fourth take the row route, for a blank days_past_due, a short
-    and a long row, and cells padded with \\x1c (an ead that float()
-    refuses as it stands but strip() mends); the third and the last
-    take the column route.  `faults` are (row index, column, text) to
-    set on top."""
+    """ROWS rows: four full chunks and a part one.  The first has a
+    blank days_past_due, the second a short and a long row, and the
+    fourth cells padded with \\x1c (an ead that float() refuses as it
+    stands but strip() mends); the third and the last have none of
+    these.  The column route converts all five.  `faults` are (row
+    index, column, text) to set on top."""
     rng = random.Random(20261019)
     rows = [_plain_row(rng, k) for k in range(ROWS)]
     _set(rows, 3, "days_past_due", "")
@@ -296,7 +330,8 @@ def outcome_or_csv_error(reader, path):
 # Each file has blank lines just before the second and the fourth chunk,
 # which must not shift the chunks or the row numbers.  The expected
 # outcome is the number of obligors, or the row number the error names.
-# A fault in the third or the last chunk is one the column route refuses.
+# Each fault makes the column route refuse its chunk, and the row route
+# then names the row.
 @pytest.mark.parametrize("faults, expected", [
     ((), ROWS),
     # row numbers run on across chunks and blank lines
@@ -325,9 +360,10 @@ def test_chunked_reader_matches_oracle(tmp_path, faults, expected):
         assert got.startswith(f"ValueError: {expected}"), got
 
 
-def test_plain_chunks_skip_obligor_init(tmp_path, monkeypatch):
-    # Only the three chunks with a cell the column route leaves to the
-    # row route build their obligors through Obligor.__init__.
+def test_valid_chunks_build_no_obligor_through_init(tmp_path, monkeypatch):
+    # The column route converts every chunk of a valid file, blank days,
+    # ragged rows and \x1c-padded numbers included, so no obligor is
+    # built through Obligor.__init__.
     path = tmp_path / "p.csv"
     _write_rows(path, _chunked_rows(), blank_before=(CHUNK, 3 * CHUNK))
     calls = []
@@ -335,7 +371,7 @@ def test_plain_chunks_skip_obligor_init(tmp_path, monkeypatch):
     monkeypatch.setattr(credit.Obligor, "__init__",
                         lambda self, *args: calls.append(1) or init(self, *args))
     assert len(read_portfolio_csv(path)) == ROWS
-    assert len(calls) == 3 * CHUNK
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("source, readers", [
@@ -346,9 +382,9 @@ def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
     # csv.reader reads the header, and no chunk of a plain file, with
     # "\n" or "\r\n" line ends or none after the last line.  Of the
     # chunked file's five chunks, the two with blank lines go through
-    # csv.reader, and the other three are split (the first of them to be
-    # converted row by row); but the quoted extra cell of its second chunk
-    # sends the rest of the file through the one csv.reader.
+    # csv.reader, and the other three are split; but the quoted extra
+    # cell of its second chunk sends the rest of the file through the one
+    # csv.reader.
     path = tmp_path / "p.csv"
     if source.endswith("chunked"):
         rows = _chunked_rows()
