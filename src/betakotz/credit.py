@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import math
 import operator
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
+from functools import partial
 from itertools import chain, compress, islice, repeat, zip_longest
 
 from . import risk
 from .distribution import BetaKotzParams, ConfidenceLevel, _Record
-from .estimation import fit_moments, stats_from_samples
+from .estimation import _moment_shapes, _moments
 
 __all__ = [
     "Rating",
@@ -82,6 +84,13 @@ class Guarantee(enum.Enum):
 # Rating, Segment, Guarantee order.
 _ENUM_BY_KEY = {
     cls: {member.value.lower(): member for member in cls}
+    for cls in (Rating, Segment, Guarantee)
+}
+
+# The member of each canonical spelling, as the schema writes it: the
+# lookup a column tries before it strips and lower-cases its cells.
+_ENUM_BY_VALUE = {
+    cls: {member.value: member for member in cls}
     for cls in (Rating, Segment, Guarantee)
 }
 
@@ -262,10 +271,22 @@ def loss_rates(portfolio: Sequence[Obligor]) -> list[float]:
     The rates sum to the portfolio's total expected loss rate.
     """
     columns = _rate_columns(portfolio)
-    total = math.fsum(columns[2])
+    total = _total_exposure(columns[2])
     if not total > 0.0:
         raise ValueError("total exposure must be positive to form loss rates")
     return _loss_rates(zip(*columns), total)
+
+
+def _total_exposure(eads):
+    """The exact sum of the exposures, by math.fsum; ValueError when it
+    is not finite, as for finite exposures whose sum overflows."""
+    try:
+        total = math.fsum(eads)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"total exposure must be finite, got {total}")
+    return total
 
 
 # The fields an obligor's expected loss reads: all but its id.
@@ -359,21 +380,22 @@ def period_report(
 
     Obligors with zero expected loss stay in the exposure denominator
     but are excluded from the fitting sample (their rate has no
-    log-likelihood and carries no tail information).
+    log-likelihood and carries no tail information).  The fit reads only
+    the sample's mean and variance, so no log-sum is taken.
     """
     if not portfolio:
         raise ValueError("portfolio must be non-empty")
     columns = _rate_columns(portfolio)
-    total = math.fsum(columns[2])
+    total = _total_exposure(columns[2])
     if not total > 0.0:
         raise ValueError("total exposure must be positive")
-    rates = [r for r in _loss_rates(zip(*columns), total) if r > 0.0]
+    rates = list(filter((0.0).__lt__, _loss_rates(zip(*columns), total)))
     if len(rates) < 2:
         raise ValueError(
             f"need at least 2 obligors with positive expected loss, got {len(rates)}"
         )
-    stats = stats_from_samples(rates)
-    fitted = fit_moments(stats)
+    _, mean, variance = _moments(rates)
+    fitted = _moment_shapes(mean, variance)
     measures = risk.report(fitted, alpha)
     el = measures.mean * total
     var_cur = measures.var * total
@@ -398,11 +420,14 @@ def period_report(
 _REQUIRED_COLUMNS = ("id", "rating", "segment", "ead", "guarantee", "days_past_due")
 _OPTIONAL_COLUMNS = ("pd_override", "lgd_override")
 
-# Non-blank rows per chunk of read_portfolio_csv.  A chunk's rows and
-# converted cells are alive at once, so the reader's transient memory
-# grows with the chunk: reading a whole 20,000-row file at once held
-# about 10 MB more.  The time per row is the same at 128 or 256 rows
-# (tools/time_credit.py).
+# Bytes per block that read_portfolio_csv reads; a block's whole lines
+# are one chunk.  A chunk's text, cells and converted fields are alive
+# at once, so the reader's transient memory grows with the block:
+# reading a whole 20,000-row file at once held about 10 MB more.
+_BLOCK_BYTES = 8192
+
+# Non-blank rows per chunk once csv.reader reads the rest of a file, and
+# obligors per chunk of a Portfolio's iteration.
 _CHUNK_ROWS = 128
 
 
@@ -435,10 +460,14 @@ def read_portfolio_csv(path) -> Portfolio:
     `csv.field_size_limit()`) raises ValueError naming its row.  The
     obligors come as a Portfolio, which holds their fields as columns.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+    with open(path, "rb") as raw:
+        head, texts = _head_and_rest(_text_blocks(raw))
+        # A quoted header name may span lines: csv.reader then reads on,
+        # and reads the rest of the file.
+        quoted = '"' in head
+        rows = csv.reader(chain((head,), _lines(texts)) if quoted else (head,))
         try:
-            header = next(reader, None)
+            header = next(rows) if head else None
         except csv.Error as err:
             raise ValueError(f"row 1: {err}") from None
         if header is None:
@@ -452,7 +481,8 @@ def read_portfolio_csv(path) -> Portfolio:
         # column reads an empty cell past the header's width.
         picked = [index.get(c, width) for c in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS]
         columns = [[] for _ in Obligor.__slots__]
-        for chunk in _field_chunks(handle, width, picked):
+        rows_left = filter(None, rows) if quoted else None
+        for chunk in _field_chunks(texts, width, picked, rows_left):
             for column, values in zip(columns, chunk):
                 column += values
     if not columns[0]:
@@ -460,20 +490,60 @@ def read_portfolio_csv(path) -> Portfolio:
     return Portfolio._of_columns(columns)
 
 
-def _field_chunks(handle, width, picked):
-    """The obligor fields of the rows after the header, as eight columns
-    (iterables) per chunk of _CHUNK_ROWS non-blank rows.
+def _text_blocks(raw):
+    """The text of the binary file `raw`, decoded as UTF-8 a block of
+    _BLOCK_BYTES bytes at a time: the whole lines of each block, and a
+    line longer than a block with the blocks it spans.  A line ends at a
+    "\\n", or at a "\\r" that no "\\n" follows, as csv.reader reads lines."""
+    tail = bytearray()  # the start of a line whose end is not yet read
+    while block := raw.read(_BLOCK_BYTES):
+        # A final "\r" may be the first half of a "\r\n", which a cut
+        # there would leave the next block to start as a blank line.
+        cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
+        if cut:
+            tail += block[:cut]
+            # A line end is never part of a longer UTF-8 sequence.
+            text = tail.decode("utf-8")
+            # Nothing but the text is held while its chunk is converted.
+            tail, block = bytearray(block[cut:]), None
+            yield text
+        else:
+            tail += block
+    if tail:
+        yield tail.decode("utf-8")
 
-    A chunk of lines with no quote is split into cells with one str.split
-    when that reads it as csv.reader would: when no line is blank or
-    ragged and none has a \\r other than in a "\\r\\n" line end, a NUL,
-    or a field over csv.field_size_limit().  Any other chunk is read by
-    csv.reader, which goes on into the next lines until it has _CHUNK_ROWS
-    non-blank rows, so the chunks are those of a reader of rows; from the
-    first chunk that holds a quote on, it reads the rest of the file, as a
-    quoted field may span lines.  Either way `_column_fields` converts the
-    cells, and `_row_obligors` names the first faulty row of a chunk that
-    it refuses.
+
+def _head_and_rest(texts):
+    """The first line of `texts`, as csv.reader reads lines, with one
+    leading byte-order mark dropped; and the texts after it.  The mark is
+    dropped by hand, as a "utf-8-sig" text file decodes through
+    Python-level methods."""
+    text = next(texts, "").removeprefix("\ufeff")
+    head = io.StringIO(text, newline="").readline()
+    return head, filter(None, chain((text[len(head):],), texts))
+
+
+def _lines(texts):
+    """The lines of texts of whole lines, each ended as csv.reader reads
+    the lines of a file opened with newline=""."""
+    return chain.from_iterable(map(partial(io.StringIO, newline=""), texts))
+
+
+def _field_chunks(texts, width, picked, rows_left=None):
+    """The obligor fields of the rows after the header, as eight columns
+    (iterables) per chunk: one chunk for each of `texts`, the whole lines
+    of a block that `_text_blocks` reads.
+
+    A block with no quote is split into cells with one str.split when
+    that reads it as csv.reader would: when no line is blank or ragged
+    and none has a \\r other than in a "\\r\\n" line end, a NUL, or a
+    field over csv.field_size_limit().  csv.reader reads any other such
+    block, all of its rows in one chunk.  From the first block that holds
+    a quote on, csv.reader reads the rest of the file, _CHUNK_ROWS
+    non-blank rows a chunk, as a quoted field may span lines; so it does
+    from the start when given those rows as `rows_left`.  Either way
+    `_column_fields` converts the cells, and `_row_obligors` names the
+    first faulty row of a chunk that it refuses.
     """
     limit = csv.field_size_limit()
     step = width + 1
@@ -481,56 +551,59 @@ def _field_chunks(handle, width, picked):
     # every step-th cell; an absent optional column has no cells.
     slices = [slice(i, -1, step) if i < width else slice(0) for i in picked]
     row_num = 1  # the last row read; blank lines are not rows
-    quoted = False
     while True:
         # The last chunk's cells go before the next is read: holding two
         # chunks at once would double the transient memory.
-        cells = texts = rows = error = None
-        if not quoted:
-            lines = list(islice(handle, _CHUNK_ROWS))
-            if not lines:
+        cells = cell_columns = rows = error = None
+        if rows_left is None:
+            text = next(texts, None)
+            if text is None:
                 return
-            text = "".join(lines)
-            quoted = '"' in text
-            if "\r\n" in text and text.count("\r") == text.count("\r\n"):
-                text = text.replace("\r\n", "\n")
-            if not (quoted or "\r" in text or "\0" in text or len(text) > limit):
-                if text[-1] != "\n":  # the file's last line
-                    text += "\n"
-                cells = text.replace("\n", ",\n,").split(",")
-                # The text has a "\n" only at the end of each of its lines,
-                # so with a "\n" cell after every width cells, each line has
-                # width cells.
-                n = len(lines)
-                if len(cells) != step * n + 1 or cells[width::step] != ["\n"] * n:
-                    cells = None
-            if cells is None:
-                rows_left = filter(None, csv.reader(chain(lines, handle)))
+            if '"' in text:
+                rows_left = filter(None, csv.reader(_lines(chain((text,), texts))))
+            else:
+                if "\r\n" in text and text.count("\r") == text.count("\r\n"):
+                    text = text.replace("\r\n", "\n")
+                if not ("\r" in text or "\0" in text or len(text) > limit):
+                    if text[-1] != "\n":  # the file's last line
+                        text += "\n"
+                    cells = text.replace("\n", ",\n,").split(",")
+                    # The text has a "\n" only at the end of each of its
+                    # lines, so with a "\n" cell after every width cells,
+                    # each line has width cells.
+                    n = text.count("\n")
+                    if len(cells) != step * n + 1 or cells[width::step] != ["\n"] * n:
+                        cells = None
         if cells is not None:
-            texts = list(map(cells.__getitem__, slices))
+            cell_columns = list(map(cells.__getitem__, slices))
         else:
             rows = []
             try:
-                rows.extend(islice(rows_left, _CHUNK_ROWS))
+                if rows_left is not None:
+                    rows.extend(islice(rows_left, _CHUNK_ROWS))
+                else:
+                    rows.extend(filter(None, csv.reader(io.StringIO(text, newline=""))))
             except csv.Error as err:
                 # extend keeps the rows before the malformed line, and a
                 # fault among them is reported first, as row by row.
                 error = ValueError(f"row {row_num + len(rows) + 1}: {err}")
             if not rows:
-                if error is None:
+                if error is not None:
+                    raise error
+                if rows_left is not None:
                     return
-                raise error
+                continue  # a block of blank lines
             if set(map(len, rows)) != {width}:  # a short or long row
                 rows = [(row + [""] * width)[:width] for row in rows]
             # the columns, and one with no cells at the header's width
-            texts = list(map([*zip(*rows), ()].__getitem__, picked))
-        chunk = _column_fields(texts)
+            cell_columns = list(map([*zip(*rows), ()].__getitem__, picked))
+        chunk = _column_fields(cell_columns)
         if chunk is None:
-            obligors = _row_obligors(texts, row_num)
+            obligors = _row_obligors(cell_columns, row_num)
             chunk = [map(get, obligors) for get in _FIELD_GETTERS]
         if error is not None:
             raise error
-        row_num += len(texts[0])
+        row_num += len(cell_columns[0])
         yield chunk
 
 
@@ -557,17 +630,20 @@ def _column_fields(cell_columns):
         lgd_overrides = _override_column(lgd_cells, len(days))
     except ValueError:
         return None
-    # The sum only tests finiteness: a NaN or an infinity makes it non-finite.
-    if min(days) < 0 or not (math.isfinite(sum(eads)) and min(eads) >= 0.0):
+    # Each EAD is checked as Obligor checks it: finite and not negative.
+    if min(days) < 0 or not (min(eads) >= 0.0 and all(map(math.isfinite, eads))):
         return None
     members = []
     for texts, cls in zip((rating_cells, segment_cells, guarantee_cells),
                           (Rating, Segment, Guarantee)):
-        spellings = set(texts)  # each looked up once
-        by_text = dict(zip(spellings, _enum_members(cls, spellings)))
-        if None in by_text.values():
-            return None
-        members.append(map(by_text.__getitem__, texts))
+        try:
+            members.append(list(map(_ENUM_BY_VALUE[cls].__getitem__, texts)))
+        except KeyError:  # a spelling other than the schema's
+            spellings = set(texts)  # each looked up once
+            by_text = dict(zip(spellings, _enum_members(cls, spellings)))
+            if None in by_text.values():
+                return None
+            members.append(map(by_text.__getitem__, texts))
     ratings, segments, guarantees = members
     return (map(str.strip, ids), ratings, segments, eads, guarantees, days,
             pd_overrides, lgd_overrides)

@@ -10,7 +10,9 @@ once and fitted many ways.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
+from functools import reduce
 
 from .distribution import BetaKotzParams, _Record
 from .specfun import digamma, trigamma
@@ -79,19 +81,13 @@ class FitResult(_Record):
         )
 
 
-def stats_from_samples(xs: Sequence[float]) -> SampleStats:
-    """Reduce a sample to SampleStats in one numerically stable pass.
-
-    Welford's recurrence for mean/variance (unbiased, n-1 divisor) plus
-    running log-sums.  Values at or outside (0, 1) are rejected with the
-    offending index, since the log-likelihood is undefined there.
-    """
+def _moments(xs) -> tuple[int, float, float]:
+    """The count, mean and unbiased (n-1 divisor) variance of a sample,
+    by Welford's recurrence in one pass.  Values at or outside (0, 1)
+    are rejected with the offending index."""
     n = 0
     running_mean = 0.0
     m2 = 0.0
-    sum_log_x = 0.0
-    sum_log_1mx = 0.0
-    log, log1p = math.log, math.log1p
     for i, x in enumerate(xs):
         # type() spares a float the isinstance call; the check is the same.
         if not ((type(x) is float or isinstance(x, (int, float))) and 0.0 < x < 1.0):
@@ -102,17 +98,42 @@ def stats_from_samples(xs: Sequence[float]) -> SampleStats:
         delta = x - running_mean
         running_mean += delta / n
         m2 += delta * (x - running_mean)
-        sum_log_x += log(x)
-        sum_log_1mx += log1p(-x)
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
+    return n, running_mean, m2 / (n - 1)
+
+
+def stats_from_samples(xs: Sequence[float]) -> SampleStats:
+    """Reduce a sample to SampleStats.
+
+    Welford's recurrence for mean/variance (unbiased, n-1 divisor), then
+    the log-sums, each added left to right.  Values at or outside (0, 1)
+    are rejected with the offending index, since the log-likelihood is
+    undefined there.
+    """
+    xs = list(xs)  # read twice; a generator is accepted
+    n, mean, variance = _moments(xs)
+    # reduce adds in order with no compensation, unlike sum() from 3.12 on
     return SampleStats(
         n=n,
-        mean=running_mean,
-        variance=m2 / (n - 1),
-        sum_log_x=sum_log_x,
-        sum_log_1mx=sum_log_1mx,
+        mean=mean,
+        variance=variance,
+        sum_log_x=reduce(operator.add, map(math.log, xs), 0.0),
+        sum_log_1mx=reduce(operator.add, map(math.log1p, map(operator.neg, xs)), 0.0),
     )
+
+
+def _moment_shapes(mean: float, variance: float) -> BetaKotzParams:
+    """The shapes whose mean and variance are those given, inverted in
+    closed form; InfeasibleMomentsError outside 0 < variance < mean(1-mean)."""
+    bound = mean * (1.0 - mean)
+    if variance <= 0.0 or variance >= bound:
+        raise InfeasibleMomentsError(
+            f"sample variance {variance} must lie in (0, "
+            f"{bound}) = (0, mean*(1-mean)) for a moment fit"
+        )
+    common = bound / variance - 1.0
+    return BetaKotzParams(mean * common, (1.0 - mean) * common)
 
 
 def fit_moments(stats: SampleStats) -> BetaKotzParams:
@@ -121,15 +142,7 @@ def fit_moments(stats: SampleStats) -> BetaKotzParams:
     a = m (m(1-m)/s^2 - 1), b = (1-m) (m(1-m)/s^2 - 1); the inversion
     is exact, so the fitted distribution reproduces the sample moments.
     """
-    m = stats.mean
-    bound = m * (1.0 - m)
-    if stats.variance <= 0.0 or stats.variance >= bound:
-        raise InfeasibleMomentsError(
-            f"sample variance {stats.variance} must lie in (0, "
-            f"{bound}) = (0, mean*(1-mean)) for a moment fit"
-        )
-    common = bound / stats.variance - 1.0
-    return BetaKotzParams(m * common, (1.0 - m) * common)
+    return _moment_shapes(stats.mean, stats.variance)
 
 
 def log_likelihood(p: BetaKotzParams, stats: SampleStats) -> float:

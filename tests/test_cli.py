@@ -384,6 +384,21 @@ def test_portfolio_zero_total_exposure(capsys, tmp_path):
     assert err == "portfolio pipeline failed: total exposure must be positive\n"
 
 
+def test_portfolio_overflowing_total_exposure(capsys, tmp_path):
+    # Two finite exposures whose sum overflows: a refusal that says so,
+    # not an OverflowError traceback.
+    path = tmp_path / "overflow.csv"
+    path.write_text(
+        "id,rating,segment,ead,guarantee,days_past_due\n"
+        "a,AA,Other,1e308,NoGuarantee,0\n"
+        "b,B,Other,1e308,NoGuarantee,5\n"
+    )
+    code, out, err = run_cli(capsys, "portfolio", str(path))
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == "portfolio pipeline failed: total exposure must be finite, got inf\n"
+
+
 @pytest.mark.parametrize("row", [1, 3])
 def test_portfolio_field_over_the_csv_limit_names_the_row(capsys, tmp_path, row):
     # csv.reader refuses a field over csv.field_size_limit(): an input

@@ -326,6 +326,18 @@ def test_period_report_composition_contract():
     )
 
 
+@pytest.mark.parametrize("source", ["fixture", 21, 33, 60])
+def test_period_report_fit_is_the_moment_fit_bit_for_bit(source):
+    # period_report fits from the sample's mean and variance alone, with
+    # no log-sum; its shapes are the moment fit of the full statistics.
+    portfolio = (read_portfolio_csv(FIXTURE) if source == "fixture"
+                 else synthetic_portfolio(seed=source, n=2000))
+    expected = fit_moments(stats_from_samples([r for r in loss_rates(portfolio)
+                                               if r > 0.0]))
+    fitted = period_report("m", portfolio).fitted
+    assert (fitted.a.hex(), fitted.b.hex()) == (expected.a.hex(), expected.b.hex())
+
+
 def test_period_report_linear_in_exposure():
     portfolio = synthetic_portfolio(seed=33)
     doubled = [

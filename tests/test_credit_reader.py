@@ -259,6 +259,16 @@ def test_reader_matches_oracle_on_fixture():
     "a,AA,Other,1,NoGuarantee,0,\x1f bad \n",
     "id,rating,segment,ead,guarantee,days_past_due,lgd_override\n"
     "a,AA,Other,1,NoGuarantee,0, 1.5\x1c\n",
+    # a quoted header name that spans lines, within the first block and
+    # past it, and lone "\r" line ends
+    'id,rating,segment,ead,guarantee,days_past_due,"note\non two lines"\n'
+    "a,AA,Other,1,NoGuarantee,0,x\nb,B,Other,2,NoGuarantee,0,y\n",
+    pytest.param(
+        'id,rating,segment,ead,guarantee,days_past_due,"' + "note\n" * 3000 + '"\n'
+        "a,AA,Other,1,NoGuarantee,0,x\nb,B,Other,2,NoGuarantee,0,y\n",
+        id="header-name-past-the-first-block"),
+    "id,rating,segment,ead,guarantee,days_past_due\ra,AA,Other,1,NoGuarantee,0\r"
+    "\rb,B,Other,2,NoGuarantee,0\r",
 ])
 def test_reader_matches_oracle_on_edge_files(tmp_path, text):
     path = tmp_path / "p.csv"
@@ -376,15 +386,18 @@ def test_valid_chunks_build_no_obligor_through_init(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("source, readers", [
     ("plain-lf", 1), ("plain-crlf", 1), ("plain-no-final-newline", 1),
-    ("quote-free-chunked", 3), ("chunked", 2)])
+    ("quote-free-chunked", 4), ("chunked", 3)])
 def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
                                                 readers):
-    # csv.reader reads the header, and no chunk of a plain file, with
-    # "\n" or "\r\n" line ends or none after the last line.  Of the
-    # chunked file's five chunks, the two with blank lines go through
-    # csv.reader, and the other three are split; but the quoted extra
-    # cell of its second chunk sends the rest of the file through the one
-    # csv.reader.
+    # csv.reader reads the header, and no block of a plain file, with
+    # "\n" or "\r\n" line ends or none after the last line.  The chunked
+    # file's lines are cut into five blocks of 8 KB (about 139 lines each,
+    # the header being the first's first, then 5): the first holds the
+    # blank lines before row CHUNK and the short row, the second the long
+    # row, the third the blank lines before row 3 * CHUNK.  csv.reader
+    # reads those three and the other two are split; but the quoted extra
+    # cell of the long row sends the rest of the file, from the second
+    # block on, through the one csv.reader.
     path = tmp_path / "p.csv"
     if source.endswith("chunked"):
         rows = _chunked_rows()
@@ -405,6 +418,7 @@ def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
                         lambda *args: calls.append(1) or reader(*args))
     assert read_portfolio_csv(path) == expected and len(expected) == ROWS
     assert len(calls) == readers
+    assert credit._BLOCK_BYTES == 8192  # the block edges the counts assume
 
 
 def _quoted_newline(rows):
@@ -455,6 +469,152 @@ def test_chunk_edges_match_oracle(tmp_path, edit_rows, edit_file):
         assert len(got) == ROWS
 
 
+# ---------------------------------------------------------------------------
+# block edges: the lines after the header are read in blocks of bytes
+# ---------------------------------------------------------------------------
+
+BLOCK = credit._BLOCK_BYTES
+
+# The layouts of a file's text: its line ends, and a byte-order mark.
+LAYOUTS = {**LINE_ENDS, "bom": lambda text: "\ufeff" + text}
+
+
+def _varied_rows(rng, count):
+    """Plain rows whose ids vary in length and whose cells are not blank,
+    so that block edges fall in every column."""
+    rows = [_plain_row(rng, k) for k in range(count)]
+    for row in rows:
+        row[0] += "x" * rng.randrange(16)
+        for column in OPTIONAL:
+            row[COLUMNS.index(column)] = rng.choice(GOOD[column][1:])
+    return rows
+
+
+def _write_layout(tmp_path, text, layout):
+    """`text` in `layout` as p.csv, and the same text without a
+    byte-order mark (which the oracle does not skip) as plain.csv."""
+    path, plain = tmp_path / "p.csv", tmp_path / "plain.csv"
+    text = LAYOUTS[layout](text)
+    path.write_text(text, encoding="utf-8", newline="")
+    plain.write_text(text.removeprefix("\ufeff"), encoding="utf-8", newline="")
+    return path, plain
+
+
+def _edge_columns(data, block):
+    """The column in which each block of `block` bytes of `data` after
+    the first starts: the number of commas before it on its line."""
+    return {data.count(b",", data.rfind(b"\n", 0, edge) + 1, edge)
+            for edge in range(block, len(data), block)}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_block_edges_in_every_column_match_oracle(tmp_path, layout):
+    # Rows of varied length put the edges of the reader's blocks in
+    # every column of a line, with "\n" or "\r\n" line ends, none after
+    # the last line, or a byte-order mark.
+    path = tmp_path / "rows.csv"
+    _write_rows(path, _varied_rows(random.Random(29), 12000))
+    path, plain = _write_layout(tmp_path, path.read_text(encoding="utf-8"), layout)
+    assert _edge_columns(path.read_bytes(), BLOCK) == set(range(len(COLUMNS)))
+    got = read_portfolio_csv(path)
+    assert got == oracle_read_portfolio_csv(plain) and len(got) == 12000
+
+
+def _small_file(variant):
+    """A 14-row file, with blank lines, a quoted field that spans lines
+    or a faulty row after the first few lines."""
+    rows = _varied_rows(random.Random(31), 14)
+    if variant == "quoted":
+        _set(rows, 9, "id", 'OBL "q",\nnext line')
+    elif variant == "fault":
+        _set(rows, 11, "segment", "Nowhere")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for k, row in enumerate(rows):
+        if variant in ("blank-lines", "fault") and k % 4 == 3:
+            out.write("\n" * (k % 3 + 1))
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("variant", ["plain", "blank-lines", "quoted", "fault"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_every_block_size_matches_oracle(tmp_path, monkeypatch, variant, layout):
+    # With blocks of 1 to 96 bytes, an edge falls at every byte of a small
+    # file: inside a cell, between "\r" and "\n", among blank lines and
+    # inside a quoted field; most lines are longer than a block, and some
+    # blocks hold only blank lines.
+    path, plain = _write_layout(tmp_path, _small_file(variant), layout)
+    expected = outcome(oracle_read_portfolio_csv, plain)
+    assert isinstance(expected, str) == (variant == "fault")
+    for block in range(1, 97):
+        monkeypatch.setattr(credit, "_BLOCK_BYTES", block)
+        assert outcome(read_portfolio_csv, path) == expected, block
+
+
+def _blank_block(end):
+    def edit(text):
+        # blank lines over three blocks, so that one block holds only them
+        lines = text.splitlines(keepends=True)
+        lines[300:300] = [end] * (3 * BLOCK // len(end))
+        return "".join(lines)
+    return edit
+
+
+def _quote_after_first_block(text):
+    # the first quote is near the end of the file's second block, in a
+    # field that spans lines, and a partial line follows it
+    lines = text.splitlines(keepends=True)
+    k = next(k for k in range(len(lines)) if len("".join(lines[:k])) > 2 * BLOCK)
+    lines[k - 3] = '"OBL ""q""\nsplit"' + lines[k - 3][lines[k - 3].index(","):]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("edit", [
+    _blank_block("\n"),
+    _blank_block("\r\n"),
+    lambda text: text.replace("OBL-150,", "L" * (3 * BLOCK + 5) + ","),
+    lambda text: text.replace("OBL-150,", "L" * (3 * BLOCK + 5) + ",", 1)
+    .replace("Other", "Nowhere", 30),
+    _quote_after_first_block,
+], ids=["blank-block", "blank-block-crlf", "long-line", "long-line-fault",
+        "quote-after-first-block"])
+def test_block_edge_cases_match_oracle(tmp_path, edit):
+    rng = random.Random(37)
+    path = tmp_path / "p.csv"
+    _write_rows(path, [_plain_row(rng, k) for k in range(ROWS)])
+    text = edit(path.read_text(encoding="utf-8"))
+    assert text != path.read_text(encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="")
+    got = outcome(read_portfolio_csv, path)
+    assert got == outcome(oracle_read_portfolio_csv, path)
+    assert isinstance(got, str) == ("Nowhere" in text)
+
+
+def test_overflowing_exposures_take_the_column_route(tmp_path, monkeypatch):
+    # Each EAD of 1e308 is finite, though their sum is not: the column
+    # route accepts the file, and the report refuses its total exposure
+    # with a ValueError, not an OverflowError.
+    path = tmp_path / "p.csv"
+    path.write_text("id,rating,segment,ead,guarantee,days_past_due\n"
+                    "a,AA,Other,1e308,NoGuarantee,0\n"
+                    "b,B,Other,1e308,NoGuarantee,5\n", encoding="utf-8")
+    expected = oracle_read_portfolio_csv(path)
+    calls = []
+    init, row_obligors = credit.Obligor.__init__, credit._row_obligors
+    monkeypatch.setattr(credit.Obligor, "__init__",
+                        lambda self, *args: calls.append(1) or init(self, *args))
+    monkeypatch.setattr(credit, "_row_obligors",
+                        lambda *args: calls.append(2) or row_obligors(*args))
+    portfolio = read_portfolio_csv(path)
+    assert calls == [] and portfolio == expected
+    assert [o.ead for o in portfolio] == [1e308, 1e308]
+    for report in (loss_rates, lambda obligors: period_report("m", obligors)):
+        with pytest.raises(ValueError, match=r"^total exposure must be finite, got inf$"):
+            report(portfolio)
+
+
 @pytest.mark.parametrize("source", ["fixture", "chunked"])
 def test_byte_order_mark_reads_as_nothing(tmp_path, source):
     # Excel's "CSV UTF-8" starts the file with a byte-order mark, which
@@ -489,15 +649,16 @@ def test_fault_before_a_malformed_line_comes_first(tmp_path, fault):
         assert got.startswith("ValueError: row 7,"), got
 
 
-@pytest.mark.parametrize("spell", [lambda rng, value: value, _spelling],
-                         ids=["schema-spellings", "mangled-spellings"])
-def test_transient_memory_is_bounded_by_the_chunk(tmp_path, spell):
+@pytest.mark.parametrize("spell, line_end", [
+    (lambda rng, value: value, "\n"), (_spelling, "\n"), (lambda rng, value: value, "\r"),
+], ids=["schema-spellings", "mangled-spellings", "lone-cr-line-ends"])
+def test_transient_memory_is_bounded_by_the_chunk(tmp_path, spell, line_end):
     # What the reader holds at its peak beyond the portfolio it returns
     # must not grow with the file: reading the whole of a 20,000-row file
     # before converting it holds about 10 MB more, and the process's peak
     # RSS grows with it.  Nor may it grow with the number of distinct
     # enum spellings, of which a file of case-mangled, padded cells has
-    # thousands.
+    # thousands, nor when no "\n" ends a line.
     def transient(count):
         path = tmp_path / f"p{count}.csv"
         rng = random.Random(count)
@@ -509,6 +670,7 @@ def test_transient_memory_is_bounded_by_the_chunk(tmp_path, spell):
              f"{rng.random():.6f}" if rng.random() < 0.04 else "",
              f"{rng.random():.6f}" if rng.random() < 0.04 else ""]
             for k in range(count)])
+        path.write_bytes(path.read_bytes().replace(b"\n", line_end.encode()))
         tracemalloc.start()
         try:
             obligors = read_portfolio_csv(path)

@@ -1,11 +1,14 @@
 """Estimator tests: sufficient statistics, method of moments, MLE."""
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betakotz import estimation
 from betakotz.distribution import BetaKotzParams, mean, pdf, variance
@@ -93,6 +96,57 @@ def test_stats_accepts_numpy_float64_bit_identically():
     ref = stats_from_samples(xs)
     assert ([float(v).hex() for v in ours.__getstate__()]
             == [float(v).hex() for v in ref.__getstate__()])
+
+
+def one_pass_stats(xs):
+    """stats_from_samples as one loop that adds the log-sums with the
+    moments: the reference that its split into Welford's pass and two
+    C-level reductions must match bit for bit."""
+    n = 0
+    running_mean = 0.0
+    m2 = 0.0
+    sum_log_x = 0.0
+    sum_log_1mx = 0.0
+    for x in xs:
+        n += 1
+        delta = x - running_mean
+        running_mean += delta / n
+        m2 += delta * (x - running_mean)
+        sum_log_x += math.log(x)
+        sum_log_1mx += math.log1p(-x)
+    return n, running_mean, m2 / (n - 1), sum_log_x, sum_log_1mx
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+unit_samples = st.lists(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    min_size=2, max_size=60)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(unit_samples)
+def test_stats_match_the_one_pass_loop_bit_for_bit(xs):
+    expected = hexes(one_pass_stats(xs))
+    for sample in (xs, tuple(xs), iter(xs), (x for x in xs), np.array(xs)):
+        assert hexes(stats_from_samples(sample).__getstate__()) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(unit_samples)
+def test_moment_fit_reads_only_the_mean_and_variance(xs):
+    stats = stats_from_samples(xs)
+    n, mean_, variance_ = estimation._moments(iter(xs))
+    assert (n, mean_, variance_) == (stats.n, stats.mean, stats.variance)
+    try:
+        expected = fit_moments(stats)
+    except InfeasibleMomentsError as err:
+        with pytest.raises(InfeasibleMomentsError, match=re.escape(str(err))):
+            estimation._moment_shapes(mean_, variance_)
+    else:
+        assert estimation._moment_shapes(mean_, variance_) == expected
 
 
 def test_sample_stats_validation():

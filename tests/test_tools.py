@@ -47,11 +47,15 @@ def test_time_credit_times_and_counts_each_run(child_env):
     # time rows: name, ms, µs/row, rows/s
     assert [line.split()[0] for line in lines[1:5]] == runs
     assert all(float(line.split()[1]) > 0.0 for line in lines[1:5])
-    calls, transient, collections = {}, {}, {}
+    calls, logarithms, chunks, transient, collections = {}, {}, {}, {}, {}
     for line in lines[5:]:
         name, rest = line.split(": ", 1)
         if "Python-level calls per row" in rest:
             calls[name] = float(rest.split()[0])
+            found = re.search(r"; (\S+) log/log1p calls per row; (\d+) chunks per read;",
+                              rest)
+            assert found, line
+            logarithms[name], chunks[name] = float(found[1]), int(found[2])
         else:
             found = re.fullmatch(r"(\S+) KB transient peak, (\d+) GC collections "
                                  r"\((\d+)/(\d+)/(\d+)\)", rest)
@@ -66,6 +70,13 @@ def test_time_credit_times_and_counts_each_run(child_env):
     assert calls["period_report(list)"] * 500 < 500
     # the whole op reads and reports the month, and renders the report
     assert calls["portfolio_op"] > calls["read_portfolio_csv"] + calls["period_report"]
+    # The report takes no logarithm per obligor, only risk's own; the read
+    # takes none, in a few chunks.
+    assert logarithms["read_portfolio_csv"] == 0.0
+    assert 0.0 < logarithms["period_report"] * 500 < 500
+    assert logarithms["portfolio_op"] == logarithms["period_report"]
+    assert chunks["period_report"] == chunks["period_report(list)"] == 0
+    assert 1 <= chunks["read_portfolio_csv"] == chunks["portfolio_op"] < 500 // 50
 
 
 def test_time_credit_compares_with_a_parent_tree(child_env):

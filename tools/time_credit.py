@@ -9,10 +9,13 @@ whole portfolio-month op on the month (read, `period_report`,
 `timeit` repeats, in ms per month, µs per row and rows/s.  Next to the
 times it prints the machine-independent counts for each run: the
 Python-level calls it makes per row, from `sys.setprofile` call
-events, with the four most frequent callees, and the rows that
-`csv.reader` yields per row (the header is one of them); its transient
-memory, the `tracemalloc` peak above what it returns, in KB; and the
-garbage collections it sets off, by generation.
+events, with the four most frequent callees; the `math.log` and
+`math.log1p` calls per row that Python code makes, from `c_call` events
+(a C-level `map` over them makes none); the rows that `csv.reader`
+yields per row (the header is one of them); the chunks that the reader
+converts, per read of the month; its transient memory, the
+`tracemalloc` peak above what it returns, in KB; and the garbage
+collections it sets off, by generation.
 
     python tools/time_credit.py [--rows 10000] [--repeats 7] [--seed 1]
                                 [--parent DIR]
@@ -34,6 +37,7 @@ import csv
 import gc
 import importlib
 import importlib.util
+import math
 import random
 import sys
 import tempfile
@@ -79,20 +83,28 @@ def timed_runs(credit, month):
             "portfolio_op": portfolio_op}
 
 
-def python_calls(run) -> Counter:
-    """Python-level call events inside one `run()`, by name."""
+LOGARITHMS = (math.log, math.log1p)
+
+
+def python_calls(run) -> tuple[Counter, int]:
+    """Python-level call events inside one `run()`, by name, and the
+    `c_call` events of its logarithms."""
     calls = Counter()
+    logarithms = 0
 
     def profile(frame, event, arg):
+        nonlocal logarithms
         if event == "call":
             calls[frame.f_code.co_name] += 1
+        elif event == "c_call" and arg in LOGARITHMS:
+            logarithms += 1
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return calls
+    return calls, logarithms
 
 
 def csv_rows(run) -> int:
@@ -112,6 +124,26 @@ def csv_rows(run) -> int:
     finally:
         csv.reader = reader
     return rows
+
+
+def chunks(credit, run) -> int:
+    """Chunks that the reader of the module `credit` converts inside one
+    `run()`."""
+    count = 0
+    field_chunks = credit._field_chunks
+
+    def counting_chunks(*args, **kwargs):
+        nonlocal count
+        for chunk in field_chunks(*args, **kwargs):
+            count += 1
+            yield chunk
+
+    credit._field_chunks = counting_chunks
+    try:
+        run()
+    finally:
+        credit._field_chunks = field_chunks
+    return count
 
 
 def transient_kb(run) -> float:
@@ -139,13 +171,14 @@ def _line(name, seconds, rows):
             f"  {rows / seconds:9,.0f} rows/s")
 
 
-def print_counts(prefix, runs, rows):
+def print_counts(prefix, credit, runs, rows):
     for name, run in runs.items():
-        calls = python_calls(run)
+        calls, logarithms = python_calls(run)
         top = ", ".join(f"{k} {v}" for k, v in calls.most_common(4))
         print(f"{prefix}{name}: {sum(calls.values()) / rows:.4f} Python-level"
-              f" calls per row ({top}); {csv_rows(run) / rows:.4f} csv.reader"
-              f" rows per row")
+              f" calls per row ({top}); {logarithms / rows:.4f} log/log1p calls"
+              f" per row; {chunks(credit, run)} chunks per read;"
+              f" {csv_rows(run) / rows:.4f} csv.reader rows per row")
         gcs = collections(run)
         print(f"{prefix}{name}: {transient_kb(run):.1f} KB transient peak,"
               f" {sum(gcs)} GC collections ({'/'.join(map(str, gcs))})")
@@ -192,7 +225,8 @@ def main(argv=None):
                          f"  ratio {best['this'][name] / parent:.3f}")
             print(line)
         for tree, tree_runs in runs.items():
-            print_counts("parent " if tree == "parent" else "", tree_runs, args.rows)
+            print_counts("parent " if tree == "parent" else "", credits[tree],
+                         tree_runs, args.rows)
 
 
 if __name__ == "__main__":
