@@ -19,7 +19,6 @@ import operator
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
-from functools import partial
 from itertools import chain, compress, islice, repeat, zip_longest
 
 from . import risk
@@ -80,17 +79,12 @@ class Guarantee(enum.Enum):
     NO_GUARANTEE = "NoGuarantee"
 
 
-# Case-insensitive member lookup for each enum column of the CSV, in
-# Rating, Segment, Guarantee order.
-_ENUM_BY_KEY = {
-    cls: {member.value.lower(): member for member in cls}
-    for cls in (Rating, Segment, Guarantee)
-}
-
-# The member of each canonical spelling, as the schema writes it: the
-# lookup a column tries before it strips and lower-cases its cells.
-_ENUM_BY_VALUE = {
-    cls: {member.value: member for member in cls}
+# The member of each spelling an enum column looks up, in Rating,
+# Segment, Guarantee order: the schema's own, as cells are first tried,
+# and its lower case, as a stripped and lower-cased cell is.
+_ENUM_BY_TEXT = {
+    cls: {text: member for member in cls
+          for text in (member.value, member.value.lower())}
     for cls in (Rating, Segment, Guarantee)
 }
 
@@ -98,7 +92,7 @@ _ENUM_BY_VALUE = {
 def _enum_members(cls, texts):
     """The member of `cls` that each of `texts` spells, stripped and in
     any case, or None, as an iterator of C-level maps."""
-    return map(_ENUM_BY_KEY[cls].get, map(str.lower, map(str.strip, texts)))
+    return map(_ENUM_BY_TEXT[cls].get, map(str.lower, map(str.strip, texts)))
 
 
 def _parse_enum(cls, text, column, row_num):
@@ -420,11 +414,11 @@ def period_report(
 _REQUIRED_COLUMNS = ("id", "rating", "segment", "ead", "guarantee", "days_past_due")
 _OPTIONAL_COLUMNS = ("pd_override", "lgd_override")
 
-# Bytes per block that read_portfolio_csv reads; a block's whole lines
-# are one chunk.  A chunk's text, cells and converted fields are alive
-# at once, so the reader's transient memory grows with the block:
-# reading a whole 20,000-row file at once held about 10 MB more.
-_BLOCK_BYTES = 8192
+# Characters per block, read on to a line end, that read_portfolio_csv
+# makes one chunk.  A chunk's text, cells and fields are alive at once,
+# so the reader's transient memory grows with the block: reading a whole
+# 20,000-row file at once held about 10 MB more.
+_BLOCK_CHARS = 8192
 
 # Non-blank rows per chunk once csv.reader reads the rest of a file, and
 # obligors per chunk of a Portfolio's iteration.
@@ -449,101 +443,70 @@ def _parse_float(text, column, row_num, lo=None, hi=None):
 def read_portfolio_csv(path) -> Portfolio:
     """Load obligors from the portfolio CSV wire format.
 
-    UTF-8, with or without a byte-order mark.  Header row required;
-    header names are stripped and lower-cased, and of two that collide
-    the last column wins.  Enum columns are case-insensitive; optional
-    pd_override/lgd_override columns win over table lookups when
-    non-empty.  Blank lines are skipped and not counted as rows, a short
-    row reads its missing cells as empty, and cells beyond the header
-    are ignored.  Schema violations name the offending row and column; a
-    line that `csv.reader` refuses (a field over
+    UTF-8, with or without a byte-order mark; a byte that is not UTF-8
+    raises ValueError naming its offset in the file.  Header row
+    required; header names are stripped and lower-cased, and of two that
+    collide the last column wins.  Enum columns are case-insensitive;
+    optional pd_override/lgd_override columns win over table lookups
+    when non-empty.  Blank lines are skipped and not counted as rows, a
+    short row reads its missing cells as empty, and cells beyond the
+    header are ignored.  Schema violations name the offending row and
+    column; a line that `csv.reader` refuses (a field over
     `csv.field_size_limit()`) raises ValueError naming its row.  The
     obligors come as a Portfolio, which holds their fields as columns.
     """
-    with open(path, "rb") as raw:
-        head, texts = _head_and_rest(_text_blocks(raw))
-        # A quoted header name may span lines: csv.reader then reads on,
-        # and reads the rest of the file.
-        quoted = '"' in head
-        rows = csv.reader(chain((head,), _lines(texts)) if quoted else (head,))
+    # A byte-order mark is dropped by hand: "utf-8-sig" decodes in Python.
+    with open(path, encoding="utf-8", newline="") as handle:
         try:
-            header = next(rows) if head else None
-        except csv.Error as err:
-            raise ValueError(f"row 1: {err}") from None
-        if header is None:
-            raise ValueError("portfolio CSV is empty (missing header row)")
-        width = len(header)
-        index = {name.strip().lower(): i for i, name in enumerate(header)}
-        missing = [c for c in _REQUIRED_COLUMNS if c not in index]
-        if missing:
-            raise ValueError(f"portfolio CSV is missing columns: {missing}")
-        # The index of each of the eight cells of a row; an absent optional
-        # column reads an empty cell past the header's width.
-        picked = [index.get(c, width) for c in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS]
-        columns = [[] for _ in Obligor.__slots__]
-        rows_left = filter(None, rows) if quoted else None
-        for chunk in _field_chunks(texts, width, picked, rows_left):
-            for column, values in zip(columns, chunk):
-                column += values
+            head = handle.readline().removeprefix("\ufeff")
+            # A quoted header name may span lines: csv.reader then reads
+            # on, and reads the rest of the file.
+            quoted = '"' in head
+            rows = csv.reader(chain((head,), handle) if quoted else (head,))
+            try:
+                header = next(rows) if head else None
+            except csv.Error as err:
+                raise ValueError(f"row 1: {err}") from None
+            if header is None:
+                raise ValueError("portfolio CSV is empty (missing header row)")
+            width = len(header)
+            index = {name.strip().lower(): i for i, name in enumerate(header)}
+            missing = [c for c in _REQUIRED_COLUMNS if c not in index]
+            if missing:
+                raise ValueError(f"portfolio CSV is missing columns: {missing}")
+            # The index of each of the eight cells of a row; an absent
+            # optional column reads an empty cell past the header's width.
+            picked = [index.get(c, width)
+                      for c in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS]
+            columns = [[] for _ in Obligor.__slots__]
+            rows_left = filter(None, rows) if quoted else None
+            for chunk in _field_chunks(handle, width, picked, rows_left):
+                for column, values in zip(columns, chunk):
+                    column += values
+        except UnicodeDecodeError as err:
+            # err.object: the bytes last read, after any held back before
+            offset = handle.buffer.tell() - len(err.object) + err.start
+            raise ValueError(
+                f"not UTF-8 at byte offset {offset}: {err.reason}") from None
     if not columns[0]:
         raise ValueError("portfolio CSV contains no obligor rows")
     return Portfolio._of_columns(columns)
 
 
-def _text_blocks(raw):
-    """The text of the binary file `raw`, decoded as UTF-8 a block of
-    _BLOCK_BYTES bytes at a time: the whole lines of each block, and a
-    line longer than a block with the blocks it spans.  A line ends at a
-    "\\n", or at a "\\r" that no "\\n" follows, as csv.reader reads lines."""
-    tail = bytearray()  # the start of a line whose end is not yet read
-    while block := raw.read(_BLOCK_BYTES):
-        # A final "\r" may be the first half of a "\r\n", which a cut
-        # there would leave the next block to start as a blank line.
-        cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
-        if cut:
-            tail += block[:cut]
-            # A line end is never part of a longer UTF-8 sequence.
-            text = tail.decode("utf-8")
-            # Nothing but the text is held while its chunk is converted.
-            tail, block = bytearray(block[cut:]), None
-            yield text
-        else:
-            tail += block
-    if tail:
-        yield tail.decode("utf-8")
-
-
-def _head_and_rest(texts):
-    """The first line of `texts`, as csv.reader reads lines, with one
-    leading byte-order mark dropped; and the texts after it.  The mark is
-    dropped by hand, as a "utf-8-sig" text file decodes through
-    Python-level methods."""
-    text = next(texts, "").removeprefix("\ufeff")
-    head = io.StringIO(text, newline="").readline()
-    return head, filter(None, chain((text[len(head):],), texts))
-
-
-def _lines(texts):
-    """The lines of texts of whole lines, each ended as csv.reader reads
-    the lines of a file opened with newline=""."""
-    return chain.from_iterable(map(partial(io.StringIO, newline=""), texts))
-
-
-def _field_chunks(texts, width, picked, rows_left=None):
+def _field_chunks(handle, width, picked, rows_left=None):
     """The obligor fields of the rows after the header, as eight columns
-    (iterables) per chunk: one chunk for each of `texts`, the whole lines
-    of a block that `_text_blocks` reads.
+    (iterables) per chunk: one chunk per block of `handle`, its next
+    _BLOCK_CHARS characters and the rest of the line they end in.
 
-    A block with no quote is split into cells with one str.split when
-    that reads it as csv.reader would: when no line is blank or ragged
+    A block is split into cells with one str.split when that reads it as
+    csv.reader would: when it has no quote, no line is blank or ragged,
     and none has a \\r other than in a "\\r\\n" line end, a NUL, or a
-    field over csv.field_size_limit().  csv.reader reads any other such
-    block, all of its rows in one chunk.  From the first block that holds
-    a quote on, csv.reader reads the rest of the file, _CHUNK_ROWS
-    non-blank rows a chunk, as a quoted field may span lines; so it does
-    from the start when given those rows as `rows_left`.  Either way
-    `_column_fields` converts the cells, and `_row_obligors` names the
-    first faulty row of a chunk that it refuses.
+    field over csv.field_size_limit().  From the first block that fails
+    this on, one csv.reader reads that block and the rest of the file,
+    _CHUNK_ROWS non-blank rows a chunk; so it does from the start when
+    given those rows as `rows_left`.  Either way `_column_fields`
+    converts the cells, and `_row_obligors` names the first faulty row
+    of a chunk that it refuses.
     """
     limit = csv.field_size_limit()
     step = width + 1
@@ -556,12 +519,11 @@ def _field_chunks(texts, width, picked, rows_left=None):
         # chunks at once would double the transient memory.
         cells = cell_columns = rows = error = None
         if rows_left is None:
-            text = next(texts, None)
-            if text is None:
+            text = handle.read(_BLOCK_CHARS) + handle.readline()
+            if not text:
                 return
-            if '"' in text:
-                rows_left = filter(None, csv.reader(_lines(chain((text,), texts))))
-            else:
+            # Quotes first: the rewrite would change a quoted "\r\n".
+            if '"' not in text:
                 if "\r\n" in text and text.count("\r") == text.count("\r\n"):
                     text = text.replace("\r\n", "\n")
                 if not ("\r" in text or "\0" in text or len(text) > limit):
@@ -574,15 +536,15 @@ def _field_chunks(texts, width, picked, rows_left=None):
                     n = text.count("\n")
                     if len(cells) != step * n + 1 or cells[width::step] != ["\n"] * n:
                         cells = None
+            if cells is None:
+                rows_left = filter(None, csv.reader(
+                    chain(io.StringIO(text, newline=""), handle)))
         if cells is not None:
             cell_columns = list(map(cells.__getitem__, slices))
         else:
             rows = []
             try:
-                if rows_left is not None:
-                    rows.extend(islice(rows_left, _CHUNK_ROWS))
-                else:
-                    rows.extend(filter(None, csv.reader(io.StringIO(text, newline=""))))
+                rows.extend(islice(rows_left, _CHUNK_ROWS))
             except csv.Error as err:
                 # extend keeps the rows before the malformed line, and a
                 # fault among them is reported first, as row by row.
@@ -590,9 +552,7 @@ def _field_chunks(texts, width, picked, rows_left=None):
             if not rows:
                 if error is not None:
                     raise error
-                if rows_left is not None:
-                    return
-                continue  # a block of blank lines
+                return
             if set(map(len, rows)) != {width}:  # a short or long row
                 rows = [(row + [""] * width)[:width] for row in rows]
             # the columns, and one with no cells at the header's width
@@ -637,8 +597,8 @@ def _column_fields(cell_columns):
     for texts, cls in zip((rating_cells, segment_cells, guarantee_cells),
                           (Rating, Segment, Guarantee)):
         try:
-            members.append(list(map(_ENUM_BY_VALUE[cls].__getitem__, texts)))
-        except KeyError:  # a spelling other than the schema's
+            members.append(list(map(_ENUM_BY_TEXT[cls].__getitem__, texts)))
+        except KeyError:  # a padded or mixed-case spelling
             spellings = set(texts)  # each looked up once
             by_text = dict(zip(spellings, _enum_members(cls, spellings)))
             if None in by_text.values():

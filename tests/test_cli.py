@@ -399,6 +399,15 @@ def test_portfolio_overflowing_total_exposure(capsys, tmp_path):
     assert err == "portfolio pipeline failed: total exposure must be finite, got inf\n"
 
 
+def test_portfolio_byte_that_is_not_utf8_names_its_offset(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    data = FIXTURE.read_bytes()
+    path.write_bytes(data[:2000] + b"\xff" + data[2001:])
+    code, out, err = run_cli(capsys, "portfolio", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: not UTF-8 at byte offset 2000: invalid start byte\n"
+
+
 @pytest.mark.parametrize("row", [1, 3])
 def test_portfolio_field_over_the_csv_limit_names_the_row(capsys, tmp_path, row):
     # csv.reader refuses a field over csv.field_size_limit(): an input

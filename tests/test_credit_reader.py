@@ -269,6 +269,9 @@ def test_reader_matches_oracle_on_fixture():
         id="header-name-past-the-first-block"),
     "id,rating,segment,ead,guarantee,days_past_due\ra,AA,Other,1,NoGuarantee,0\r"
     "\rb,B,Other,2,NoGuarantee,0\r",
+    # finite EADs whose sum overflows
+    "id,rating,segment,ead,guarantee,days_past_due\na,AA,Other,1e308,NoGuarantee,0\n"
+    "b,B,Other,1e308,NoGuarantee,5\n",
 ])
 def test_reader_matches_oracle_on_edge_files(tmp_path, text):
     path = tmp_path / "p.csv"
@@ -386,18 +389,18 @@ def test_valid_chunks_build_no_obligor_through_init(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("source, readers", [
     ("plain-lf", 1), ("plain-crlf", 1), ("plain-no-final-newline", 1),
-    ("quote-free-chunked", 4), ("chunked", 3)])
+    ("plain-blank-last-line", 2), ("quote-free-chunked", 2), ("chunked", 2)])
 def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
                                                 readers):
     # csv.reader reads the header, and no block of a plain file, with
-    # "\n" or "\r\n" line ends or none after the last line.  The chunked
-    # file's lines are cut into five blocks of 8 KB (about 139 lines each,
-    # the header being the first's first, then 5): the first holds the
-    # blank lines before row CHUNK and the short row, the second the long
-    # row, the third the blank lines before row 3 * CHUNK.  csv.reader
-    # reads those three and the other two are split; but the quoted extra
-    # cell of the long row sends the rest of the file, from the second
-    # block on, through the one csv.reader.
+    # "\n" or "\r\n" line ends or none after the last line.  A block that
+    # the split cannot read hands itself and the rest of the file to one
+    # more csv.reader.  A blank last line makes the last block such a
+    # block, so every earlier one is split.  The chunked files' first
+    # block (about 139 lines, 8,192 characters and the rest of a line)
+    # holds the blank lines before row CHUNK and the short row, so the
+    # second csv.reader reads every line after the header, the quoted
+    # extra cell of the long row included.
     path = tmp_path / "p.csv"
     if source.endswith("chunked"):
         rows = _chunked_rows()
@@ -408,17 +411,30 @@ def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
         rng = random.Random(11)
         _write_rows(path, [_plain_row(rng, k) for k in range(ROWS)])
         text = path.read_text(encoding="utf-8")
-        path.write_text(LINE_ENDS[source.removeprefix("plain-")](text),
-                        encoding="utf-8", newline="")
-    assert ('"' in path.read_text(encoding="utf-8")) == (source == "chunked")
+        edit = LINE_ENDS.get(source.removeprefix("plain-"), lambda text: text + "\n")
+        path.write_text(edit(text), encoding="utf-8", newline="")
+    text = path.read_text(encoding="utf-8")
+    assert ('"' in text) == (source == "chunked")
     expected = oracle_read_portfolio_csv(path)
-    calls = []
+    lines_read = []  # the lines, blank ones included, that each csv.reader yields
     reader = csv.reader
-    monkeypatch.setattr(credit.csv, "reader",
-                        lambda *args: calls.append(1) or reader(*args))
+
+    def counting_reader(*args):
+        lines_read.append(0)
+        for row in reader(*args):
+            lines_read[-1] += 1
+            yield row
+
+    monkeypatch.setattr(credit.csv, "reader", counting_reader)
     assert read_portfolio_csv(path) == expected and len(expected) == ROWS
-    assert len(calls) == readers
-    assert credit._BLOCK_BYTES == 8192  # the block edges the counts assume
+    assert len(lines_read) == readers and lines_read[0] == 1
+    if source == "plain-blank-last-line":
+        # the last block: _BLOCK_CHARS characters at most, and the rest of a line
+        last_block = text[-(credit._BLOCK_CHARS + max(map(len, text.splitlines()))):]
+        assert 1 < lines_read[1] <= last_block.count("\n") < ROWS // 2
+    elif readers == 2:
+        assert lines_read[1] == ROWS + 4  # and the four blank lines
+    assert credit._BLOCK_CHARS == 8192  # the block edges the counts assume
 
 
 def _quoted_newline(rows):
@@ -470,10 +486,10 @@ def test_chunk_edges_match_oracle(tmp_path, edit_rows, edit_file):
 
 
 # ---------------------------------------------------------------------------
-# block edges: the lines after the header are read in blocks of bytes
+# block edges: the lines after the header are read in blocks of characters
 # ---------------------------------------------------------------------------
 
-BLOCK = credit._BLOCK_BYTES
+BLOCK = credit._BLOCK_CHARS
 
 # The layouts of a file's text: its line ends, and a byte-order mark.
 LAYOUTS = {**LINE_ENDS, "bom": lambda text: "\ufeff" + text}
@@ -549,7 +565,7 @@ def test_every_block_size_matches_oracle(tmp_path, monkeypatch, variant, layout)
     expected = outcome(oracle_read_portfolio_csv, plain)
     assert isinstance(expected, str) == (variant == "fault")
     for block in range(1, 97):
-        monkeypatch.setattr(credit, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(credit, "_BLOCK_CHARS", block)
         assert outcome(read_portfolio_csv, path) == expected, block
 
 
@@ -613,6 +629,30 @@ def test_overflowing_exposures_take_the_column_route(tmp_path, monkeypatch):
     for report in (loss_rates, lambda obligors: period_report("m", obligors)):
         with pytest.raises(ValueError, match=r"^total exposure must be finite, got inf$"):
             report(portfolio)
+
+
+# (file, offset, bytes that overwrite the file's from the offset, decoder's reason)
+@pytest.mark.parametrize("source, offset, bad, reason", [
+    ("plain", 3, b"\xff", "invalid start byte"),  # in the header
+    ("plain", 20_000, b"\xff", "invalid start byte"),
+    # a sequence cut short at and across the 8 KB reads of the decoder
+    ("plain", 8190, b"\xe2\x82", "invalid continuation byte"),
+    ("plain", 8191, b"\xe2\x82", "invalid continuation byte"),
+    ("plain", 8192, b"\xe2\x82", "invalid continuation byte"),
+    ("plain", -1, b"\xe2", "unexpected end of data"),
+    ("quoted", 20_000, b"\xff", "invalid start byte"),  # on the csv.reader route
+])
+def test_byte_that_is_not_utf8_names_its_offset(tmp_path, source, offset, bad, reason):
+    path = tmp_path / "p.csv"
+    _write_rows(path, _chunked_rows() if source == "quoted"
+                else _varied_rows(random.Random(41), ROWS))
+    data = path.read_bytes()
+    offset %= len(data)
+    assert ('"' in data[:offset].decode()) == (source == "quoted")
+    path.write_bytes(data[:offset] + bad + data[offset + len(bad):])
+    with pytest.raises(ValueError) as info:
+        read_portfolio_csv(path)
+    assert str(info.value) == f"not UTF-8 at byte offset {offset}: {reason}"
 
 
 @pytest.mark.parametrize("source", ["fixture", "chunked"])
