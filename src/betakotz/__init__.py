@@ -10,6 +10,7 @@ up in its layer on access (PEP 562), which imports the layer the first
 time.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
@@ -39,10 +40,12 @@ __all__ = [*_LAYER_OF, "__version__"]
 def __getattr__(name):
     # Looked up on every access, never cached here: a layer's attribute
     # may be replaced (by a test's monkeypatch, or a tracer's wrapper)
-    # and later restored.
+    # and later restored.  A layer already imported is taken from
+    # sys.modules, as import_module's Python-level lookup costs far more.
     layer = _LAYER_OF.get(name)
     if layer is not None:
-        return getattr(_import_module(f"{__name__}.{layer}"), name)
+        module = f"{__name__}.{layer}"
+        return getattr(_sys.modules.get(module) or _import_module(module), name)
     if name in _LAYERS:
         return _import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

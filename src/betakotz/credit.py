@@ -256,7 +256,7 @@ def lgd_lookup(guarantee: Guarantee, days_past_due: int) -> float:
 
 def expected_loss(o: Obligor) -> float:
     """EAD x PD x LGD for one obligor; overrides win over table lookups."""
-    return _loss_rates([_RATE_FIELDS(o)], 1.0)[0]  # x / 1.0 is x
+    return _loss_rates(zip(*_rate_columns([o])), 1.0)[0]  # x / 1.0 is x
 
 
 def loss_rates(portfolio: Sequence[Obligor]) -> list[float]:
@@ -283,26 +283,19 @@ def _total_exposure(eads):
     return total
 
 
-# The fields an obligor's expected loss reads: all but its id.
-_RATE_FIELDS = operator.attrgetter(*Obligor.__slots__[1:])
-
-
 def _rate_columns(portfolio):
-    """The `_RATE_FIELDS` columns (rating, segment, ead, guarantee,
-    days_past_due, pd_override, lgd_override) of a sequence of obligors:
-    a Portfolio's own, or those of any other sequence, read field by
-    field with no Python call per obligor."""
+    """The columns of an obligor's fields but its id (rating, segment,
+    ead, guarantee, days_past_due, pd_override, lgd_override), which its
+    expected loss reads, of a sequence of obligors: a Portfolio's own, or
+    any other's, read field by field with no Python call per obligor."""
     if type(portfolio) is Portfolio:  # isinstance runs ABCMeta's Python hooks
         return portfolio._columns[1:]
-    return ([o.rating for o in portfolio], [o.segment for o in portfolio],
-            [o.ead for o in portfolio], [o.guarantee for o in portfolio],
-            [o.days_past_due for o in portfolio],
-            [o.pd_override for o in portfolio], [o.lgd_override for o in portfolio])
+    return [list(map(get, portfolio)) for get in _FIELD_GETTERS[1:]]
 
 
 def _loss_rates(rows, total):
     """Each obligor's expected loss EAD x PD x LGD, in that order, divided
-    by `total`, from its `_RATE_FIELDS` values: the one definition of an
+    by `total`, from its `_rate_columns` values: the one definition of an
     obligor's expected loss, with pd_lookup and lgd_lookup inlined."""
     rates = []
     append = rates.append
@@ -459,12 +452,10 @@ def read_portfolio_csv(path) -> Portfolio:
     with open(path, encoding="utf-8", newline="") as handle:
         try:
             head = handle.readline().removeprefix("\ufeff")
-            # A quoted header name may span lines: csv.reader then reads
-            # on, and reads the rest of the file.
-            quoted = '"' in head
-            rows = csv.reader(chain((head,), handle) if quoted else (head,))
+            # csv.reader reads on only while the header record needs it
+            # (a quoted name spanning lines): the handle is left after it.
             try:
-                header = next(rows) if head else None
+                header = next(csv.reader(chain((head,), handle))) if head else None
             except csv.Error as err:
                 raise ValueError(f"row 1: {err}") from None
             if header is None:
@@ -479,8 +470,7 @@ def read_portfolio_csv(path) -> Portfolio:
             picked = [index.get(c, width)
                       for c in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS]
             columns = [[] for _ in Obligor.__slots__]
-            rows_left = filter(None, rows) if quoted else None
-            for chunk in _field_chunks(handle, width, picked, rows_left):
+            for chunk in _field_chunks(handle, width, picked):
                 for column, values in zip(columns, chunk):
                     column += values
         except UnicodeDecodeError as err:
@@ -493,27 +483,28 @@ def read_portfolio_csv(path) -> Portfolio:
     return Portfolio._of_columns(columns)
 
 
-def _field_chunks(handle, width, picked, rows_left=None):
+def _field_chunks(handle, width, picked):
     """The obligor fields of the rows after the header, as eight columns
     (iterables) per chunk: one chunk per block of `handle`, its next
     _BLOCK_CHARS characters and the rest of the line they end in.
 
     A block is split into cells with one str.split when that reads it as
-    csv.reader would: when it has no quote, no line is blank or ragged,
-    and none has a \\r other than in a "\\r\\n" line end, a NUL, or a
-    field over csv.field_size_limit().  From the first block that fails
-    this on, one csv.reader reads that block and the rest of the file,
-    _CHUNK_ROWS non-blank rows a chunk; so it does from the start when
-    given those rows as `rows_left`.  Either way `_column_fields`
+    csv.reader would: when it has no quote, every line has the header's
+    width, and none has a \\r other than in a "\\r\\n" line end, a NUL, or
+    a field over csv.field_size_limit().  Blank lines are not rows: a
+    block that fails only for them is split without them, and one of
+    only blank lines gives no chunk.  From the first block that is not
+    split on, one csv.reader reads it and the rest of the file,
+    _CHUNK_ROWS non-blank rows a chunk.  Either way `_column_fields`
     converts the cells, and `_row_obligors` names the first faulty row
     of a chunk that it refuses.
     """
     limit = csv.field_size_limit()
-    step = width + 1
     # Split cells are a line's cells and then a "\n" cell, so a column is
-    # every step-th cell; an absent optional column has no cells.
-    slices = [slice(i, -1, step) if i < width else slice(0) for i in picked]
+    # every (width + 1)-th cell; an absent optional column has no cells.
+    slices = [slice(i, -1, width + 1) if i < width else slice(0) for i in picked]
     row_num = 1  # the last row read; blank lines are not rows
+    rows_left = None  # csv.reader's non-blank rows, once a block is not split
     while True:
         # The last chunk's cells go before the next is read: holding two
         # chunks at once would double the transient memory.
@@ -529,13 +520,13 @@ def _field_chunks(handle, width, picked, rows_left=None):
                 if not ("\r" in text or "\0" in text or len(text) > limit):
                     if text[-1] != "\n":  # the file's last line
                         text += "\n"
-                    cells = text.replace("\n", ",\n,").split(",")
-                    # The text has a "\n" only at the end of each of its
-                    # lines, so with a "\n" cell after every width cells,
-                    # each line has width cells.
-                    n = text.count("\n")
-                    if len(cells) != step * n + 1 or cells[width::step] != ["\n"] * n:
-                        cells = None
+                    cells = _split_cells(text, width)
+                    # Only a block that fails is scanned for blank lines.
+                    if cells is None and ("\n\n" in text or text[0] == "\n"):
+                        text = "\n".join(filter(None, text.split("\n"))) + "\n"
+                        if text == "\n":
+                            continue
+                        cells = _split_cells(text, width)
             if cells is None:
                 rows_left = filter(None, csv.reader(
                     chain(io.StringIO(text, newline=""), handle)))
@@ -565,6 +556,15 @@ def _field_chunks(handle, width, picked, rows_left=None):
             raise error
         row_num += len(cell_columns[0])
         yield chunk
+
+
+def _split_cells(text, width):
+    """The cells of quote-free `text`, which ends in "\\n": each line's
+    cells, then a "\\n" cell; None when a line has not `width` cells."""
+    cells = text.replace("\n", ",\n,").split(",")
+    n = text.count("\n")  # the lines: a "\n" is only ever a line end
+    fits = len(cells) == (width + 1) * n + 1 and cells[width::width + 1] == ["\n"] * n
+    return cells if fits else None
 
 
 def _column_fields(cell_columns):

@@ -272,6 +272,18 @@ def test_reader_matches_oracle_on_fixture():
     # finite EADs whose sum overflows
     "id,rating,segment,ead,guarantee,days_past_due\na,AA,Other,1e308,NoGuarantee,0\n"
     "b,B,Other,1e308,NoGuarantee,5\n",
+    # every header name quoted, as R's write.csv writes them, over a plain
+    # body; a blank line right after the header; a first block of only
+    # "\r\n" blank lines
+    '"id","rating","segment","ead","guarantee","days_past_due"\n'
+    "a,AA,Other,1,NoGuarantee,0\nb,B,Other,2,NoGuarantee,0\n",
+    "id,rating,segment,ead,guarantee,days_past_due\n\na,AA,Other,1,NoGuarantee,0\n"
+    "b,B,Other,2,NoGuarantee,0\n",
+    pytest.param(
+        "id,rating,segment,ead,guarantee,days_past_due\r\n"
+        + "\r\n" * credit._BLOCK_CHARS
+        + "a,AA,Other,1,NoGuarantee,0\r\nb,B,Other,2,NoGuarantee,0\r\n",
+        id="blank-first-block"),
 ])
 def test_reader_matches_oracle_on_edge_files(tmp_path, text):
     path = tmp_path / "p.csv"
@@ -387,20 +399,42 @@ def test_valid_chunks_build_no_obligor_through_init(tmp_path, monkeypatch):
     assert len(calls) == 0
 
 
+def _quoted_header(text):
+    # every header name quoted, as R's write.csv writes them
+    head, body = text.split("\n", 1)
+    return '"' + head.replace(",", '","') + '"\n' + body
+
+
+# Spellings of a plain file that are split throughout: the line ends,
+# a blank last line, a blank second line, a first block of only blank
+# lines, and a quoted header.
+PLAIN_SPELLINGS = {
+    **{f"plain-{name}": edit for name, edit in LINE_ENDS.items()},
+    "plain-blank-last-line": lambda text: text + "\n",
+    "blank-second-line": lambda text: text.replace("\n", "\n\n", 1),
+    "blank-first-block": lambda text: text.replace(
+        "\n", "\n" * (credit._BLOCK_CHARS + 2), 1),
+    "quoted-header": _quoted_header,
+}
+
+
 @pytest.mark.parametrize("source, readers", [
     ("plain-lf", 1), ("plain-crlf", 1), ("plain-no-final-newline", 1),
-    ("plain-blank-last-line", 2), ("quote-free-chunked", 2), ("chunked", 2)])
+    ("plain-blank-last-line", 1), ("quoted-header", 1), ("blank-second-line", 1),
+    ("blank-first-block", 1),
+    ("quote-free-chunked", 2), ("chunked", 2)])
 def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
                                                 readers):
     # csv.reader reads the header, and no block of a plain file, with
-    # "\n" or "\r\n" line ends or none after the last line.  A block that
-    # the split cannot read hands itself and the rest of the file to one
-    # more csv.reader.  A blank last line makes the last block such a
-    # block, so every earlier one is split.  The chunked files' first
-    # block (about 139 lines, 8,192 characters and the rest of a line)
-    # holds the blank lines before row CHUNK and the short row, so the
-    # second csv.reader reads every line after the header, the quoted
-    # extra cell of the long row included.
+    # "\n" or "\r\n" line ends or none after the last line, with blank
+    # lines, or with a quoted header.  A block that the split cannot read
+    # hands itself and the rest of the file to one more csv.reader.  The
+    # chunked files' first block (about 139 lines, 8,192 characters and
+    # the rest of a line) holds the blank lines before row CHUNK and the
+    # short row, so the second csv.reader reads every line after the
+    # header: without the first block's two blank lines, which the split
+    # drops first, when the block is quote-free, and with them when it
+    # holds the quoted extra cell of the long row.
     path = tmp_path / "p.csv"
     if source.endswith("chunked"):
         rows = _chunked_rows()
@@ -411,10 +445,9 @@ def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
         rng = random.Random(11)
         _write_rows(path, [_plain_row(rng, k) for k in range(ROWS)])
         text = path.read_text(encoding="utf-8")
-        edit = LINE_ENDS.get(source.removeprefix("plain-"), lambda text: text + "\n")
-        path.write_text(edit(text), encoding="utf-8", newline="")
+        path.write_text(PLAIN_SPELLINGS[source](text), encoding="utf-8", newline="")
     text = path.read_text(encoding="utf-8")
-    assert ('"' in text) == (source == "chunked")
+    assert ('"' in text) == (source in ("chunked", "quoted-header"))
     expected = oracle_read_portfolio_csv(path)
     lines_read = []  # the lines, blank ones included, that each csv.reader yields
     reader = csv.reader
@@ -428,11 +461,9 @@ def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
     monkeypatch.setattr(credit.csv, "reader", counting_reader)
     assert read_portfolio_csv(path) == expected and len(expected) == ROWS
     assert len(lines_read) == readers and lines_read[0] == 1
-    if source == "plain-blank-last-line":
-        # the last block: _BLOCK_CHARS characters at most, and the rest of a line
-        last_block = text[-(credit._BLOCK_CHARS + max(map(len, text.splitlines()))):]
-        assert 1 < lines_read[1] <= last_block.count("\n") < ROWS // 2
-    elif readers == 2:
+    if source == "quote-free-chunked":
+        assert lines_read[1] == ROWS + 2  # and the two blank lines of the fourth chunk
+    elif source == "chunked":
         assert lines_read[1] == ROWS + 4  # and the four blank lines
     assert credit._BLOCK_CHARS == 8192  # the block edges the counts assume
 

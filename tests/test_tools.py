@@ -42,13 +42,13 @@ def test_time_credit_times_and_counts_each_run(child_env):
                           capture_output=True, text=True, check=True, env=child_env)
     lines = done.stdout.splitlines()
     assert lines[0] == "500 rows, min of 1 repeats"
-    runs = ["read_portfolio_csv", "period_report", "period_report(list)",
-            "portfolio_op"]
+    reads = ["read_portfolio_csv", "read(R-header)", "read(blank-2nd-line)"]
+    runs = [*reads, "period_report", "period_report(list)", "portfolio_op"]
     # time rows: name, ms, µs/row, rows/s
-    assert [line.split()[0] for line in lines[1:5]] == runs
-    assert all(float(line.split()[1]) > 0.0 for line in lines[1:5])
-    calls, logarithms, chunks, transient, collections = {}, {}, {}, {}, {}
-    for line in lines[5:]:
+    assert [line.split()[0] for line in lines[1:7]] == runs
+    assert all(float(line.split()[1]) > 0.0 for line in lines[1:7])
+    calls, logarithms, chunks, readers, transient, collections = {}, {}, {}, {}, {}, {}
+    for line in lines[7:]:
         name, rest = line.split(": ", 1)
         if "Python-level calls per row" in rest:
             calls[name] = float(rest.split()[0])
@@ -56,6 +56,7 @@ def test_time_credit_times_and_counts_each_run(child_env):
                               rest)
             assert found, line
             logarithms[name], chunks[name] = float(found[1]), int(found[2])
+            readers[name] = rest.split("; ")[-1]
         else:
             found = re.fullmatch(r"(\S+) KB transient peak, (\d+) GC collections "
                                  r"\((\d+)/(\d+)/(\d+)\)", rest)
@@ -77,6 +78,11 @@ def test_time_credit_times_and_counts_each_run(child_env):
     assert logarithms["portfolio_op"] == logarithms["period_report"]
     assert chunks["period_report"] == chunks["period_report(list)"] == 0
     assert 1 <= chunks["read_portfolio_csv"] == chunks["portfolio_op"] < 500 // 50
+    # Each spelling of the month is read as the plain one: in chunks that
+    # are all split, with no logarithm, and csv.reader reads only the header.
+    for name in reads:
+        assert logarithms[name] == 0.0 and 1 <= chunks[name] < 500 // 50
+        assert readers[name] == f"{1 / 500:.4f} csv.reader rows per row"
 
 
 def test_time_credit_compares_with_a_parent_tree(child_env):
@@ -90,18 +96,17 @@ def test_time_credit_compares_with_a_parent_tree(child_env):
     lines = done.stdout.splitlines()
     assert lines[0] == (f"500 rows, min of 2 repeats, alternating with the parent"
                         f" {root} (equal outputs)")
-    for line in lines[1:5]:
+    for line in lines[1:7]:
         found = re.fullmatch(r"\S+ +([\d.]+) ms .* parent +([\d.]+) ms  ratio ([\d.]+)",
                              line)
         assert found and all(float(value) > 0.0 for value in found.groups()), line
-    counts = lines[5:]
-    assert len(counts) == 16
-    ours, parents = counts[:8], counts[8:]
+    counts = lines[7:]
+    assert len(counts) == 24
+    ours, parents = counts[:12], counts[12:]
     assert parents[0::2] == ["parent " + line for line in ours[0::2]]
     for line, parent in zip(ours[1::2], parents[1::2]):
         assert parent.startswith("parent " + line.split(": ", 1)[0] + ": ")
-    # csv.reader reads only the header of the generated month, whose
-    # chunks are all split with str.split
-    read = ours[0].split("; ")[-1]
-    assert read == f"{1 / 500:.4f} csv.reader rows per row"
-    assert parents[0].split("; ")[-1] == read
+    # csv.reader reads only the header of the generated month and of its
+    # two spellings, whose chunks are all split with str.split
+    for line in ours[0:6:2] + parents[0:6:2]:
+        assert line.split("; ")[-1] == f"{1 / 500:.4f} csv.reader rows per row"

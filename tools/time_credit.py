@@ -1,12 +1,15 @@
 """Time the credit layer per 10,000-row generated month.
 
 Writes one month with the portfolio-month workload's generator
-(`bench/workloads.py`, seeded), then times four runs on it:
-`read_portfolio_csv`; `period_report` on the Portfolio that the read
-returns, and on a plain list of the same obligors; and the benchmark's
-whole portfolio-month op on the month (read, `period_report`,
-`report_to_json` and `report_to_csv`).  Each time is the minimum of N
-`timeit` repeats, in ms per month, µs per row and rows/s.  Next to the
+(`bench/workloads.py`, seeded), then times six runs on it:
+`read_portfolio_csv`; the same read of two more spellings of the month,
+with every header name quoted as R's `write.csv` writes them
+(`read(R-header)`) and with a blank second line (`read(blank-2nd-line)`);
+`period_report` on the Portfolio that the read returns, and on a plain
+list of the same obligors; and the benchmark's whole portfolio-month op
+on the month (read, `period_report`, `report_to_json` and
+`report_to_csv`).  Each time is the minimum of N `timeit` repeats, in
+ms per month, µs per row and rows/s.  Next to the
 times it prints the machine-independent counts for each run: the
 Python-level calls it makes per row, from `sys.setprofile` call
 events, with the four most frequent callees; the `math.log` and
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import importlib
 import importlib.util
@@ -65,8 +69,22 @@ def load_credit(tree, name):
     return importlib.import_module(f"{name}.credit")
 
 
-def timed_runs(credit, month):
-    """The four timed runs on `month`, through the module `credit`."""
+def write_spellings(month, directory):
+    """The paths, by run name, of `month` spelled with every header name
+    quoted and with a blank second line, written to `directory`."""
+    head, body = Path(month.path).read_text(encoding="utf-8").split("\n", 1)
+    spellings = {"R-header": '"' + head.replace(",", '","') + '"\n' + body,
+                 "blank-2nd-line": head + "\n\n" + body}
+    paths = {}
+    for name, text in spellings.items():
+        paths[f"read({name})"] = path = Path(directory) / f"{name}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+    return paths
+
+
+def timed_runs(credit, month, spellings):
+    """The six timed runs on `month` and its `spellings`, through the
+    module `credit`."""
     portfolio = credit.read_portfolio_csv(month.path)
     obligors = list(portfolio)
 
@@ -78,6 +96,8 @@ def timed_runs(credit, month):
                 credit.report_to_json(rep), credit.report_to_csv(rep))
 
     return {"read_portfolio_csv": lambda: credit.read_portfolio_csv(month.path),
+            **{name: functools.partial(credit.read_portfolio_csv, path)
+               for name, path in spellings.items()},
             "period_report": lambda: credit.period_report("M", portfolio, 0.99),
             "period_report(list)": lambda: credit.period_report("M", obligors, 0.99),
             "portfolio_op": portfolio_op}
@@ -199,7 +219,9 @@ def main(argv=None):
         month = write_portfolio(Path(tmp) / "month.csv", args.rows,
                                 random.Random(f"time-credit-{args.seed}"),
                                 label="M", alpha=0.99)
-        runs = {tree: timed_runs(credit, month) for tree, credit in credits.items()}
+        spellings = write_spellings(month, tmp)
+        runs = {tree: timed_runs(credit, month, spellings)
+                for tree, credit in credits.items()}
         names = list(runs["this"])
         for name in names:
             if len({repr(tree_runs[name]()) for tree_runs in runs.values()}) != 1:
