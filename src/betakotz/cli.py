@@ -11,6 +11,9 @@ executed on the first use of one of its attributes, so a subcommand
 compiles only the layers it runs (`measures` and `tables` never run
 `credit` or `estimation`, `fit` never runs `credit` or `risk`).  The
 first use is not thread-safe on Python 3.11; the CLI is single-threaded.
+They are bound here, not imported inside the handlers, because
+`bench/tracer.py` reads all six layers from `sys.modules` after it
+imports `betakotz.cli`.
 """
 
 from __future__ import annotations
@@ -87,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # main builds the parser on each call and runs args.run(args, out),
+    # so a patched cmd_* is the one that runs.
     measures = sub.add_parser("measures", help="VaR/CVaR/EC for a shape pair")
+    measures.set_defaults(run=cmd_measures)
     measures.add_argument("--a", type=float, required=True, dest="shape_a")
     measures.add_argument("--b", type=float, required=True, dest="shape_b")
     measures.add_argument(
@@ -96,16 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fit = sub.add_parser("fit", help="fit shapes from a sample file")
+    fit.set_defaults(run=cmd_fit)
     fit.add_argument("input", help="newline-separated or single-column CSV of "
                                    "values strictly inside (0,1)")
     fit.add_argument("--method", choices=("mom", "mle"), default="mle")
 
     portfolio = sub.add_parser("portfolio", help="credit-portfolio risk report")
+    portfolio.set_defaults(run=cmd_portfolio)
     portfolio.add_argument("input", help="portfolio CSV (see docs for columns)")
     portfolio.add_argument("--label", default="portfolio",
                            help="period label for the report")
 
     tables = sub.add_parser("tables", help="reproduce the reference tables")
+    tables.set_defaults(run=cmd_tables)
     tables.add_argument("which", choices=("analytic", "numeric"))
 
     # fit uses no confidence level, so it takes no --alpha.
@@ -150,13 +159,13 @@ def _write(payload, columns, fmt, out):
         out.write(sep.join(v.rjust(w) for v, w in zip(line, widths)) + "\n")
 
 
-def cmd_measures(alpha: ConfidenceLevel, shape_a: float, shape_b: float,
-                 method: str, output_format: str, out) -> int:
-    result = risk.report(BetaKotzParams(shape_a, shape_b), alpha,
-                         risk.SolveMethod[_METHODS[method]])
+def cmd_measures(args, out) -> int:
+    alpha = _alpha(args)
+    result = risk.report(BetaKotzParams(args.shape_a, args.shape_b), alpha,
+                         risk.SolveMethod[_METHODS[args.method]])
     _write(result.to_dict(), (("alpha", ".9g"), ("var", ".9f"), ("cvar", ".9f"),
                               ("ec", ".9f"), ("mean", ".9f"), ("method", "")),
-           output_format, out)
+           args.output_format, out)
     return EXIT_OK
 
 
@@ -187,11 +196,11 @@ def _read_sample_file(path):
     return values
 
 
-def cmd_fit(path: str, method: str, output_format: str, out) -> int:
-    values = _read_sample_file(path)
+def cmd_fit(args, out) -> int:
+    values = _read_sample_file(args.input)
     stats = estimation.stats_from_samples(values)
     try:
-        if method == "mom":
+        if args.method == "mom":
             params, iterations = estimation.fit_moments(stats), 0
             ll = estimation.log_likelihood(params, stats)
         else:
@@ -211,28 +220,28 @@ def cmd_fit(path: str, method: str, output_format: str, out) -> int:
         "a": params.a,
         "b": params.b,
         "n": stats.n,
-        "method": method,
+        "method": args.method,
         "iterations": iterations,
         "converged": True,
         "log_likelihood": ll,
     }
     _write(payload, (("a", ".9g"), ("b", ".9g"), ("n", ""), ("method", ""),
                      ("iterations", ""), ("converged", ""),
-                     ("log_likelihood", ".6f")), output_format, out)
+                     ("log_likelihood", ".6f")), args.output_format, out)
     return EXIT_OK
 
 
-def cmd_portfolio(alpha: ConfidenceLevel, path: str, label: str,
-                  output_format: str, out) -> int:
-    obligors = credit.read_portfolio_csv(path)
+def cmd_portfolio(args, out) -> int:
+    alpha = _alpha(args)
+    obligors = credit.read_portfolio_csv(args.input)
     try:
-        result = credit.period_report(label, obligors, alpha=alpha)
+        result = credit.period_report(args.label, obligors, alpha=alpha)
     except ValueError as err:
         sys.stderr.write(f"portfolio pipeline failed: {err}\n")
         return EXIT_NUMERIC
-    if output_format == "json":
+    if args.output_format == "json":
         out.write(credit.report_to_json(result) + "\n")
-    elif output_format == "csv":
+    elif args.output_format == "csv":
         out.write(credit.report_to_csv(result))
     else:
         # Money with thousands separators, every other field as rendered.
@@ -240,12 +249,13 @@ def cmd_portfolio(alpha: ConfidenceLevel, path: str, label: str,
         fields = [{"field": key,
                    "value": format(rendered[key], ",.2f" if spec == ".2f" else "")}
                   for key, spec in credit.REPORT_COLUMNS]
-        _write(fields, (("field", ""), ("value", "")), output_format, out)
+        _write(fields, (("field", ""), ("value", "")), args.output_format, out)
     return EXIT_OK
 
 
-def cmd_tables(alpha: ConfidenceLevel, which: str, output_format: str, out) -> int:
-    if which == "analytic":
+def cmd_tables(args, out) -> int:
+    alpha = _alpha(args)
+    if args.which == "analytic":
         shapes, method = ANALYTIC_ROWS, risk.SolveMethod.CLOSED_FORM
     else:
         shapes, method = NUMERIC_ROWS, risk.SolveMethod.NUMERIC
@@ -254,25 +264,14 @@ def cmd_tables(alpha: ConfidenceLevel, which: str, output_format: str, out) -> i
         r = risk.report(BetaKotzParams(a, b), alpha, method)
         rows.append({"a": a, "b": b, "var": r.var, "cvar": r.cvar, "ec": r.ec})
     _write(rows, (("a", "g"), ("b", "g"), ("var", ".6f"), ("cvar", ".6f"),
-                  ("ec", ".6f")), output_format, out)
+                  ("ec", ".6f")), args.output_format, out)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+    args = build_parser().parse_args(argv)
     try:
-        fmt = args.output_format
-        if args.command == "fit":
-            return cmd_fit(args.input, args.method, fmt, out)
-        alpha = _alpha(args)
-        if args.command == "measures":
-            return cmd_measures(alpha, args.shape_a, args.shape_b, args.method,
-                                fmt, out)
-        if args.command == "portfolio":
-            return cmd_portfolio(alpha, args.input, args.label, fmt, out)
-        return cmd_tables(alpha, args.which, fmt, out)
+        return args.run(args, sys.stdout)
     except ConvergenceError as err:
         sys.stderr.write(f"numerical failure: {err}\n")
         return EXIT_NUMERIC

@@ -136,9 +136,6 @@ class Obligor(_Record):
 
 _SLOT_SETTERS = tuple(vars(Obligor)[name].__set__ for name in Obligor.__slots__)
 
-# Each field of an obligor, in Obligor.__slots__ order.
-_FIELD_GETTERS = tuple(map(operator.attrgetter, Obligor.__slots__))
-
 # Runs an iterator to its end at C level, keeping nothing.
 _exhaust = deque(maxlen=0).extend
 
@@ -163,14 +160,13 @@ class Portfolio(Sequence):
     """
 
     __slots__ = ("_columns",)
-    __hash__ = None
 
     def __init__(self, obligors=()):
         obligors = list(obligors)
         for o in obligors:
             if type(o) is not Obligor:
                 raise TypeError(f"a Portfolio holds Obligor records, not {o!r}")
-        self._columns = [list(map(get, obligors)) for get in _FIELD_GETTERS]
+        self._columns = _field_columns(obligors)
 
     @classmethod
     def _of_columns(cls, columns):
@@ -204,6 +200,18 @@ class Portfolio(Sequence):
 
     def __reduce__(self):
         return Portfolio._of_columns, (self._columns,)
+
+
+def _field_columns(obligors):
+    """The eight field columns of a sequence of obligors, in
+    Obligor.__slots__ order: a Portfolio's own, or any other's, read by
+    list comprehensions, whose slot loads 3.11 specialises."""
+    if type(obligors) is Portfolio:  # isinstance runs ABCMeta's Python hooks
+        return obligors._columns
+    return [[o.id for o in obligors], [o.rating for o in obligors],
+            [o.segment for o in obligors], [o.ead for o in obligors],
+            [o.guarantee for o in obligors], [o.days_past_due for o in obligors],
+            [o.pd_override for o in obligors], [o.lgd_override for o in obligors]]
 
 
 # SFC consumer-portfolio PD matrix, (rating, segment) -> PD.
@@ -256,7 +264,7 @@ def lgd_lookup(guarantee: Guarantee, days_past_due: int) -> float:
 
 def expected_loss(o: Obligor) -> float:
     """EAD x PD x LGD for one obligor; overrides win over table lookups."""
-    return _loss_rates(zip(*_rate_columns([o])), 1.0)[0]  # x / 1.0 is x
+    return _loss_rates(zip(*_field_columns([o])[1:]), 1.0)[0]  # x / 1.0 is x
 
 
 def loss_rates(portfolio: Sequence[Obligor]) -> list[float]:
@@ -264,7 +272,7 @@ def loss_rates(portfolio: Sequence[Obligor]) -> list[float]:
 
     The rates sum to the portfolio's total expected loss rate.
     """
-    columns = _rate_columns(portfolio)
+    columns = _field_columns(portfolio)[1:]
     total = _total_exposure(columns[2])
     if not total > 0.0:
         raise ValueError("total exposure must be positive to form loss rates")
@@ -283,20 +291,10 @@ def _total_exposure(eads):
     return total
 
 
-def _rate_columns(portfolio):
-    """The columns of an obligor's fields but its id (rating, segment,
-    ead, guarantee, days_past_due, pd_override, lgd_override), which its
-    expected loss reads, of a sequence of obligors: a Portfolio's own, or
-    any other's, read field by field with no Python call per obligor."""
-    if type(portfolio) is Portfolio:  # isinstance runs ABCMeta's Python hooks
-        return portfolio._columns[1:]
-    return [list(map(get, portfolio)) for get in _FIELD_GETTERS[1:]]
-
-
 def _loss_rates(rows, total):
     """Each obligor's expected loss EAD x PD x LGD, in that order, divided
-    by `total`, from its `_rate_columns` values: the one definition of an
-    obligor's expected loss, with pd_lookup and lgd_lookup inlined."""
+    by `total`, from its `_field_columns` but the id: the one definition
+    of an obligor's expected loss, with pd_lookup and lgd_lookup inlined."""
     rates = []
     append = rates.append
     for rating, segment, ead, guarantee, days, pd_value, lgd_value in rows:
@@ -372,7 +370,7 @@ def period_report(
     """
     if not portfolio:
         raise ValueError("portfolio must be non-empty")
-    columns = _rate_columns(portfolio)
+    columns = _field_columns(portfolio)[1:]
     total = _total_exposure(columns[2])
     if not total > 0.0:
         raise ValueError("total exposure must be positive")
@@ -550,8 +548,7 @@ def _field_chunks(handle, width, picked):
             cell_columns = list(map([*zip(*rows), ()].__getitem__, picked))
         chunk = _column_fields(cell_columns)
         if chunk is None:
-            obligors = _row_obligors(cell_columns, row_num)
-            chunk = [map(get, obligors) for get in _FIELD_GETTERS]
+            chunk = _field_columns(_row_obligors(cell_columns, row_num))
         if error is not None:
             raise error
         row_num += len(cell_columns[0])

@@ -136,6 +136,37 @@ def test_alpha_env_errors_name_the_variable(capsys, monkeypatch, value):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ["measures", "--a", "-1", "--b", "2"],
+    ["portfolio", "missing.csv"],
+    ["tables", "analytic"],
+], ids=["measures-bad-shape", "portfolio-missing-file", "tables"])
+def test_alpha_environment_is_read_before_any_other_input(capsys, monkeypatch,
+                                                          tmp_path, argv):
+    # A bad BETAKOTZ_ALPHA is reported ahead of a bad shape or a missing
+    # file; fit never reads it (test_fit_ignores_alpha_environment).
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.ALPHA_ENV_VAR, "bogus")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("error: BETAKOTZ_ALPHA='bogus' is not a confidence "
+                   "level in (0, 1)\n")
+
+
+def test_main_runs_the_handler_found_on_the_module(monkeypatch):
+    # bench/tracer.py wraps betakotz.cli's functions before it calls main,
+    # so main must run whatever cmd_* the module holds at call time.
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_tables", stub)
+    assert main(["tables", "analytic"]) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_alpha_flag_error_unchanged(capsys):
     code, _, err = run_cli(capsys, "measures", "--a", "1", "--b", "2",
                            "--alpha", "2")

@@ -8,6 +8,7 @@ import sys
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 COMPILE_COST = TOOLS / "compile_cost.py"
 TIME_CREDIT = TOOLS / "time_credit.py"
+RISK_SWEEP = TOOLS / "risk_sweep.py"
 
 
 def test_compile_cost_reports_each_subcommand(child_env):
@@ -110,3 +111,28 @@ def test_time_credit_compares_with_a_parent_tree(child_env):
     # two spellings, whose chunks are all split with str.split
     for line in ours[0:6:2] + parents[0:6:2]:
         assert line.split("; ")[-1] == f"{1 / 500:.4f} csv.reader rows per row"
+
+
+def test_risk_sweep_counts_outcomes_and_kernel_work(child_env):
+    done = subprocess.run([sys.executable, str(RISK_SWEEP), "--seed", "7",
+                           "--size", "16"],
+                          capture_output=True, text=True, check=True, env=child_env)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "risk_pool(seed=7, size=16): report() outcomes"
+    # outcome rows: an answer or an exception type, and its count
+    outcomes = {}
+    for line in lines[1:]:
+        found = re.fullmatch(r"  (\w+) +(\d+)", line)
+        if not found:
+            break
+        outcomes[found[1]] = int(found[2])
+    assert "RiskReport" in outcomes and sum(outcomes.values()) == 16
+    # the shared counter sees the kernel's work in both passes
+    per_op = [re.fullmatch(r"_beta_contfrac evaluations per op: ([\d.]+)", line)
+              for line in lines]
+    per_month = re.fullmatch(r"portfolio_pool\(1, 32\) fitted shapes: ([\d.]+)"
+                             r" _beta_contfrac evaluations per report\(\) over 32"
+                             r" months", lines[-1])
+    (per_op,) = filter(None, per_op)
+    assert per_month, lines[-1]
+    assert 1.0 < float(per_op[1]) < 50.0 and 1.0 < float(per_month[1]) < 50.0

@@ -42,24 +42,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from bench.workloads import portfolio_pool, risk_pool  # noqa: E402
 from betakotz import credit, risk, specfun  # noqa: E402
 from betakotz.distribution import BetaKotzParams  # noqa: E402
+from tools.time_credit import counted  # noqa: E402
 
 
-def count_contfrac(fn, *args):
-    """(result or raised exception, `_beta_contfrac` calls) of fn(*args)."""
-    kernel = specfun._beta_contfrac
-    calls = [0]
-
-    def counted(*cf_args):
-        calls[0] += 1
-        return kernel(*cf_args)
-
-    specfun._beta_contfrac = counted
-    try:
-        return fn(*args), calls[0]
-    except Exception as exc:  # noqa: BLE001 - outcomes are what we count
-        return exc, calls[0]
-    finally:
-        specfun._beta_contfrac = kernel
+def counted_report(params, alpha):
+    """(`risk.report(params, alpha)` or the exception it raises, its
+    `_beta_contfrac` calls)."""
+    def run():
+        try:
+            return risk.report(params, alpha)
+        except Exception as exc:  # noqa: BLE001 - outcomes are what we count
+            return exc
+    return counted(specfun, "_beta_contfrac", run)
 
 
 def var_error(a, b, alpha):
@@ -126,7 +120,7 @@ def main(argv=None):
     pool = risk_pool(args.seed, args.size, None)
     outcomes, examples, cf_calls, successes = Counter(), {}, 0, []
     for a, b, alpha in pool:
-        result, calls = count_contfrac(risk.report, BetaKotzParams(a, b), alpha)
+        result, calls = counted_report(BetaKotzParams(a, b), alpha)
         cf_calls += calls
         kind = type(result).__name__
         outcomes[kind] += 1
@@ -173,7 +167,7 @@ def main(argv=None):
             print(f"  {name:<20} p50 {p50:.2g}  p99 {p99:.2g}  max {worst:.2g}")
 
     shapes = fitted_shapes()
-    month_calls = sum(count_contfrac(risk.report, p, alpha)[1] for p, alpha in shapes)
+    month_calls = sum(counted_report(p, alpha)[1] for p, alpha in shapes)
     print(f"portfolio_pool(1, 32) fitted shapes: {month_calls / len(shapes):.2f} "
           f"_beta_contfrac evaluations per report() over {len(shapes)} months")
 

@@ -127,43 +127,31 @@ def python_calls(run) -> tuple[Counter, int]:
     return calls, logarithms
 
 
-def csv_rows(run) -> int:
-    """Rows that `csv.reader` yields inside one `run()`."""
-    rows = 0
-    reader = csv.reader
+def counted(owner, name, run, items=False):
+    """(run(), n), where n counts the calls to `owner.name` inside
+    `run()`, or with `items` the items that the iterables it returns
+    yield."""
+    original = getattr(owner, name)
+    n = 0
 
-    def counting_reader(*args, **kwargs):
-        nonlocal rows
-        for row in reader(*args, **kwargs):
-            rows += 1
-            yield row
+    def tally(iterable):
+        nonlocal n
+        for item in iterable:
+            n += 1
+            yield item
 
-    csv.reader = counting_reader
+    def counting(*args, **kwargs):
+        nonlocal n
+        if items:
+            return tally(original(*args, **kwargs))
+        n += 1
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counting)
     try:
-        run()
+        return run(), n
     finally:
-        csv.reader = reader
-    return rows
-
-
-def chunks(credit, run) -> int:
-    """Chunks that the reader of the module `credit` converts inside one
-    `run()`."""
-    count = 0
-    field_chunks = credit._field_chunks
-
-    def counting_chunks(*args, **kwargs):
-        nonlocal count
-        for chunk in field_chunks(*args, **kwargs):
-            count += 1
-            yield chunk
-
-    credit._field_chunks = counting_chunks
-    try:
-        run()
-    finally:
-        credit._field_chunks = field_chunks
-    return count
+        setattr(owner, name, original)
 
 
 def transient_kb(run) -> float:
@@ -195,10 +183,12 @@ def print_counts(prefix, credit, runs, rows):
     for name, run in runs.items():
         calls, logarithms = python_calls(run)
         top = ", ".join(f"{k} {v}" for k, v in calls.most_common(4))
+        _, chunks = counted(credit, "_field_chunks", run, items=True)
+        _, csv_rows = counted(csv, "reader", run, items=True)
         print(f"{prefix}{name}: {sum(calls.values()) / rows:.4f} Python-level"
               f" calls per row ({top}); {logarithms / rows:.4f} log/log1p calls"
-              f" per row; {chunks(credit, run)} chunks per read;"
-              f" {csv_rows(run) / rows:.4f} csv.reader rows per row")
+              f" per row; {chunks} chunks per read;"
+              f" {csv_rows / rows:.4f} csv.reader rows per row")
         gcs = collections(run)
         print(f"{prefix}{name}: {transient_kb(run):.1f} KB transient peak,"
               f" {sum(gcs)} GC collections ({'/'.join(map(str, gcs))})")
