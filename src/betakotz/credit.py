@@ -244,6 +244,11 @@ SFC_LGD_SCHEDULE = {
 }
 
 
+# rating -> segment -> PD: a nested lookup builds no (rating, segment) key
+_PD_BY_RATING = {rating: {segment: pd for (r, segment), pd in SFC_PD_TABLE.items()
+                          if r is rating}
+                 for rating in Rating}
+
 # guarantee -> (thresholds, lgds); the LGD at d days: lgds[bisect_right(thresholds, d)]
 _LGD_TIERS = {g: (tuple(d for d, _ in tiers), (base, *(lgd for _, lgd in tiers)))
               for g, (base, tiers) in SFC_LGD_SCHEDULE.items()}
@@ -299,7 +304,7 @@ def _loss_rates(rows, total):
     append = rates.append
     for rating, segment, ead, guarantee, days, pd_value, lgd_value in rows:
         if pd_value is None:
-            pd_value = SFC_PD_TABLE[rating, segment]
+            pd_value = _PD_BY_RATING[rating][segment]
         if lgd_value is None:
             thresholds, lgds = _LGD_TIERS[guarantee]
             lgd_value = lgds[bisect_right(thresholds, days)]
@@ -374,7 +379,10 @@ def period_report(
     total = _total_exposure(columns[2])
     if not total > 0.0:
         raise ValueError("total exposure must be positive")
-    rates = list(filter((0.0).__lt__, _loss_rates(zip(*columns), total)))
+    # filter(None) keeps the rates > 0: no rate is negative, as EADs, PDs
+    # and LGDs are checked >= 0 and the total is positive, and a -0.0 EAD
+    # gives a -0.0 rate, which is false too.
+    rates = list(filter(None, _loss_rates(zip(*columns), total)))
     if len(rates) < 2:
         raise ValueError(
             f"need at least 2 obligors with positive expected loss, got {len(rates)}"
@@ -513,7 +521,9 @@ def _field_chunks(handle, width, picked):
                 return
             # Quotes first: the rewrite would change a quoted "\r\n".
             if '"' not in text:
-                if "\r\n" in text and text.count("\r") == text.count("\r\n"):
+                # A block with no "\r" has no "\r\n": testing for the one
+                # character is many times faster than for the two.
+                if "\r" in text and text.count("\r") == text.count("\r\n"):
                     text = text.replace("\r\n", "\n")
                 if not ("\r" in text or "\0" in text or len(text) > limit):
                     if text[-1] != "\n":  # the file's last line
@@ -558,8 +568,11 @@ def _field_chunks(handle, width, picked):
 def _split_cells(text, width):
     """The cells of quote-free `text`, which ends in "\\n": each line's
     cells, then a "\\n" cell; None when a line has not `width` cells."""
-    cells = text.replace("\n", ",\n,").split(",")
-    n = text.count("\n")  # the lines: a "\n" is only ever a line end
+    spaced = text.replace("\n", ",\n,")
+    # the lines, as each line end gained two commas: a "\n" is only ever one
+    n = (len(spaced) - len(text)) // 2
+    cells = spaced.split(",")
+    del spaced  # the cells hold its text now
     fits = len(cells) == (width + 1) * n + 1 and cells[width::width + 1] == ["\n"] * n
     return cells if fits else None
 
@@ -587,8 +600,11 @@ def _column_fields(cell_columns):
         lgd_overrides = _override_column(lgd_cells, len(days))
     except ValueError:
         return None
-    # Each EAD is checked as Obligor checks it: finite and not negative.
-    if min(days) < 0 or not (min(eads) >= 0.0 and all(map(math.isfinite, eads))):
+    # Each EAD is checked as Obligor checks it: finite and not negative.  A
+    # NaN or inf makes the sum not finite; only then, or when finite EADs
+    # overflow it, is each one checked.
+    if min(days) < 0 or not (min(eads) >= 0.0 and (
+            math.isfinite(sum(eads)) or all(map(math.isfinite, eads)))):
         return None
     members = []
     for texts, cls in zip((rating_cells, segment_cells, guarantee_cells),

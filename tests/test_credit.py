@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from betakotz import credit
 from betakotz.credit import (
     Guarantee,
     Obligor,
@@ -20,6 +21,7 @@ from betakotz.credit import (
     PortfolioReport,
     Rating,
     SFC_LGD_SCHEDULE,
+    SFC_PD_TABLE,
     Segment,
     expected_loss,
     lgd_lookup,
@@ -81,6 +83,14 @@ def test_pd_table_golden():
     for rating, row in GOLDEN_PD.items():
         for segment, pd in zip(Segment, row):
             assert pd_lookup(rating, segment) == pd
+
+
+def test_nested_pd_table_is_the_pd_table():
+    # the rating -> segment -> PD table that the loss rates look up
+    nested = {(rating, segment): pd
+              for rating, row in credit._PD_BY_RATING.items()
+              for segment, pd in row.items()}
+    assert nested == SFC_PD_TABLE and len(nested) == 30
 
 
 def test_pd_lookup_examples():
@@ -376,6 +386,21 @@ def test_period_report_zero_loss_rows_keep_exposure():
         math.fsum(o.ead for o in with_zero), rel=1e-15
     )
     assert r.obligor_count == 41
+
+
+def test_period_report_leaves_zero_rates_out_of_the_fit():
+    # A -0.0 EAD gives a -0.0 rate and a 0.0 LGD override a 0.0 rate: both
+    # obligors count and add their exposure, and neither rate is fitted.
+    portfolio = synthetic_portfolio(seed=60, n=40) + [
+        make_obligor(id="minus-zero", ead=-0.0),
+        make_obligor(id="no-loss", ead=5_000_000.0, lgd_override=0.0)]
+    rates = loss_rates(portfolio)
+    assert [math.copysign(1.0, r) for r in rates[-2:] if r == 0.0] == [-1.0, 1.0]
+    r = period_report("z", portfolio)
+    assert r.obligor_count == 42
+    assert r.total_exposure == math.fsum(o.ead for o in portfolio)
+    expected = fit_moments(stats_from_samples([x for x in rates if x > 0.0]))
+    assert (r.fitted.a.hex(), r.fitted.b.hex()) == (expected.a.hex(), expected.b.hex())
 
 
 def test_period_report_needs_two_positive_rates():

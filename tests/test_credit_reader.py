@@ -639,6 +639,33 @@ def test_block_edge_cases_match_oracle(tmp_path, edit):
     assert isinstance(got, str) == ("Nowhere" in text)
 
 
+def test_split_cells_counts_lines_not_cells():
+    # Short lines whose cells still land on the width: "a\nb\n" at width 3
+    # has five cells, one line's worth, but two lines.
+    assert credit._split_cells("a\nb\n", 3) is None
+    # the right number of cells, but a "\n" cell out of place
+    assert credit._split_cells("a,b\nc,d,e,f\n", 3) is None
+    assert credit._split_cells("a,b,c\nd,e,f\n", 3) == [
+        "a", "b", "c", "\n", "d", "e", "f", "\n", ""]
+
+
+def test_lone_cr_among_crlf_line_ends_stays_off_the_split(tmp_path, monkeypatch):
+    # "\r\n" line ends and one lone "\r": the block is not rewritten to
+    # "\n" line ends and split, and csv.reader reads it.
+    path = tmp_path / "p.csv"
+    path.write_text("id,rating,segment,ead,guarantee,days_past_due\r\n"
+                    "a,AA,Other,1,NoGuarantee,0\rb,B,Other,2,NoGuarantee,0\r\n"
+                    "c,A,Other,3,NoGuarantee,0\r\n", encoding="utf-8", newline="")
+    calls = []
+    split_cells = credit._split_cells
+    monkeypatch.setattr(credit, "_split_cells",
+                        lambda *args: calls.append(args) or split_cells(*args))
+    portfolio = read_portfolio_csv(path)
+    assert calls == []
+    assert portfolio == oracle_read_portfolio_csv(path)
+    assert [o.id for o in portfolio] == ["a", "b", "c"]
+
+
 def test_overflowing_exposures_take_the_column_route(tmp_path, monkeypatch):
     # Each EAD of 1e308 is finite, though their sum is not: the column
     # route accepts the file, and the report refuses its total exposure

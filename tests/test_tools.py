@@ -48,15 +48,17 @@ def test_time_credit_times_and_counts_each_run(child_env):
     # time rows: name, ms, µs/row, rows/s
     assert [line.split()[0] for line in lines[1:7]] == runs
     assert all(float(line.split()[1]) > 0.0 for line in lines[1:7])
-    calls, logarithms, chunks, readers, transient, collections = {}, {}, {}, {}, {}, {}
+    calls, logarithms, chunks, str_counts, readers = {}, {}, {}, {}, {}
+    transient, collections = {}, {}
     for line in lines[7:]:
         name, rest = line.split(": ", 1)
         if "Python-level calls per row" in rest:
             calls[name] = float(rest.split()[0])
-            found = re.search(r"; (\S+) log/log1p calls per row; (\d+) chunks per read;",
-                              rest)
+            found = re.search(r"; (\S+) log/log1p calls per row; (\d+) chunks per read;"
+                              r" (\d+) str.count calls per read;", rest)
             assert found, line
             logarithms[name], chunks[name] = float(found[1]), int(found[2])
+            str_counts[name] = int(found[3])
             readers[name] = rest.split("; ")[-1]
         else:
             found = re.fullmatch(r"(\S+) KB transient peak, (\d+) GC collections "
@@ -78,12 +80,25 @@ def test_time_credit_times_and_counts_each_run(child_env):
     assert 0.0 < logarithms["period_report"] * 500 < 500
     assert logarithms["portfolio_op"] == logarithms["period_report"]
     assert chunks["period_report"] == chunks["period_report(list)"] == 0
+    # No run scans a block with str.count: a quote-free block without a
+    # "\r" is not counted, and the splitter knows its lines from its commas.
+    assert set(str_counts.values()) == {0}
     assert 1 <= chunks["read_portfolio_csv"] == chunks["portfolio_op"] < 500 // 50
     # Each spelling of the month is read as the plain one: in chunks that
     # are all split, with no logarithm, and csv.reader reads only the header.
     for name in reads:
         assert logarithms[name] == 0.0 and 1 <= chunks[name] < 500 // 50
         assert readers[name] == f"{1 / 500:.4f} csv.reader rows per row"
+
+
+def test_time_credit_counts_the_str_count_calls(child_env):
+    # a str's count, called as a method or through str, and not bytes.count
+    run = "lambda: ('a\\nb'.count('\\n'), str.count('ab', 'a'), b'ab'.count(b'a'))"
+    done = subprocess.run([sys.executable, "-c",
+                           f"import time_credit; print(time_credit.python_calls({run})[2])"],
+                          cwd=TOOLS, capture_output=True, text=True, check=True,
+                          env=child_env)
+    assert done.stdout == "2\n"
 
 
 def test_time_credit_compares_with_a_parent_tree(child_env):
@@ -97,10 +112,13 @@ def test_time_credit_compares_with_a_parent_tree(child_env):
     lines = done.stdout.splitlines()
     assert lines[0] == (f"500 rows, min of 2 repeats, alternating with the parent"
                         f" {root} (equal outputs)")
+    # and the median and range of the two repeats' paired ratios
     for line in lines[1:7]:
-        found = re.fullmatch(r"\S+ +([\d.]+) ms .* parent +([\d.]+) ms  ratio ([\d.]+)",
-                             line)
+        found = re.fullmatch(r"\S+ +([\d.]+) ms .* parent +([\d.]+) ms  ratio ([\d.]+)"
+                             r"  paired median ([\d.]+) range ([\d.]+)-([\d.]+)", line)
         assert found and all(float(value) > 0.0 for value in found.groups()), line
+        median, low, high = map(float, found.groups()[3:])
+        assert low <= median <= high, line
     counts = lines[7:]
     assert len(counts) == 24
     ours, parents = counts[:12], counts[12:]

@@ -14,9 +14,10 @@ times it prints the machine-independent counts for each run: the
 Python-level calls it makes per row, from `sys.setprofile` call
 events, with the four most frequent callees; the `math.log` and
 `math.log1p` calls per row that Python code makes, from `c_call` events
-(a C-level `map` over them makes none); the rows that `csv.reader`
-yields per row (the header is one of them); the chunks that the reader
-converts, per read of the month; its transient memory, the
+(a C-level `map` over them makes none); the chunks that the reader
+converts, per read of the month; the `str.count` calls that Python code
+makes per read, from `c_call` events too; the rows that `csv.reader`
+yields per row (the header is one of them); its transient memory, the
 `tracemalloc` peak above what it returns, in KB; and the garbage
 collections it sets off, by generation.
 
@@ -29,8 +30,11 @@ imports `DIR/src/betakotz` under another package name and times both
 in the one process, the two trees taking turns within each repeat, as
 the host's speed drifts too much between processes for two separate
 runs to compare.  It checks that both trees give equal outputs (by
-repr) and prints the parent's time and the ratio of this tree's to it
-next to each time, and the parent's counts after this tree's.
+repr) and prints, next to each time, the parent's time, the ratio of
+this tree's minimum to the parent's, and the median and the range of
+the paired ratios: this tree's time over the parent's in each repeat,
+the two timed back to back.  A host that slows for part of a run shows
+as a wide range.  The parent's counts follow this tree's.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import importlib
 import importlib.util
 import math
 import random
+import statistics
 import sys
 import tempfile
 import timeit
@@ -106,25 +111,30 @@ def timed_runs(credit, month, spellings):
 LOGARITHMS = (math.log, math.log1p)
 
 
-def python_calls(run) -> tuple[Counter, int]:
+def python_calls(run) -> tuple[Counter, int, int]:
     """Python-level call events inside one `run()`, by name, and the
-    `c_call` events of its logarithms."""
+    `c_call` events of its logarithms and of `str.count`."""
     calls = Counter()
-    logarithms = 0
+    logarithms = str_counts = 0
 
     def profile(frame, event, arg):
-        nonlocal logarithms
+        nonlocal logarithms, str_counts
         if event == "call":
             calls[frame.f_code.co_name] += 1
-        elif event == "c_call" and arg in LOGARITHMS:
-            logarithms += 1
+        elif event == "c_call":
+            if arg in LOGARITHMS:
+                logarithms += 1
+            # a str's count method, bound to it
+            elif (getattr(arg, "__name__", None) == "count"
+                  and type(getattr(arg, "__self__", None)) is str):
+                str_counts += 1
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return calls, logarithms
+    return calls, logarithms, str_counts
 
 
 def counted(owner, name, run, items=False):
@@ -181,13 +191,14 @@ def _line(name, seconds, rows):
 
 def print_counts(prefix, credit, runs, rows):
     for name, run in runs.items():
-        calls, logarithms = python_calls(run)
+        calls, logarithms, str_counts = python_calls(run)
         top = ", ".join(f"{k} {v}" for k, v in calls.most_common(4))
         _, chunks = counted(credit, "_field_chunks", run, items=True)
         _, csv_rows = counted(csv, "reader", run, items=True)
         print(f"{prefix}{name}: {sum(calls.values()) / rows:.4f} Python-level"
               f" calls per row ({top}); {logarithms / rows:.4f} log/log1p calls"
-              f" per row; {chunks} chunks per read;"
+              f" per row; {chunks} chunks per read; {str_counts} str.count"
+              f" calls per read;"
               f" {csv_rows / rows:.4f} csv.reader rows per row")
         gcs = collections(run)
         print(f"{prefix}{name}: {transient_kb(run):.1f} KB transient peak,"
@@ -223,18 +234,20 @@ def main(argv=None):
                 for tree in order:
                     times[tree][name].append(timeit.timeit(runs[tree][name], number=1))
             order.reverse()  # each tree goes first in every other repeat
-        best = {tree: {name: min(t) for name, t in by_name.items()}
-                for tree, by_name in times.items()}
         heading = f"{args.rows:,} rows, min of {args.repeats} repeats"
         if args.parent is not None:
             heading += f", alternating with the parent {args.parent} (equal outputs)"
         print(heading)
         for name in names:
-            line = _line(name, best["this"][name], args.rows)
+            ours = times["this"][name]
+            line = _line(name, min(ours), args.rows)
             if args.parent is not None:
-                parent = best["parent"][name]
-                line += (f"  parent {parent * 1e3:8.2f} ms"
-                         f"  ratio {best['this'][name] / parent:.3f}")
+                parents = times["parent"][name]
+                paired = [t / p for t, p in zip(ours, parents)]
+                line += (f"  parent {min(parents) * 1e3:8.2f} ms"
+                         f"  ratio {min(ours) / min(parents):.3f}"
+                         f"  paired median {statistics.median(paired):.3f}"
+                         f" range {min(paired):.3f}-{max(paired):.3f}")
             print(line)
         for tree, tree_runs in runs.items():
             print_counts("parent " if tree == "parent" else "", credits[tree],
