@@ -521,9 +521,7 @@ def _field_chunks(handle, width, picked):
                 return
             # Quotes first: the rewrite would change a quoted "\r\n".
             if '"' not in text:
-                # A block with no "\r" has no "\r\n": testing for the one
-                # character is many times faster than for the two.
-                if "\r" in text and text.count("\r") == text.count("\r\n"):
+                if "\r" in text:
                     text = text.replace("\r\n", "\n")
                 if not ("\r" in text or "\0" in text or len(text) > limit):
                     if text[-1] != "\n":  # the file's last line

@@ -4,10 +4,11 @@ Quantiles come from two routes that must agree: one inversion of the
 incomplete beta that carries the smaller of x and 1 - x (a quantile that
 rounds to 0 or 1 is a ValueError), and closed forms for the shape pairs
 that admit them: mirror identity, radicals and the leading term, then
-Newton polish, within 1e-15 relative in both tails.  CVaR likewise: the
-tail-expectation identity is what gets returned, and VaR plus the
-expected excess over it, by one tanh-sinh rule on the density that
-never touches the incomplete beta, cross-checks it on every call.
+Newton polish, within 1e-15 relative in both tails.  CVaR likewise: VaR
+plus the expected excess over it, by one tanh-sinh rule on the density,
+is what gets returned, and an elementary form in VaR, mean plus a
+multiple of the density at VaR, cross-checks it on every call; neither
+touches the incomplete beta.
 Normal and Student-t baselines round out the surface.
 """
 
@@ -105,7 +106,8 @@ def _inc_beta_inverse(a, b, p):
     relative step, as kernel rounding makes at large shapes, ends the
     solve too.  A u below the smallest positive double is a ValueError.
     """
-    half = _inc_beta_tails(a, b, 0.5, 0.5)[0]
+    ln_b = ln_beta(a, b)  # symmetric in a and b: the mirror keeps it
+    half = _inc_beta_tails(a, b, 0.5, 0.5, ln_b)[0]
     small = min(p, 1.0 - p)
     if abs(half - p) <= _ROOT_REL_TOL * small:
         return 0.5, 0.5
@@ -115,12 +117,11 @@ def _inc_beta_inverse(a, b, p):
     # Whether small is the carried I_u(a, b) or its complement.
     lower = (p <= 0.5) != mirrored
     level = small if lower else 1.0 - small
-    ln_b = ln_beta(a, b)
     t = (math.log(level) + math.log(a) + ln_b) / a
     u = max(math.exp(min(t, math.log(0.5))), _TINY)
     lo, hi = 0.0, 1.0
     for _ in range(_ROOT_MAX_ITERS):
-        below, above = _inc_beta_tails(a, b, u, 1.0 - u)
+        below, above = _inc_beta_tails(a, b, u, 1.0 - u, ln_b)
         side = below if lower else above
         rel = (side - small) / small
         if abs(rel) <= _ROOT_REL_TOL:
@@ -267,9 +268,17 @@ def var_closed(p: BetaKotzParams, alpha) -> float | None:
 # CVaR / EC
 # ---------------------------------------------------------------------------
 
-def _tail_expectation_cvar(p, a_level, q, tail):
-    # E[X | X > q] = mean I_{1-q}(b, a+1) / (1 - alpha); exact up to q.
-    return mean(p) * _inc_beta_tails(p.b, p.a + 1.0, tail, q)[0] / (1.0 - a_level)
+def _elementary_cvar(p, a_level, q, tail):
+    # E[X | X > q] = mean + q^a (1 - q)^b / (B(a, b) (a + b) (1 - alpha)),
+    # by I_q(a+1, b) = I_q(a, b) - q^a (1 - q)^b / (a B(a, b)) at
+    # I_q(a, b) = alpha: exact up to q, with no incomplete beta.  Both
+    # logs come from the carried side, as in _density_cvar.
+    if q < 0.5:
+        ln_q, ln_tail = math.log(q), math.log1p(-q)
+    else:
+        ln_q, ln_tail = math.log1p(-tail), math.log(tail)
+    return mean(p) + math.exp(p.log_norm_const + p.a * ln_q + p.b * ln_tail) / (
+        (p.a + p.b) * (1.0 - a_level))
 
 
 def _density_cvar(p, a_level, q, tail):
@@ -277,9 +286,8 @@ def _density_cvar(p, a_level, q, tail):
 
     This Rockafellar-Uryasev form is minimal, and flat, at the exact
     quantile q*, where it equals CVaR: a root off by dq moves it by
-    O(dq^2), while the identity moves to first order, by
-    q (alpha - F(q)) / (1 - alpha), so the routes part exactly where the
-    identity is off.
+    O(dq^2), while the elementary form, which takes F(q) = alpha, moves
+    to first order, by (q - mean) (alpha - F(q)) / (1 - alpha).
 
     E[(X - q)+] is the integral of (x - q) f(x) over [q, 1], of length
     tail = 1 - q; the incomplete beta is never called.  Substituting
@@ -302,10 +310,11 @@ def _density_cvar(p, a_level, q, tail):
 def cvar(p: BetaKotzParams, alpha) -> float:
     """Mean of the (1-alpha) tail, computed by two routes that must agree.
 
-    The tail-expectation identity provides the returned value; VaR plus
-    the expected excess over it, by tanh-sinh quadrature of the density
-    with no incomplete beta, is a mandatory cross-check, and disagreement
-    beyond 1e-8 signals a kernel bug.
+    VaR plus the expected excess over it, by tanh-sinh quadrature of the
+    density, provides the returned value; the elementary form
+    mean + q^a (1-q)^b / (B(a, b) (a+b) (1-alpha)) at q = VaR is a
+    mandatory cross-check, and disagreement beyond 1e-8 signals a kernel
+    bug.  Neither route calls the incomplete beta.
     """
     a_level = _alpha_value(alpha)
     return _checked_cvar(p, a_level, *_var_pair(p, a_level))
@@ -313,16 +322,16 @@ def cvar(p: BetaKotzParams, alpha) -> float:
 
 def _checked_cvar(p, a_level, q, tail):
     # cvar() given q and tail = 1 - q, which report() solves for once.
-    identity = _tail_expectation_cvar(p, a_level, q, tail)
     density = _density_cvar(p, a_level, q, tail)
+    elementary = _elementary_cvar(p, a_level, q, tail)
     # Written as `not <=` so that a nan from either route raises too.
-    if not abs(identity - density) <= _CVAR_CROSSCHECK_TOL:
+    if not abs(density - elementary) <= _CVAR_CROSSCHECK_TOL:
         raise InternalConsistencyError(
-            f"CVaR routes disagree: identity={identity!r}, "
-            f"density={density!r} for (a={p.a}, b={p.b}, "
+            f"CVaR routes disagree: density={density!r}, "
+            f"elementary={elementary!r} for (a={p.a}, b={p.b}, "
             f"alpha={a_level})"
         )
-    return identity
+    return density
 
 
 def cvar_closed(p: BetaKotzParams, alpha) -> float | None:

@@ -287,18 +287,19 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    return _inc_beta_tails(a, b, x, 1.0 - x)[0]
+    return _inc_beta_tails(a, b, x, 1.0 - x, ln_beta(a, b))[0]
 
 
-def _inc_beta_tails(a, b, x, y):
-    """(I_x(a, b), 1 - I_x(a, b)) for 0 < x < 1 and y = 1 - x, unchecked: both
-    logs come from the smaller of x and y, which the caller carries, and the
-    side the continued fraction computes keeps full relative precision."""
+def _inc_beta_tails(a, b, x, y, ln_b):
+    """(I_x(a, b), 1 - I_x(a, b)) for 0 < x < 1, y = 1 - x and
+    ln_b = ln B(a, b), unchecked: both logs come from the smaller of x and y,
+    which the caller carries, and the side the continued fraction computes
+    keeps full relative precision."""
     if x <= y:
         ln_x, ln_y = math.log(x), math.log1p(-x)
     else:
         ln_x, ln_y = math.log1p(-y), math.log(y)
-    ln_front = a * ln_x + b * ln_y - ln_beta(a, b)
+    ln_front = a * ln_x + b * ln_y - ln_b
     if x < (a + 1.0) / (a + b + 2.0):
         lower = math.exp(ln_front) * _beta_contfrac(a, b, x) / a
         return lower, 1.0 - lower

@@ -40,7 +40,7 @@ from betakotz.specfun import (
     trigamma,
 )
 from betakotz.specfun import _series_2f1
-from cvar_oracle import quadrature_cvar
+from cvar_oracle import identity_cvar, quadrature_cvar
 
 mp.mp.dps = 30
 
@@ -242,7 +242,7 @@ def test_criterion_4_cvar_dual_method():
         q, tail = risk._var_pair(p, alpha)
         worst_resid = max(worst_resid, abs(cdf(p, q) - alpha))
         assert abs(cdf(p, q) - alpha) <= 1e-12
-        identity = risk._tail_expectation_cvar(p, alpha, q, tail)
+        identity = identity_cvar(p, alpha, q, tail)
         for route, other in (("quadrature", quadrature_cvar(p, alpha)),
                              ("density", risk._density_cvar(p, alpha, q, tail))):
             gap = abs(identity - other)

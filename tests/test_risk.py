@@ -27,7 +27,7 @@ from betakotz.risk import (
     var_student,
 )
 from betakotz import risk as risk_mod
-from cvar_oracle import quadrature_cvar
+from cvar_oracle import identity_cvar, quadrature_cvar
 
 # The ten shape pairs with closed-form quantiles.
 CLOSED_FORM_CASES = [
@@ -306,7 +306,7 @@ def test_cvar_dual_route_agreement():
         p = BetaKotzParams(rng.uniform(0.2, 40.0), rng.uniform(0.2, 40.0))
         alpha = rng.uniform(0.01, 0.999)
         q, tail = risk_mod._var_pair(p, alpha)
-        identity = risk_mod._tail_expectation_cvar(p, alpha, q, tail)
+        identity = identity_cvar(p, alpha, q, tail)
         assert abs(identity - quadrature_cvar(p, alpha)) <= 1e-8
         assert abs(identity - risk_mod._density_cvar(p, alpha, q, tail)) <= 1e-8
 
@@ -358,6 +358,7 @@ def test_density_cvar_reads_the_carried_side(a, b, alpha):
     q, tail = risk_mod._var_pair(p, alpha)
     exact = _mpmath_density_cvar(a, b, alpha, q)
     assert abs(risk_mod._density_cvar(p, alpha, q, tail) - exact) <= 2e-15 * exact
+    assert abs(report(p, alpha).cvar - exact) <= 2e-15 * exact
 
 
 @pytest.mark.parametrize("a, b, alpha", [
@@ -365,7 +366,7 @@ def test_density_cvar_reads_the_carried_side(a, b, alpha):
 ])
 def test_identity_cvar_reads_the_carried_side(a, b, alpha):
     # VaR is carried below 1/2 here; b ln(1 - VaR) from the rounded
-    # 1 - VaR put the returned route 2.0e-12 to 4.6e-9 off.
+    # 1 - VaR put the identity 2.0e-12 to 4.6e-9 off.
     p = BetaKotzParams(a, b)
     q, tail = risk_mod._var_pair(p, alpha)
     assert q < tail
@@ -373,7 +374,24 @@ def test_identity_cvar_reads_the_carried_side(a, b, alpha):
         ma, mb = mp.mpf(a), mp.mpf(b)
         exact = (ma / (ma + mb) * mp.betainc(ma + 1, mb, mp.mpf(q), 1, regularized=True)
                  / (1 - mp.mpf(alpha)))
-    got = risk_mod._tail_expectation_cvar(p, alpha, q, tail)
+    got = identity_cvar(p, alpha, q, tail)
+    assert abs(got - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("a, b, alpha", [
+    (0.01, 1e8, 0.99), (0.5, 1e6, 0.9), (0.05, 40000.0, 0.99),
+])
+def test_elementary_cvar_reads_the_carried_side(a, b, alpha):
+    # Logs from the rounded 1 - VaR put the cross-check 2.0e-12 to 4.6e-9
+    # off here, at the same VaR.
+    p = BetaKotzParams(a, b)
+    q, tail = risk_mod._var_pair(p, alpha)
+    assert q < tail
+    with mp.workdps(40):
+        ma, mb, mq = mp.mpf(a), mp.mpf(b), mp.mpf(q)
+        exact = ma / (ma + mb) + mq**ma * (1 - mq)**mb / (
+            mp.beta(ma, mb) * (ma + mb) * (1 - mp.mpf(alpha)))
+    got = risk_mod._elementary_cvar(p, alpha, q, tail)
     assert abs(got - exact) <= 1e-14 * exact
 
 
@@ -420,7 +438,7 @@ def test_report_lower_clamp_keeps_identity():
 
 def test_cvar_inconsistency_guard(monkeypatch):
     monkeypatch.setattr(
-        risk_mod, "_tail_expectation_cvar", lambda p, a, q, tail: 123.0
+        risk_mod, "_elementary_cvar", lambda p, a, q, tail: 123.0
     )
     with pytest.raises(InternalConsistencyError):
         cvar(BetaKotzParams(2, 2), 0.9)
@@ -447,20 +465,20 @@ def _count_contfrac(monkeypatch):
 
 
 def test_report_reg_inc_beta_count(monkeypatch):
-    # The side-of-1/2 call and six evaluations of the inversion, plus
-    # the identity's I_{1-q}(b, a+1); the density cross-check adds none.
+    # The side-of-1/2 call and six evaluations of the inversion; neither
+    # CVaR route adds one.
     calls = _count_contfrac(monkeypatch)
     report(BetaKotzParams(1.2, 11.4), 0.99)
-    assert calls[0] == 8
+    assert calls[0] == 7
 
 
 def test_tables_numeric_reg_inc_beta_count(monkeypatch, capsys):
-    # 21 rows at the default alpha, about six evaluations each.
+    # 21 rows at the default alpha, about five evaluations each.
     monkeypatch.delenv(cli.ALPHA_ENV_VAR, raising=False)
     calls = _count_contfrac(monkeypatch)
     assert cli.main(["tables", "numeric"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert calls[0] == 119
+    assert calls[0] == 98
 
 
 def test_var_student_reg_inc_beta_count(monkeypatch):
@@ -594,10 +612,13 @@ def test_risk_report_validation():
 
 
 def test_report_refuses_cvar_above_the_support():
-    # One ulp below alpha = 1, (3, 1)'s tail mean rounds to 1 + 7 ulps;
-    # a CVaR above the support's top is refused, with the reason.
+    # At alpha = 1 - 2^-52, (2, 1)'s closed-form tail mean rounds to 1 + 1
+    # ulp; a CVaR above the support's top is refused, with the reason.
     with pytest.raises(ValueError, match="cvar must not exceed 1.*rounds above it"):
-        report(BetaKotzParams(3, 1), 1 - 2**-52)
+        report(BetaKotzParams(2, 1), 1 - 2**-52, method=SolveMethod.CLOSED_FORM)
+    # The identity put (3, 1)'s tail mean at 1 + 7 ulps there; the density
+    # route, VaR plus the excess over it, stays in the support.
+    assert report(BetaKotzParams(3, 1), 1 - 2**-52).cvar == 0.9999999999999999
 
 
 # ---------------------------------------------------------------------------

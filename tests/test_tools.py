@@ -148,9 +148,27 @@ def test_risk_sweep_counts_outcomes_and_kernel_work(child_env):
     # the shared counter sees the kernel's work in both passes
     per_op = [re.fullmatch(r"_beta_contfrac evaluations per op: ([\d.]+)", line)
               for line in lines]
-    per_month = re.fullmatch(r"portfolio_pool\(1, 32\) fitted shapes: ([\d.]+)"
-                             r" _beta_contfrac evaluations per report\(\) over 32"
-                             r" months", lines[-1])
+    per_month = [re.fullmatch(r"portfolio_pool\(1, 32\) fitted shapes: ([\d.]+)"
+                              r" _beta_contfrac evaluations per report\(\) over 32"
+                              r" months", line) for line in lines]
     (per_op,) = filter(None, per_op)
-    assert per_month, lines[-1]
+    (per_month,) = filter(None, per_month)
     assert 1.0 < float(per_op[1]) < 50.0 and 1.0 < float(per_month[1]) < 50.0
+    # CVaR: the cross-check residual of every answer, within report()'s
+    # gate, and the mpmath errors of both routes and of the returned value
+    stats = r"p50 (\S+)  p99 (\S+)  max (\S+)"
+    (residual,) = filter(None, (re.fullmatch(
+        r"CVaR cross-check \|density - elementary\| over (\d+) successes: "
+        + stats, line) for line in lines))
+    assert int(residual[1]) == outcomes["RiskReport"]
+    assert float(residual[2]) <= float(residual[3]) <= float(residual[4]) <= 1e-8
+    routes = {found[1]: float(found[4]) for found in (
+        re.fullmatch(r"  (density \(returned\)|elementary) +" + stats, line)
+        for line in lines) if found}
+    assert set(routes) == {"density (returned)", "elementary"}
+    assert routes["density (returned)"] <= 2e-15 and routes["elementary"] <= 1e-8
+    (months,) = filter(None, (re.fullmatch(
+        r"portfolio_pool\(1, 32\) fitted shapes: returned CVaR error vs mpmath"
+        r" over (\d+) of 32 months \((\d+) mpmath betainc did not converge\): "
+        + stats, line) for line in lines))
+    assert int(months[1]) + int(months[2]) == 32 and float(months[5]) <= 2e-15

@@ -11,16 +11,18 @@ and prints:
   relative error of whichever of VaR and 1 - VaR the solver carries
   below 1/2, against `scipy.special.betaincinv` on that side (skipped
   when scipy is not installed);
-- the CVaR cross-check residual |identity - density| of the successes,
-  the figure `report()` gates at 1e-8 and then drops;
+- the CVaR cross-check residual |density - elementary| of the
+  successes, the figure `report()` gates at 1e-8 and then drops;
 - the relative error against mpmath, at the same VaR, of the density
-  route and of the identity route, whose value `report()` returns, over
-  a fixed sample of 128 successes, counting the draws where mpmath's
-  `betainc` does not converge (skipped when mpmath is not installed);
+  route, whose value `report()` returns, and of the elementary form
+  that checks it, over a fixed sample of 128 successes, counting the
+  draws where mpmath's `betainc` does not converge (skipped when mpmath
+  is not installed);
 - `specfun._beta_contfrac` evaluations per `report()`, the
   machine-independent count of incomplete-beta work, over the pool and
   over the fitted shapes of the portfolio-month pool
-  (`portfolio_pool(1, 32)`) at each month's level.
+  (`portfolio_pool(1, 32)`) at each month's level, and the relative
+  error of the returned CVaR against mpmath over those shapes.
 
     python tools/risk_sweep.py [--seed 7] [--size 1024]
 
@@ -69,33 +71,64 @@ def var_error(a, b, alpha):
 
 
 def crosscheck_residual(a, b, alpha):
-    """|identity - density| of the two CVaR routes at the solved VaR."""
+    """|density - elementary| of the two CVaR routes at the solved VaR."""
     p = BetaKotzParams(a, b)
     q, tail = risk._var_pair(p, alpha)
-    return abs(risk._tail_expectation_cvar(p, alpha, q, tail)
-               - risk._density_cvar(p, alpha, q, tail))
+    return abs(risk._density_cvar(p, alpha, q, tail)
+               - risk._elementary_cvar(p, alpha, q, tail))
+
+
+def mpmath_routes(p, alpha, q, tail):
+    """The density route and the elementary form in 40-digit mpmath, at
+    the VaR q = 1 - tail the solver carries: the elementary form moves
+    with VaR to first order, so its reference is taken at the same
+    point."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        ma, mb, level = mp.mpf(p.a), mp.mpf(p.b), 1 - mp.mpf(alpha)
+        mq, mtail = ((mp.mpf(q), 1 - mp.mpf(q)) if q <= tail
+                     else (1 - mp.mpf(tail), mp.mpf(tail)))
+        mean = ma / (ma + mb)
+        # E[(X - q)+] = mean P_{a+1,b}(X > q) - q P_{a,b}(X > q).
+        excess = (mean * mp.betainc(ma + 1, mb, mq, 1, regularized=True)
+                  - mq * mp.betainc(ma, mb, mq, 1, regularized=True))
+        return (mq + excess / level,
+                mean + mq**ma * mtail**mb / (mp.beta(ma, mb) * (ma + mb) * level))
+
+
+def relative_error(got, ref):
+    return float(abs(got - ref) / ref)
 
 
 def route_errors(a, b, alpha):
-    """Relative errors of the density and identity routes against mpmath,
-    each at the VaR the solver carries (the identity moves with VaR to
-    first order, so its reference is taken at the same point)."""
-    import mpmath as mp
-
+    """Relative errors of the density route and the elementary form
+    against mpmath."""
     p = BetaKotzParams(a, b)
     q, tail = risk._var_pair(p, alpha)
-    with mp.workdps(40):
-        ma, mb = mp.mpf(a), mp.mpf(b)
-        mq = mp.mpf(q) if q <= tail else 1 - mp.mpf(tail)
-        level = 1 - mp.mpf(alpha)
-        # E[X; X > q] = mean P_{a+1,b}(X > q), and
-        # E[(X - q)+] = E[X; X > q] - q P_{a,b}(X > q).
-        tail_mean = ma / (ma + mb) * mp.betainc(ma + 1, mb, mq, 1, regularized=True)
-        density = mq + (tail_mean - mq * mp.betainc(ma, mb, mq, 1, regularized=True)) / level
-        identity = tail_mean / level
-        return (float(abs(risk._density_cvar(p, alpha, q, tail) - density) / density),
-                float(abs(risk._tail_expectation_cvar(p, alpha, q, tail) - identity)
-                      / identity))
+    density, elementary = mpmath_routes(p, alpha, q, tail)
+    return (relative_error(risk._density_cvar(p, alpha, q, tail), density),
+            relative_error(risk._elementary_cvar(p, alpha, q, tail), elementary))
+
+
+def returned_error(p, alpha):
+    """Relative error of `report(p, alpha).cvar` against mpmath."""
+    density, _ = mpmath_routes(p, alpha, *risk._var_pair(p, alpha))
+    return relative_error(risk.report(p, alpha).cvar, density)
+
+
+def without_stalls(error, cases):
+    """([error(*case) for case in cases] without the cases where mpmath's
+    `betainc` does not converge, their number)."""
+    from mpmath.libmp import NoConvergence
+
+    errors, stalled = [], 0
+    for case in cases:
+        try:
+            errors.append(error(*case))
+        except NoConvergence:
+            stalled += 1
+    return errors, stalled
 
 
 def quantiles(values, probs=(0.5, 0.99, 1.0)):
@@ -145,24 +178,18 @@ def main(argv=None):
               f"{len(errors)} successes: p50 {p50:.2g}  p99 {p99:.2g}  max {worst:.2g}")
 
     p50, p99, worst = quantiles([crosscheck_residual(*t) for t in successes])
-    print(f"CVaR cross-check |identity - density| over {len(successes)} "
+    print(f"CVaR cross-check |density - elementary| over {len(successes)} "
           f"successes: p50 {p50:.2g}  p99 {p99:.2g}  max {worst:.2g}")
 
     sample = successes[::max(1, len(successes) // 128)][:128]
     try:
-        from mpmath.libmp import NoConvergence
+        errors, stalled = without_stalls(route_errors, sample)
     except ImportError:
         print("CVaR route errors: mpmath not installed, skipped")
     else:
-        errors, stalled = [], 0
-        for t in sample:
-            try:
-                errors.append(route_errors(*t))
-            except NoConvergence:
-                stalled += 1
         print(f"CVaR route errors vs mpmath over {len(errors)} of {len(sample)} "
               f"sampled successes ({stalled} mpmath betainc did not converge):")
-        for name, route in zip(("density", "identity (returned)"), zip(*errors)):
+        for name, route in zip(("density (returned)", "elementary"), zip(*errors)):
             p50, p99, worst = quantiles(route)
             print(f"  {name:<20} p50 {p50:.2g}  p99 {p99:.2g}  max {worst:.2g}")
 
@@ -170,6 +197,15 @@ def main(argv=None):
     month_calls = sum(counted_report(p, alpha)[1] for p, alpha in shapes)
     print(f"portfolio_pool(1, 32) fitted shapes: {month_calls / len(shapes):.2f} "
           f"_beta_contfrac evaluations per report() over {len(shapes)} months")
+    try:
+        errors, stalled = without_stalls(returned_error, shapes)
+    except ImportError:
+        print("returned CVaR error: mpmath not installed, skipped")
+    else:
+        p50, p99, worst = quantiles(errors)
+        print(f"portfolio_pool(1, 32) fitted shapes: returned CVaR error vs mpmath "
+              f"over {len(errors)} of {len(shapes)} months ({stalled} mpmath betainc "
+              f"did not converge): p50 {p50:.2g}  p99 {p99:.2g}  max {worst:.2g}")
 
 
 if __name__ == "__main__":
