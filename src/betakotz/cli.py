@@ -171,10 +171,16 @@ def cmd_measures(args, out) -> int:
 
 def _read_sample_file(path):
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            lines = handle.read().splitlines()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as err:
         raise ValueError(f"cannot read sample file: {err}") from None
+    # UTF-8, a byte-order mark dropped by hand, as read_portfolio_csv reads
+    try:
+        lines = data.decode("utf-8").removeprefix("\ufeff").splitlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(
+            f"not UTF-8 at byte offset {err.start}: {err.reason}") from None
     values = []
     for line_num, line in enumerate(lines, start=1):
         text = line.strip().rstrip(",")

@@ -325,6 +325,30 @@ def test_fit_reads_a_byte_order_mark_as_nothing(capsys, tmp_path):
     assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
 
 
+def test_fit_reads_a_byte_order_mark_without_the_utf_8_sig_codec(child_env, tmp_path):
+    # The mark is dropped by hand: a "utf-8-sig" handle imports
+    # encodings.utf_8_sig and decodes through its Python-level methods.
+    path = tmp_path / "rates.csv"
+    path.write_bytes(b"\xef\xbb\xbfrate\n0.2\n0.4\n0.6\n")
+    code = ("import contextlib, io, sys; from betakotz import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['fit', {str(path)!r}, '--method', 'mom']) == 0\n"
+            "print('encodings.utf_8_sig' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=child_env)
+    assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_fit_byte_that_is_not_utf8_names_its_offset(capsys, tmp_path, mark):
+    # The offset counts from the start of the file, byte-order mark included.
+    path = tmp_path / "rates.txt"
+    path.write_bytes(mark + b"0.1\n0.2\n\xff\n")
+    code, out, err = run_cli(capsys, "fit", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: not UTF-8 at byte offset {len(mark) + 8}: invalid start byte\n"
+
+
 def test_fit_names_a_malformed_first_value(capsys, tmp_path):
     # Only a bare column name counts as a header; any other first line
     # that is not a number is an error on line 1, not a skipped header.

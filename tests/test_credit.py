@@ -8,6 +8,7 @@ import math
 import pathlib
 import random
 import sys
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -124,6 +125,30 @@ def test_lgd_financial_collateral_is_flat():
     afc = Guarantee.ADMISSIBLE_FINANCIAL_COLLATERAL
     for days in (0, 90, 360, 5000):
         assert lgd_lookup(afc, days) == 0.12
+
+
+# Every int day through the end of the by-day tables and past it, and
+# days that are not ints, as a hand-built Obligor may hold them.
+TABLE_DAYS = [*range(1501), 10**30, 5.0, 5.5, 720.5, True]
+
+
+def test_lgd_tables_agree_with_the_tiers():
+    # The by-day tables, lgd_lookup and the loss rates give the tier
+    # lgds[bisect_right(thresholds, d)] at every day.
+    for guarantee, (thresholds, lgds) in credit._LGD_TIERS.items():
+        table = credit._LGD_BY_DAY[guarantee]
+        assert len(table) == credit._LAST_DAY + 1 == 721
+        obligors = [Obligor("X", Rating.DEFAULT, Segment.OTHER, 1.0, guarantee, d)
+                    for d in TABLE_DAYS]
+        rates = loss_rates(obligors)  # each EAD * PD 1.0 * LGD / total
+        for d, o, rate in zip(TABLE_DAYS, obligors, rates):
+            expected = lgds[bisect_right(thresholds, d)]
+            assert expected == golden_lgd(guarantee, d)
+            assert lgd_lookup(guarantee, d) == expected
+            assert expected_loss(o) == expected
+            assert rate == expected / len(TABLE_DAYS)
+            if type(d) is int:
+                assert table[min(d, credit._LAST_DAY)] == expected
 
 
 # ---------------------------------------------------------------------------

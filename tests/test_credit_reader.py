@@ -300,6 +300,11 @@ COLUMNS = REQUIRED + OPTIONAL
 ROWS = 4 * CHUNK + CHUNK // 3
 THIRD = 2 * CHUNK + CHUNK // 4  # a row of the third chunk
 
+# Blocks of 8,192 characters, the reader's size before it read 32 K at a
+# time: a file of ROWS rows spans several of them, and the tests that
+# place their edits at block edges in such a file run at this size.
+SMALL_BLOCK = 8192
+
 
 def _plain_row(rng, k):
     """A row whose cells the column route takes as they stand."""
@@ -425,6 +430,7 @@ PLAIN_SPELLINGS = {
     ("quote-free-chunked", 2), ("chunked", 2)])
 def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
                                                 readers):
+    monkeypatch.setattr(credit, "_BLOCK_CHARS", SMALL_BLOCK)
     # csv.reader reads the header, and no block of a plain file, with
     # "\n" or "\r\n" line ends or none after the last line, with blank
     # lines, or with a quoted header.  A block that the split cannot read
@@ -604,7 +610,7 @@ def _blank_block(end):
     def edit(text):
         # blank lines over three blocks, so that one block holds only them
         lines = text.splitlines(keepends=True)
-        lines[300:300] = [end] * (3 * BLOCK // len(end))
+        lines[300:300] = [end] * (3 * SMALL_BLOCK // len(end))
         return "".join(lines)
     return edit
 
@@ -613,7 +619,7 @@ def _quote_after_first_block(text):
     # the first quote is near the end of the file's second block, in a
     # field that spans lines, and a partial line follows it
     lines = text.splitlines(keepends=True)
-    k = next(k for k in range(len(lines)) if len("".join(lines[:k])) > 2 * BLOCK)
+    k = next(k for k in range(len(lines)) if len("".join(lines[:k])) > 2 * SMALL_BLOCK)
     lines[k - 3] = '"OBL ""q""\nsplit"' + lines[k - 3][lines[k - 3].index(","):]
     return "".join(lines)
 
@@ -621,13 +627,14 @@ def _quote_after_first_block(text):
 @pytest.mark.parametrize("edit", [
     _blank_block("\n"),
     _blank_block("\r\n"),
-    lambda text: text.replace("OBL-150,", "L" * (3 * BLOCK + 5) + ","),
-    lambda text: text.replace("OBL-150,", "L" * (3 * BLOCK + 5) + ",", 1)
+    lambda text: text.replace("OBL-150,", "L" * (3 * SMALL_BLOCK + 5) + ","),
+    lambda text: text.replace("OBL-150,", "L" * (3 * SMALL_BLOCK + 5) + ",", 1)
     .replace("Other", "Nowhere", 30),
     _quote_after_first_block,
 ], ids=["blank-block", "blank-block-crlf", "long-line", "long-line-fault",
         "quote-after-first-block"])
-def test_block_edge_cases_match_oracle(tmp_path, edit):
+def test_block_edge_cases_match_oracle(tmp_path, monkeypatch, edit):
+    monkeypatch.setattr(credit, "_BLOCK_CHARS", SMALL_BLOCK)
     rng = random.Random(37)
     path = tmp_path / "p.csv"
     _write_rows(path, [_plain_row(rng, k) for k in range(ROWS)])
@@ -637,6 +644,95 @@ def test_block_edge_cases_match_oracle(tmp_path, edit):
     got = outcome(read_portfolio_csv, path)
     assert got == outcome(oracle_read_portfolio_csv, path)
     assert isinstance(got, str) == ("Nowhere" in text)
+
+
+def test_plain_file_at_the_shipped_block_size(tmp_path, monkeypatch):
+    # A plain file several blocks long is split throughout at the
+    # shipped size: one chunk per block of _BLOCK_CHARS characters and
+    # the rest of the line they end in, and csv.reader reads only the
+    # header.
+    path = tmp_path / "p.csv"
+    _write_rows(path, _varied_rows(random.Random(43), 3000))
+    text = path.read_text(encoding="utf-8")
+    body = text[text.index("\n") + 1:]
+    blocks, start = 0, 0
+    while start < len(body):
+        blocks += 1
+        start = body.find("\n", start + credit._BLOCK_CHARS - 1) + 1 or len(body)
+    assert blocks >= 4
+    expected = oracle_read_portfolio_csv(path)
+    chunks, readers = [], []
+    column_fields, reader = credit._column_fields, csv.reader
+    monkeypatch.setattr(credit, "_column_fields",
+                        lambda *args: chunks.append(1) or column_fields(*args))
+    monkeypatch.setattr(credit.csv, "reader",
+                        lambda *args: readers.append(1) or reader(*args))
+    assert read_portfolio_csv(path) == expected
+    assert len(chunks) == blocks and len(readers) == 1
+
+
+# Day spellings that the table of canonical counts "0" ... "999" misses,
+# and that int() reads: leading zeros, padding, a sign, an underscore,
+# Unicode digits, blanks and counts of 1,000 and more.
+OFF_TABLE_DAYS = ("007", " 5", "+5", "1_000", "\u0665", "\uff17\uff12", "", " ",
+                  "-0", "1000", "2500")
+
+
+def test_day_table_holds_the_canonical_spellings_below_1000():
+    assert list(credit._DAY_BY_TEXT) == list(map(str, range(1000)))
+    for text, day in credit._DAY_BY_TEXT.items():
+        assert int(text) == day
+
+
+def _day_rows(rng, count, every):
+    """`count` plain rows with canonical days, and an off-table spelling
+    in every `every`-th row."""
+    rows = _varied_rows(rng, count)
+    for k, row in enumerate(rows):
+        row[COLUMNS.index("days_past_due")] = (
+            OFF_TABLE_DAYS[k // every % len(OFF_TABLE_DAYS)] if k % every == every - 1
+            else str(rng.randrange(1000)))
+    return rows
+
+
+@pytest.mark.parametrize("fault", [None, "-3"])
+def test_off_table_days_at_every_block_edge_match_oracle(tmp_path, monkeypatch, fault):
+    # Each off-table spelling among canonical days, with blocks of 1 to
+    # 96 bytes, so that an edge falls at every byte of the file; with a
+    # negative day, the row it is in is named.
+    rows = _day_rows(random.Random(47), 2 * len(OFF_TABLE_DAYS), 2)
+    if fault:
+        _set(rows, 15, "days_past_due", fault)
+    path = tmp_path / "p.csv"
+    _write_rows(path, rows)
+    expected = outcome(oracle_read_portfolio_csv, path)
+    assert isinstance(expected, str) == bool(fault)
+    for block in range(1, 97):
+        monkeypatch.setattr(credit, "_BLOCK_CHARS", block)
+        assert outcome(read_portfolio_csv, path) == expected, block
+
+
+@pytest.mark.parametrize("fault", [None, "-3"])
+def test_off_table_days_in_every_block_match_oracle(tmp_path, monkeypatch, fault):
+    # An off-table spelling in every 7th row of a file of several blocks
+    # at the shipped size: the column route converts every block that
+    # holds one, and a negative day halfway through names its row.
+    rows = _day_rows(random.Random(53), 3000, 7)
+    if fault:
+        _set(rows, 1500, "days_past_due", fault)
+    path = tmp_path / "p.csv"
+    _write_rows(path, rows)
+    assert path.stat().st_size > 4 * credit._BLOCK_CHARS
+    row_route = []
+    row_obligors = credit._row_obligors
+    monkeypatch.setattr(credit, "_row_obligors",
+                        lambda *args: row_route.append(1) or row_obligors(*args))
+    got = outcome(read_portfolio_csv, path)
+    assert got == outcome(oracle_read_portfolio_csv, path)
+    if fault:
+        assert got.startswith("ValueError: row 1502:"), got
+    else:
+        assert row_route == [] and {o.days_past_due for o in got} >= {7, 5, 1000, 72}
 
 
 def test_split_cells_counts_lines_not_cells():

@@ -1,5 +1,6 @@
 """The measurement scripts in tools/ run and report consistent counts."""
 
+import json
 import pathlib
 import re
 import subprocess
@@ -43,22 +44,24 @@ def test_time_credit_times_and_counts_each_run(child_env):
                           capture_output=True, text=True, check=True, env=child_env)
     lines = done.stdout.splitlines()
     assert lines[0] == "500 rows, min of 1 repeats"
-    reads = ["read_portfolio_csv", "read(R-header)", "read(blank-2nd-line)"]
+    reads = ["read_portfolio_csv", "read(R-header)", "read(blank-2nd-line)",
+             "read(late-days)"]
     runs = [*reads, "period_report", "period_report(list)", "portfolio_op"]
     # time rows: name, ms, µs/row, rows/s
-    assert [line.split()[0] for line in lines[1:7]] == runs
-    assert all(float(line.split()[1]) > 0.0 for line in lines[1:7])
+    assert [line.split()[0] for line in lines[1:8]] == runs
+    assert all(float(line.split()[1]) > 0.0 for line in lines[1:8])
     calls, logarithms, chunks, str_counts, readers = {}, {}, {}, {}, {}
-    transient, collections = {}, {}
-    for line in lines[7:]:
+    bisects, transient, collections = {}, {}, {}
+    for line in lines[8:]:
         name, rest = line.split(": ", 1)
         if "Python-level calls per row" in rest:
             calls[name] = float(rest.split()[0])
-            found = re.search(r"; (\S+) log/log1p calls per row; (\d+) chunks per read;"
+            found = re.search(r"; (\S+) log/log1p calls per row; (\S+) bisect_right"
+                              r" calls per row; (\d+) chunks per read;"
                               r" (\d+) str.count calls per read;", rest)
             assert found, line
-            logarithms[name], chunks[name] = float(found[1]), int(found[2])
-            str_counts[name] = int(found[3])
+            logarithms[name], chunks[name] = float(found[1]), int(found[3])
+            bisects[name], str_counts[name] = float(found[2]), int(found[4])
             readers[name] = rest.split("; ")[-1]
         else:
             found = re.fullmatch(r"(\S+) KB transient peak, (\d+) GC collections "
@@ -80,6 +83,9 @@ def test_time_credit_times_and_counts_each_run(child_env):
     assert 0.0 < logarithms["period_report"] * 500 < 500
     assert logarithms["portfolio_op"] == logarithms["period_report"]
     assert chunks["period_report"] == chunks["period_report(list)"] == 0
+    # Every LGD of the month, late days included, comes from the by-day
+    # tables: bisect_right runs only for a day that is not an int.
+    assert set(bisects.values()) == {0.0}
     # No run scans a block with str.count: a quote-free block without a
     # "\r" is not counted, and the splitter knows its lines from its commas.
     assert set(str_counts.values()) == {0}
@@ -101,6 +107,18 @@ def test_time_credit_counts_the_str_count_calls(child_env):
     assert done.stdout == "2\n"
 
 
+def test_time_credit_counts_the_bisect_right_calls(child_env):
+    # bisect_right through the module or imported by name, not bisect_left
+    run = ("lambda: (bisect.bisect_right([1], 0), bisect_right([1], 2),"
+           " bisect.bisect_left([1], 0))")
+    done = subprocess.run([sys.executable, "-c",
+                           "import bisect, time_credit; from bisect import bisect_right;"
+                           f" print(time_credit.python_calls({run})[3])"],
+                          cwd=TOOLS, capture_output=True, text=True, check=True,
+                          env=child_env)
+    assert done.stdout == "2\n"
+
+
 def test_time_credit_compares_with_a_parent_tree(child_env):
     # Its own tree as the parent: both trees give equal outputs, each time
     # row carries the parent's time and the ratio, and the two trees make
@@ -113,22 +131,38 @@ def test_time_credit_compares_with_a_parent_tree(child_env):
     assert lines[0] == (f"500 rows, min of 2 repeats, alternating with the parent"
                         f" {root} (equal outputs)")
     # and the median and range of the two repeats' paired ratios
-    for line in lines[1:7]:
+    for line in lines[1:8]:
         found = re.fullmatch(r"\S+ +([\d.]+) ms .* parent +([\d.]+) ms  ratio ([\d.]+)"
                              r"  paired median ([\d.]+) range ([\d.]+)-([\d.]+)", line)
         assert found and all(float(value) > 0.0 for value in found.groups()), line
         median, low, high = map(float, found.groups()[3:])
         assert low <= median <= high, line
-    counts = lines[7:]
-    assert len(counts) == 24
-    ours, parents = counts[:12], counts[12:]
+    counts = lines[8:]
+    assert len(counts) == 28
+    ours, parents = counts[:14], counts[14:]
     assert parents[0::2] == ["parent " + line for line in ours[0::2]]
     for line, parent in zip(ours[1::2], parents[1::2]):
         assert parent.startswith("parent " + line.split(": ", 1)[0] + ": ")
     # csv.reader reads only the header of the generated month and of its
-    # two spellings, whose chunks are all split with str.split
-    for line in ours[0:6:2] + parents[0:6:2]:
+    # three spellings, whose chunks are all split with str.split
+    for line in ours[0:8:2] + parents[0:8:2]:
         assert line.split("; ")[-1] == f"{1 / 500:.4f} csv.reader rows per row"
+
+
+def test_risk_sweep_samples_the_pool_not_the_successes(child_env):
+    # The mpmath sample is every 8th triple of a 1,024-triple pool, less
+    # the refused: answering or refusing any other triple leaves it as it is.
+    run = ("pool = list(range(1024)); step = set(range(0, 1024, 8))\n"
+           "some = [t % 3 != 0 for t in pool]\n"
+           "more = [ok or t not in step for t, ok in zip(pool, some)]\n"
+           "fewer = [ok and t in step for t, ok in zip(pool, some)]\n"
+           "print(json.dumps([risk_sweep.mpmath_sample(pool, a)"
+           " for a in (some, more, fewer)]))")
+    done = subprocess.run([sys.executable, "-c", f"import json, risk_sweep\n{run}"],
+                          cwd=TOOLS, capture_output=True, text=True, check=True,
+                          env=child_env)
+    some, more, fewer = json.loads(done.stdout)
+    assert some == more == fewer == [t for t in range(0, 1024, 8) if t % 3 != 0]
 
 
 def test_risk_sweep_counts_outcomes_and_kernel_work(child_env):

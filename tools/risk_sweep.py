@@ -15,9 +15,9 @@ and prints:
   successes, the figure `report()` gates at 1e-8 and then drops;
 - the relative error against mpmath, at the same VaR, of the density
   route, whose value `report()` returns, and of the elementary form
-  that checks it, over a fixed sample of 128 successes, counting the
-  draws where mpmath's `betainc` does not converge (skipped when mpmath
-  is not installed);
+  that checks it, over the answered triples among a fixed sample of 128
+  of the pool, counting the draws where mpmath's `betainc` does not
+  converge (skipped when mpmath is not installed);
 - `specfun._beta_contfrac` evaluations per `report()`, the
   machine-independent count of incomplete-beta work, over the pool and
   over the fitted shapes of the portfolio-month pool
@@ -36,6 +36,7 @@ import argparse
 import sys
 import tempfile
 from collections import Counter
+from itertools import compress
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,6 +132,14 @@ def without_stalls(error, cases):
     return errors, stalled
 
 
+def mpmath_sample(pool, answered, size=128):
+    """The triples among every k-th of `pool`, `size` of them, that are
+    `answered` (a bool per triple): which others are answered does not
+    move the sample."""
+    step = max(1, len(pool) // size)
+    return [t for t, ok in zip(pool[::step][:size], answered[::step]) if ok]
+
+
 def quantiles(values, probs=(0.5, 0.99, 1.0)):
     ordered = sorted(values)
     return [ordered[min(int(p * len(ordered)), len(ordered) - 1)] for p in probs]
@@ -151,16 +160,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     pool = risk_pool(args.seed, args.size, None)
-    outcomes, examples, cf_calls, successes = Counter(), {}, 0, []
+    outcomes, examples, cf_calls, answered = Counter(), {}, 0, []
     for a, b, alpha in pool:
         result, calls = counted_report(BetaKotzParams(a, b), alpha)
         cf_calls += calls
         kind = type(result).__name__
         outcomes[kind] += 1
-        if isinstance(result, Exception):
+        refused = isinstance(result, Exception)
+        if refused:
             examples.setdefault(kind, f"({a!r}, {b!r}, {alpha!r}): {result}")
-        else:
-            successes.append((a, b, alpha))
+        answered.append(not refused)
+    successes = list(compress(pool, answered))
     print(f"risk_pool(seed={args.seed}, size={args.size}): report() outcomes")
     for kind, n in outcomes.most_common():
         print(f"  {kind:<26} {n:5d}")
@@ -181,7 +191,7 @@ def main(argv=None):
     print(f"CVaR cross-check |density - elementary| over {len(successes)} "
           f"successes: p50 {p50:.2g}  p99 {p99:.2g}  max {worst:.2g}")
 
-    sample = successes[::max(1, len(successes) // 128)][:128]
+    sample = mpmath_sample(pool, answered)
     try:
         errors, stalled = without_stalls(route_errors, sample)
     except ImportError:

@@ -1,10 +1,12 @@
 """Time the credit layer per 10,000-row generated month.
 
 Writes one month with the portfolio-month workload's generator
-(`bench/workloads.py`, seeded), then times six runs on it:
-`read_portfolio_csv`; the same read of two more spellings of the month,
-with every header name quoted as R's `write.csv` writes them
-(`read(R-header)`) and with a blank second line (`read(blank-2nd-line)`);
+(`bench/workloads.py`, seeded), then times seven runs on it:
+`read_portfolio_csv`; the same read of three more spellings of the
+month, with every header name quoted as R's `write.csv` writes them
+(`read(R-header)`), with a blank second line (`read(blank-2nd-line)`)
+and with every nonzero day count 1,000 more (`read(late-days)`, whose
+days the reader's table of spellings below 1,000 misses);
 `period_report` on the Portfolio that the read returns, and on a plain
 list of the same obligors; and the benchmark's whole portfolio-month op
 on the month (read, `period_report`, `report_to_json` and
@@ -14,8 +16,9 @@ times it prints the machine-independent counts for each run: the
 Python-level calls it makes per row, from `sys.setprofile` call
 events, with the four most frequent callees; the `math.log` and
 `math.log1p` calls per row that Python code makes, from `c_call` events
-(a C-level `map` over them makes none); the chunks that the reader
-converts, per read of the month; the `str.count` calls that Python code
+(a C-level `map` over them makes none); the `bisect_right` calls per
+row, from `c_call` events too; the chunks that the reader converts, per
+read of the month; the `str.count` calls that Python code
 makes per read, from `c_call` events too; the rows that `csv.reader`
 yields per row (the header is one of them); its transient memory, the
 `tracemalloc` peak above what it returns, in KB; and the garbage
@@ -40,6 +43,7 @@ as a wide range.  The parent's counts follow this tree's.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import functools
 import gc
@@ -74,12 +78,24 @@ def load_credit(tree, name):
     return importlib.import_module(f"{name}.credit")
 
 
+def late_days(line):
+    """A generated month's data `line` with its nonzero day count 1,000
+    more."""
+    cells = line.split(",")
+    if cells[5] != "0":
+        cells[5] = str(int(cells[5]) + 1000)
+    return ",".join(cells)
+
+
 def write_spellings(month, directory):
     """The paths, by run name, of `month` spelled with every header name
-    quoted and with a blank second line, written to `directory`."""
+    quoted, with a blank second line and with late days, written to
+    `directory`."""
     head, body = Path(month.path).read_text(encoding="utf-8").split("\n", 1)
     spellings = {"R-header": '"' + head.replace(",", '","') + '"\n' + body,
-                 "blank-2nd-line": head + "\n\n" + body}
+                 "blank-2nd-line": head + "\n\n" + body,
+                 "late-days": head + "\n" + "".join(
+                     map(late_days, body.splitlines(keepends=True)))}
     paths = {}
     for name, text in spellings.items():
         paths[f"read({name})"] = path = Path(directory) / f"{name}.csv"
@@ -88,7 +104,7 @@ def write_spellings(month, directory):
 
 
 def timed_runs(credit, month, spellings):
-    """The six timed runs on `month` and its `spellings`, through the
+    """The seven timed runs on `month` and its `spellings`, through the
     module `credit`."""
     portfolio = credit.read_portfolio_csv(month.path)
     obligors = list(portfolio)
@@ -111,19 +127,22 @@ def timed_runs(credit, month, spellings):
 LOGARITHMS = (math.log, math.log1p)
 
 
-def python_calls(run) -> tuple[Counter, int, int]:
+def python_calls(run) -> tuple[Counter, int, int, int]:
     """Python-level call events inside one `run()`, by name, and the
-    `c_call` events of its logarithms and of `str.count`."""
+    `c_call` events of its logarithms, of `str.count` and of
+    `bisect_right`."""
     calls = Counter()
-    logarithms = str_counts = 0
+    logarithms = bisects = str_counts = 0
 
     def profile(frame, event, arg):
-        nonlocal logarithms, str_counts
+        nonlocal logarithms, bisects, str_counts
         if event == "call":
             calls[frame.f_code.co_name] += 1
         elif event == "c_call":
             if arg in LOGARITHMS:
                 logarithms += 1
+            elif arg is bisect.bisect_right:
+                bisects += 1
             # a str's count method, bound to it
             elif (getattr(arg, "__name__", None) == "count"
                   and type(getattr(arg, "__self__", None)) is str):
@@ -134,7 +153,7 @@ def python_calls(run) -> tuple[Counter, int, int]:
         run()
     finally:
         sys.setprofile(None)
-    return calls, logarithms, str_counts
+    return calls, logarithms, str_counts, bisects
 
 
 def counted(owner, name, run, items=False):
@@ -191,13 +210,14 @@ def _line(name, seconds, rows):
 
 def print_counts(prefix, credit, runs, rows):
     for name, run in runs.items():
-        calls, logarithms, str_counts = python_calls(run)
+        calls, logarithms, str_counts, bisects = python_calls(run)
         top = ", ".join(f"{k} {v}" for k, v in calls.most_common(4))
         _, chunks = counted(credit, "_field_chunks", run, items=True)
         _, csv_rows = counted(csv, "reader", run, items=True)
         print(f"{prefix}{name}: {sum(calls.values()) / rows:.4f} Python-level"
               f" calls per row ({top}); {logarithms / rows:.4f} log/log1p calls"
-              f" per row; {chunks} chunks per read; {str_counts} str.count"
+              f" per row; {bisects / rows:.4f} bisect_right calls per row;"
+              f" {chunks} chunks per read; {str_counts} str.count"
               f" calls per read;"
               f" {csv_rows / rows:.4f} csv.reader rows per row")
         gcs = collections(run)
