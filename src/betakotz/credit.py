@@ -16,7 +16,7 @@ import io
 import json
 import math
 import operator
-from bisect import bisect_right
+import sys
 from collections import deque
 from collections.abc import Sequence
 from itertools import chain, compress, islice, repeat, zip_longest
@@ -105,6 +105,18 @@ def _parse_enum(cls, text, column, row_num):
     return member
 
 
+def _check_days(days_past_due, prefix=""):
+    """ValueError, led by `prefix`, unless `days_past_due` is an integer
+    (of a type that operator.index takes, as bool and NumPy's) >= 0."""
+    try:
+        if operator.index(days_past_due) >= 0:
+            return
+    except TypeError:
+        raise ValueError(
+            f"{prefix}days_past_due is not an integer: {days_past_due!r}") from None
+    raise ValueError(f"{prefix}days_past_due must be >= 0, got {days_past_due}")
+
+
 class Obligor(_Record):
     """One borrower record."""
 
@@ -115,12 +127,9 @@ class Obligor(_Record):
                  guarantee: Guarantee, days_past_due: int = 0,
                  pd_override: float | None = None,
                  lgd_override: float | None = None):
-        if not (math.isfinite(ead) and ead >= 0.0):
+        if not 0.0 <= ead <= sys.float_info.max:
             raise ValueError(f"obligor {id!r}: ead must be >= 0, got {ead}")
-        if days_past_due < 0:
-            raise ValueError(
-                f"obligor {id!r}: days_past_due must be >= 0, got {days_past_due}"
-            )
+        _check_days(days_past_due, f"obligor {id!r}: ")
         if pd_override is not None and not 0.0 <= pd_override <= 1.0:
             raise ValueError(
                 f"obligor {id!r}: pd_override must lie in [0, 1], got {pd_override}"
@@ -249,25 +258,21 @@ _PD_BY_RATING = {rating: {segment: pd for (r, segment), pd in SFC_PD_TABLE.items
                           if r is rating}
                  for rating in Rating}
 
-# guarantee -> (thresholds, lgds); the LGD at d days: lgds[bisect_right(thresholds, d)]
-_LGD_TIERS = {g: (tuple(d for d, _ in tiers), (base, *(lgd for _, lgd in tiers)))
-              for g, (base, tiers) in SFC_LGD_SCHEDULE.items()}
-
 # The schedule's last threshold, from which on every guarantee's LGD is flat.
-_LAST_DAY = max(t for thresholds, _ in _LGD_TIERS.values() for t in thresholds)
+_LAST_DAY = max(day for _, tiers in SFC_LGD_SCHEDULE.values() for day, _ in tiers)
 
 
-def _lgd_by_day(thresholds, lgds):
-    """lgds[bisect_right(thresholds, d)] at each day d = 0 ... _LAST_DAY,
-    as each tier's LGD repeated over its days."""
-    table = []
-    for lgd, start, end in zip(lgds, (0, *thresholds), (*thresholds, _LAST_DAY + 1)):
-        table += [lgd] * (end - start)
+def _lgd_by_day(base, tiers):
+    """The LGD at each day 0 ... _LAST_DAY of a guarantee of `base` LGD
+    and `tiers`: the base, then from each threshold on its tier's LGD."""
+    table = [base] * (_LAST_DAY + 1)
+    for day, lgd in tiers:
+        table[day:] = [lgd] * (_LAST_DAY + 1 - day)
     return table
 
 
-# guarantee -> its LGD at each int day up to _LAST_DAY, which later days share
-_LGD_BY_DAY = {g: _lgd_by_day(*tiers) for g, tiers in _LGD_TIERS.items()}
+# guarantee -> its LGD at each day up to _LAST_DAY, which later days share
+_LGD_BY_DAY = {g: _lgd_by_day(*schedule) for g, schedule in SFC_LGD_SCHEDULE.items()}
 
 
 def pd_lookup(rating: Rating, segment: Segment) -> float:
@@ -277,8 +282,7 @@ def pd_lookup(rating: Rating, segment: Segment) -> float:
 
 def lgd_lookup(guarantee: Guarantee, days_past_due: int) -> float:
     """Loss given default for a guarantee class at the given delinquency."""
-    if days_past_due < 0:
-        raise ValueError(f"days_past_due must be >= 0, got {days_past_due}")
+    _check_days(days_past_due)
     # the LGD of an obligor of EAD 1 and PD 1, over a total of 1
     return _loss_rates([(None, None, 1.0, guarantee, days_past_due, 1.0, None)], 1.0)[0]
 
@@ -316,19 +320,14 @@ def _loss_rates(rows, total):
     """Each obligor's expected loss EAD x PD x LGD, in that order, divided
     by `total`, from its `_field_columns` but the id: the one definition
     of an obligor's expected loss and of its LGD, with pd_lookup inlined
-    (a day is never negative: Obligor and the reader refuse one)."""
+    (a day is an integer >= 0: Obligor and the reader refuse any other)."""
     rates = []
     append = rates.append
     for rating, segment, ead, guarantee, days, pd_value, lgd_value in rows:
         if pd_value is None:
             pd_value = _PD_BY_RATING[rating][segment]
         if lgd_value is None:
-            try:
-                lgd_value = _LGD_BY_DAY[guarantee][
-                    days if days < _LAST_DAY else _LAST_DAY]
-            except TypeError:  # a day that is not an index, such as 5.5
-                thresholds, lgds = _LGD_TIERS[guarantee]
-                lgd_value = lgds[bisect_right(thresholds, days)]
+            lgd_value = _LGD_BY_DAY[guarantee][days if days < _LAST_DAY else _LAST_DAY]
         append(ead * pd_value * lgd_value / total)
     return rates
 

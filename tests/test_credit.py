@@ -128,14 +128,16 @@ def test_lgd_financial_collateral_is_flat():
 
 
 # Every int day through the end of the by-day tables and past it, and
-# days that are not ints, as a hand-built Obligor may hold them.
-TABLE_DAYS = [*range(1501), 10**30, 5.0, 5.5, 720.5, True]
+# days of other types that operator.index takes, as an Obligor may hold.
+TABLE_DAYS = [*range(1501), 10**30, True, np.int64(719), np.int64(720)]
 
 
 def test_lgd_tables_agree_with_the_tiers():
     # The by-day tables, lgd_lookup and the loss rates give the tier
     # lgds[bisect_right(thresholds, d)] at every day.
-    for guarantee, (thresholds, lgds) in credit._LGD_TIERS.items():
+    for guarantee, (base, tiers) in SFC_LGD_SCHEDULE.items():
+        thresholds = [day for day, _ in tiers]
+        lgds = [base, *(lgd for _, lgd in tiers)]
         table = credit._LGD_BY_DAY[guarantee]
         assert len(table) == credit._LAST_DAY + 1 == 721
         obligors = [Obligor("X", Rating.DEFAULT, Segment.OTHER, 1.0, guarantee, d)
@@ -149,6 +151,20 @@ def test_lgd_tables_agree_with_the_tiers():
             assert rate == expected / len(TABLE_DAYS)
             if type(d) is int:
                 assert table[min(d, credit._LAST_DAY)] == expected
+
+
+@pytest.mark.parametrize("days", [5.0, 5.5, 720.5, math.nan, math.inf, "5"], ids=repr)
+def test_days_that_are_not_integers_are_refused(days):
+    # A day count is an integer, as the reader reads one: no float, even
+    # a whole one, and no string.
+    message = f"days_past_due is not an integer: {days!r}"
+    with pytest.raises(ValueError) as err:
+        make_obligor(id="X", days_past_due=days)
+    assert str(err.value) == f"obligor 'X': {message}"
+    for guarantee in Guarantee:
+        with pytest.raises(ValueError) as err:
+            lgd_lookup(guarantee, days)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +332,16 @@ def test_obligor_validation():
         make_obligor(days_past_due=-3)
     with pytest.raises(ValueError):
         make_obligor(pd_override=1.2)
+
+
+def test_obligor_ead_is_a_finite_float_value():
+    # An int EAD beyond the largest float is refused as inf is, with a
+    # ValueError, not the OverflowError of converting it to a float.
+    for ead in (10**400, -10**400, math.inf, math.nan, -1.0, -5e-324):
+        with pytest.raises(ValueError, match="ead must be >= 0"):
+            make_obligor(ead=ead)
+    for ead in (0, -0.0, 5e-324, 10**308, sys.float_info.max):
+        assert make_obligor(ead=ead).ead == ead
 
 
 # ---------------------------------------------------------------------------

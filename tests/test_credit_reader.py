@@ -735,6 +735,58 @@ def test_off_table_days_in_every_block_match_oracle(tmp_path, monkeypatch, fault
         assert row_route == [] and {o.days_past_due for o in got} >= {7, 5, 1000, 72}
 
 
+# Per column, in Obligor.__slots__ order: cells that each route reads,
+# as written, padded or in mixed case, and cells that fail a check.
+ROUTE_CELLS = {
+    "id": (("a", " b ", ""), ()),
+    "rating": (("AA", "Default", " bb ", "cC"), ("AAA", "")),
+    "segment": (("Other", "CreditCard", " other", "CFCAUTOMOBILES"), ("Nowhere", "\t")),
+    "ead": (("1000", "12.75", " 7 ", "007", "-0", "1e308", "\x1c5", "\u0665", "1_0"),
+            ("nan", "inf", "-5", "\t", "", "1e400")),
+    "guarantee": (("NoGuarantee", "Receivables", " noguarantee ", "NONADMISSIBLE"),
+                  ("None", "")),
+    "days_past_due": (("0", "45", "900", "1000", " 7 ", "007", "-0", "", "\t",
+                       "\x1c5", "\u0665", "1_0", "+7"),
+                      ("-3", "1.5", "nan", "inf", "1e308", "x")),
+    "pd_override": (("", "0.25", " 0.3 ", "-0", "1", "\t"),
+                    ("nan", "inf", "1e308", "1.5", "-1e-9", "x")),
+    "lgd_override": (("", "0.5", "1.0", "-0", "\u0660"), ("nan", "inf", "2", "?")),
+}
+
+
+def _route_chunk(rng):
+    """The eight cell columns of a chunk of 1-4 rows, each cell bad with
+    probability 0.1; an override column is absent a third of the time."""
+    rows = rng.randint(1, 4)
+    columns = []
+    for column, (good, bad) in ROUTE_CELLS.items():
+        if column.endswith("override") and rng.random() < 1 / 3:
+            columns.append([])
+        else:
+            columns.append([rng.choice(bad if bad and rng.random() < 0.1 else good)
+                            for _ in range(rows)])
+    return columns
+
+
+def test_column_and_row_routes_agree():
+    # The column route refuses a chunk exactly when the row route raises
+    # for it, and otherwise gives the same fields, to the bit.
+    rng = random.Random(61)
+    accepted = 0
+    for _ in range(2000):
+        cell_columns = _route_chunk(rng)
+        fields = credit._column_fields(cell_columns)
+        try:
+            expected = credit._field_columns(credit._row_obligors(cell_columns, 1))
+        except ValueError:
+            assert fields is None, cell_columns
+            continue
+        assert fields is not None, cell_columns
+        assert repr([list(column) for column in fields]) == repr(expected), cell_columns
+        accepted += 1
+    assert 200 < accepted < 1800  # both outcomes are well sampled
+
+
 def test_split_cells_counts_lines_not_cells():
     # Short lines whose cells still land on the width: "a\nb\n" at width 3
     # has five cells, one line's worth, but two lines.

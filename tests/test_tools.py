@@ -51,17 +51,16 @@ def test_time_credit_times_and_counts_each_run(child_env):
     assert [line.split()[0] for line in lines[1:8]] == runs
     assert all(float(line.split()[1]) > 0.0 for line in lines[1:8])
     calls, logarithms, chunks, str_counts, readers = {}, {}, {}, {}, {}
-    bisects, transient, collections = {}, {}, {}
+    transient, collections = {}, {}
     for line in lines[8:]:
         name, rest = line.split(": ", 1)
         if "Python-level calls per row" in rest:
             calls[name] = float(rest.split()[0])
-            found = re.search(r"; (\S+) log/log1p calls per row; (\S+) bisect_right"
-                              r" calls per row; (\d+) chunks per read;"
+            found = re.search(r"; (\S+) log/log1p calls per row; (\d+) chunks per read;"
                               r" (\d+) str.count calls per read;", rest)
             assert found, line
-            logarithms[name], chunks[name] = float(found[1]), int(found[3])
-            bisects[name], str_counts[name] = float(found[2]), int(found[4])
+            logarithms[name], chunks[name] = float(found[1]), int(found[2])
+            str_counts[name] = int(found[3])
             readers[name] = rest.split("; ")[-1]
         else:
             found = re.fullmatch(r"(\S+) KB transient peak, (\d+) GC collections "
@@ -83,9 +82,6 @@ def test_time_credit_times_and_counts_each_run(child_env):
     assert 0.0 < logarithms["period_report"] * 500 < 500
     assert logarithms["portfolio_op"] == logarithms["period_report"]
     assert chunks["period_report"] == chunks["period_report(list)"] == 0
-    # Every LGD of the month, late days included, comes from the by-day
-    # tables: bisect_right runs only for a day that is not an int.
-    assert set(bisects.values()) == {0.0}
     # No run scans a block with str.count: a quote-free block without a
     # "\r" is not counted, and the splitter knows its lines from its commas.
     assert set(str_counts.values()) == {0}
@@ -102,18 +98,6 @@ def test_time_credit_counts_the_str_count_calls(child_env):
     run = "lambda: ('a\\nb'.count('\\n'), str.count('ab', 'a'), b'ab'.count(b'a'))"
     done = subprocess.run([sys.executable, "-c",
                            f"import time_credit; print(time_credit.python_calls({run})[2])"],
-                          cwd=TOOLS, capture_output=True, text=True, check=True,
-                          env=child_env)
-    assert done.stdout == "2\n"
-
-
-def test_time_credit_counts_the_bisect_right_calls(child_env):
-    # bisect_right through the module or imported by name, not bisect_left
-    run = ("lambda: (bisect.bisect_right([1], 0), bisect_right([1], 2),"
-           " bisect.bisect_left([1], 0))")
-    done = subprocess.run([sys.executable, "-c",
-                           "import bisect, time_credit; from bisect import bisect_right;"
-                           f" print(time_credit.python_calls({run})[3])"],
                           cwd=TOOLS, capture_output=True, text=True, check=True,
                           env=child_env)
     assert done.stdout == "2\n"

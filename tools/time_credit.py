@@ -16,9 +16,8 @@ times it prints the machine-independent counts for each run: the
 Python-level calls it makes per row, from `sys.setprofile` call
 events, with the four most frequent callees; the `math.log` and
 `math.log1p` calls per row that Python code makes, from `c_call` events
-(a C-level `map` over them makes none); the `bisect_right` calls per
-row, from `c_call` events too; the chunks that the reader converts, per
-read of the month; the `str.count` calls that Python code
+(a C-level `map` over them makes none); the chunks that the reader
+converts, per read of the month; the `str.count` calls that Python code
 makes per read, from `c_call` events too; the rows that `csv.reader`
 yields per row (the header is one of them); its transient memory, the
 `tracemalloc` peak above what it returns, in KB; and the garbage
@@ -43,7 +42,6 @@ as a wide range.  The parent's counts follow this tree's.
 from __future__ import annotations
 
 import argparse
-import bisect
 import csv
 import functools
 import gc
@@ -127,22 +125,19 @@ def timed_runs(credit, month, spellings):
 LOGARITHMS = (math.log, math.log1p)
 
 
-def python_calls(run) -> tuple[Counter, int, int, int]:
+def python_calls(run) -> tuple[Counter, int, int]:
     """Python-level call events inside one `run()`, by name, and the
-    `c_call` events of its logarithms, of `str.count` and of
-    `bisect_right`."""
+    `c_call` events of its logarithms and of `str.count`."""
     calls = Counter()
-    logarithms = bisects = str_counts = 0
+    logarithms = str_counts = 0
 
     def profile(frame, event, arg):
-        nonlocal logarithms, bisects, str_counts
+        nonlocal logarithms, str_counts
         if event == "call":
             calls[frame.f_code.co_name] += 1
         elif event == "c_call":
             if arg in LOGARITHMS:
                 logarithms += 1
-            elif arg is bisect.bisect_right:
-                bisects += 1
             # a str's count method, bound to it
             elif (getattr(arg, "__name__", None) == "count"
                   and type(getattr(arg, "__self__", None)) is str):
@@ -153,7 +148,7 @@ def python_calls(run) -> tuple[Counter, int, int, int]:
         run()
     finally:
         sys.setprofile(None)
-    return calls, logarithms, str_counts, bisects
+    return calls, logarithms, str_counts
 
 
 def counted(owner, name, run, items=False):
@@ -210,14 +205,13 @@ def _line(name, seconds, rows):
 
 def print_counts(prefix, credit, runs, rows):
     for name, run in runs.items():
-        calls, logarithms, str_counts, bisects = python_calls(run)
+        calls, logarithms, str_counts = python_calls(run)
         top = ", ".join(f"{k} {v}" for k, v in calls.most_common(4))
         _, chunks = counted(credit, "_field_chunks", run, items=True)
         _, csv_rows = counted(csv, "reader", run, items=True)
         print(f"{prefix}{name}: {sum(calls.values()) / rows:.4f} Python-level"
               f" calls per row ({top}); {logarithms / rows:.4f} log/log1p calls"
-              f" per row; {bisects / rows:.4f} bisect_right calls per row;"
-              f" {chunks} chunks per read; {str_counts} str.count"
+              f" per row; {chunks} chunks per read; {str_counts} str.count"
               f" calls per read;"
               f" {csv_rows / rows:.4f} csv.reader rows per row")
         gcs = collections(run)
