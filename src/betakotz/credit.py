@@ -23,7 +23,7 @@ from itertools import chain, compress, islice, repeat, zip_longest
 
 from . import risk
 from .distribution import BetaKotzParams, ConfidenceLevel, _Record
-from .estimation import _moment_shapes, _moments
+from .estimation import _moment_shapes
 
 __all__ = [
     "Rating",
@@ -128,6 +128,12 @@ class Obligor(_Record):
                  pd_override: float | None = None,
                  lgd_override: float | None = None):
         if not 0.0 <= ead <= sys.float_info.max:
+            if isinstance(ead, int) and abs(ead) > sys.float_info.max:
+                # Described, not printed: it can have more digits than
+                # the interpreter converts to text.
+                raise ValueError(
+                    f"obligor {id!r}: ead must be >= 0 and at most the largest "
+                    f"float, {sys.float_info.max}, got an int larger in magnitude")
             raise ValueError(f"obligor {id!r}: ead must be >= 0, got {ead}")
         _check_days(days_past_due, f"obligor {id!r}: ")
         if pd_override is not None and not 0.0 <= pd_override <= 1.0:
@@ -391,7 +397,8 @@ def period_report(
     Obligors with zero expected loss stay in the exposure denominator
     but are excluded from the fitting sample (their rate has no
     log-likelihood and carries no tail information).  The fit reads only
-    the sample's mean and variance, so no log-sum is taken.
+    the sample's mean and variance, taken in the pass that forms the
+    rates, so no log-sum is taken and no rate is kept.
     """
     if not portfolio:
         raise ValueError("portfolio must be non-empty")
@@ -399,16 +406,37 @@ def period_report(
     total = _total_exposure(columns[2])
     if not total > 0.0:
         raise ValueError("total exposure must be positive")
-    # filter(None) keeps the rates > 0: no rate is negative, as EADs, PDs
-    # and LGDs are checked >= 0 and the total is positive, and a -0.0 EAD
-    # gives a -0.0 rate, which is false too.
-    rates = list(filter(None, _loss_rates(zip(*columns), total)))
-    if len(rates) < 2:
+    # Each rate formed as _loss_rates forms it (tests hold the two equal
+    # to the bit), and each rate > 0 fed straight into Welford's
+    # recurrence as estimation._moments runs it: no rate list is kept.  A rate lies in [0, 1] (EADs, PDs and LGDs
+    # are checked >= 0, no EAD exceeds their exact sum, and a -0.0 EAD
+    # gives a -0.0 rate), so the only positive rate outside (0, 1) is 1.0,
+    # which is counted, and refused once the count is.
+    n = 0
+    mean = m2 = 0.0
+    one_at = None  # the index, among rates > 0, of the first rate of 1.0
+    for rating, segment, ead, guarantee, days, pd_value, lgd_value in zip(*columns):
+        if pd_value is None:
+            pd_value = _PD_BY_RATING[rating][segment]
+        if lgd_value is None:
+            lgd_value = _LGD_BY_DAY[guarantee][days if days < _LAST_DAY else _LAST_DAY]
+        rate = ead * pd_value * lgd_value / total
+        if 0.0 < rate < 1.0:
+            n += 1
+            delta = rate - mean
+            mean += delta / n
+            m2 += delta * (rate - mean)
+        elif rate:
+            if one_at is None:
+                one_at = n
+            n += 1
+    if n < 2:
         raise ValueError(
-            f"need at least 2 obligors with positive expected loss, got {len(rates)}"
-        )
-    _, mean, variance = _moments(rates)
-    fitted = _moment_shapes(mean, variance)
+            f"need at least 2 obligors with positive expected loss, got {n}")
+    if one_at is not None:
+        raise ValueError(
+            f"sample value at index {one_at} must lie strictly in (0, 1), got 1.0")
+    fitted = _moment_shapes(mean, m2 / (n - 1))
     measures = risk.report(fitted, alpha)
     el = measures.mean * total
     var_cur = measures.var * total
@@ -621,6 +649,9 @@ def _column_fields(cell_columns):
                 days = list(map(int, days_cells))
             except ValueError:
                 days = [int(text or 0) for text in map(str.strip, days_cells)]
+            # _DAY_BY_TEXT holds 0 ... 999 only: int() alone can give < 0.
+            if min(days) < 0:
+                return None
         try:
             eads = list(map(float, ead_cells))
         except ValueError:
@@ -632,7 +663,7 @@ def _column_fields(cell_columns):
     # Each EAD is checked as Obligor checks it: finite and not negative.  A
     # NaN or inf makes the sum not finite; only then, or when finite EADs
     # overflow it, is each one checked.
-    if min(days) < 0 or not (min(eads) >= 0.0 and (
+    if not (min(eads) >= 0.0 and (
             math.isfinite(sum(eads)) or all(map(math.isfinite, eads)))):
         return None
     members = []

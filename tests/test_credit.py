@@ -8,6 +8,7 @@ import math
 import pathlib
 import random
 import sys
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 
@@ -344,6 +345,16 @@ def test_obligor_ead_is_a_finite_float_value():
         assert make_obligor(ead=ead).ead == ead
 
 
+def test_obligor_ead_beyond_the_largest_float_is_described_not_printed():
+    # 10**5000 has more digits than the interpreter converts to text.
+    for ead in (10**400, 10**5000, -10**400, -10**5000):
+        with pytest.raises(ValueError) as err:
+            make_obligor(id="big", ead=ead)
+        assert str(err.value) == (
+            "obligor 'big': ead must be >= 0 and at most the largest float, "
+            "1.7976931348623157e+308, got an int larger in magnitude")
+
+
 # ---------------------------------------------------------------------------
 # period report
 # ---------------------------------------------------------------------------
@@ -387,16 +398,101 @@ def test_period_report_composition_contract():
     )
 
 
-@pytest.mark.parametrize("source", ["fixture", 21, 33, 60])
-def test_period_report_fit_is_the_moment_fit_bit_for_bit(source):
+def varied_portfolio(kinds, n=600, seed=5):
+    """synthetic_portfolio(n, seed) with rows varied by each of `kinds`:
+    "overrides" (PD and LGD overrides, some on one row), "late-days"
+    (days below, at and past the LGD table's last day, 720, and past
+    999), "-0.0 ead" and "zero-lgd"."""
+    obligors = []
+    for i, o in enumerate(synthetic_portfolio(n=n, seed=seed)):
+        fields = {name: getattr(o, name) for name in Obligor.__slots__}
+        if "overrides" in kinds:
+            if i % 3 == 0:
+                fields["pd_override"] = (i % 97 + 1) / 100
+            if i % 5 == 0:
+                fields["lgd_override"] = (i % 89 + 1) / 100
+        if "late-days" in kinds:
+            fields["days_past_due"] = (719, 720, 721, 999, 1000, 10**6)[i % 6]
+        if "-0.0 ead" in kinds and i % 4 == 1:
+            fields["ead"] = -0.0
+        if "zero-lgd" in kinds and i % 4 == 2:
+            fields["lgd_override"] = 0.0
+        obligors.append(Obligor(**fields))
+    return obligors
+
+
+def write_obligors_csv(path, obligors):
+    """`obligors` in the portfolio CSV wire format, at `path`."""
+    def cell(value):
+        return "" if value is None else repr(value)
+    path.write_text("id,rating,segment,ead,guarantee,days_past_due,pd_override,"
+                    "lgd_override\n" + "".join(
+                        f"{o.id},{o.rating.value},{o.segment.value},{o.ead!r},"
+                        f"{o.guarantee.value},{o.days_past_due},"
+                        f"{cell(o.pd_override)},{cell(o.lgd_override)}\n"
+                        for o in obligors))
+    return path
+
+
+VARIED = ("overrides", "late-days", "-0.0 ead", "zero-lgd")
+
+
+@pytest.mark.parametrize("source", ["fixture", 21, 33, 60, *VARIED, "read(all)"])
+def test_period_report_fit_is_the_moment_fit_bit_for_bit(source, tmp_path):
     # period_report fits from the sample's mean and variance alone, with
-    # no log-sum; its shapes are the moment fit of the full statistics.
-    portfolio = (read_portfolio_csv(FIXTURE) if source == "fixture"
-                 else synthetic_portfolio(seed=source, n=2000))
-    expected = fit_moments(stats_from_samples([r for r in loss_rates(portfolio)
+    # no log-sum; its shapes are the moment fit of the full statistics,
+    # through a Portfolio and through a plain list alike.
+    if source == "fixture":
+        obligors = list(read_portfolio_csv(FIXTURE))
+    elif source in VARIED:
+        obligors = varied_portfolio({source})
+    elif source == "read(all)":
+        # every variation, read back: its days past 999 take the reader's
+        # int() route
+        written = write_obligors_csv(tmp_path / "all.csv", varied_portfolio(VARIED))
+        obligors = list(read_portfolio_csv(written))
+        assert obligors == varied_portfolio(VARIED)
+    else:
+        obligors = synthetic_portfolio(seed=source, n=2000)
+    expected = fit_moments(stats_from_samples([r for r in loss_rates(obligors)
                                                if r > 0.0]))
-    fitted = period_report("m", portfolio).fitted
-    assert (fitted.a.hex(), fitted.b.hex()) == (expected.a.hex(), expected.b.hex())
+    for portfolio in (Portfolio(obligors), obligors):
+        fitted = period_report("m", portfolio).fitted
+        assert (fitted.a.hex(), fitted.b.hex()) == (expected.a.hex(), expected.b.hex())
+
+
+def test_period_report_refusals_and_their_order():
+    # A rate of 1.0 (a Default obligor of LGD 1 and nearly all the
+    # exposure) is outside (0, 1), but too few positive rates are
+    # refused first, and it is counted among them.
+    whole = make_obligor(id="whole", rating=Rating.DEFAULT, ead=1e300,
+                         lgd_override=1.0)
+    cases = [
+        ([whole, make_obligor(pd_override=0.0)],
+         "need at least 2 obligors with positive expected loss, got 1"),
+        ([whole, make_obligor(rating=Rating.DEFAULT, ead=1e-20)],
+         "sample value at index 0 must lie strictly in (0, 1), got 1.0"),
+    ]
+    for obligors, message in cases:
+        for portfolio in (Portfolio(obligors), obligors):
+            with pytest.raises(ValueError) as err:
+                period_report("m", portfolio)
+            assert str(err.value) == message
+
+
+def test_period_report_keeps_no_list_per_obligor():
+    # The transient peak above the report stays flat in the row count:
+    # a list of 5,000 rates and their floats would take about 160 KB.
+    portfolio = Portfolio(synthetic_portfolio(n=5000, seed=8))
+    period_report("m", portfolio)  # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        report = period_report("m", portfolio)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.obligor_count == 5000
+    assert peak - current < 16 * 1024
 
 
 def test_period_report_linear_in_exposure():
