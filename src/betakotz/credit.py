@@ -79,30 +79,40 @@ class Guarantee(enum.Enum):
     NO_GUARANTEE = "NoGuarantee"
 
 
-# The member of each spelling an enum column looks up, in Rating,
+# Each enum's members in definition order.  A Portfolio holds an enum
+# field as its member's index here, and the PD and LGD tables are
+# indexed by it.
+_MEMBERS = {cls: tuple(cls) for cls in (Rating, Segment, Guarantee)}
+
+# The index of each member in its own enum's _MEMBERS: a field that is
+# not a member of its column's enum is a KeyError.
+_INDEX_OF = {cls: {member: i for i, member in enumerate(members)}
+             for cls, members in _MEMBERS.items()}
+
+# The member index of each spelling an enum column looks up, in Rating,
 # Segment, Guarantee order: the schema's own, as cells are first tried,
 # and its lower case, as a stripped and lower-cased cell is.
 _ENUM_BY_TEXT = {
-    cls: {text: member for member in cls
+    cls: {text: i for i, member in enumerate(members)
           for text in (member.value, member.value.lower())}
-    for cls in (Rating, Segment, Guarantee)
+    for cls, members in _MEMBERS.items()
 }
 
 
-def _enum_members(cls, texts):
-    """The member of `cls` that each of `texts` spells, stripped and in
-    any case, or None, as an iterator of C-level maps."""
+def _enum_indices(cls, texts):
+    """The member index of `cls` that each of `texts` spells, stripped
+    and in any case, or None, as an iterator of C-level maps."""
     return map(_ENUM_BY_TEXT[cls].get, map(str.lower, map(str.strip, texts)))
 
 
 def _parse_enum(cls, text, column, row_num):
-    member, = _enum_members(cls, [text])
-    if member is None:
+    index, = _enum_indices(cls, [text])
+    if index is None:
         raise ValueError(
             f"row {row_num}, column '{column}': unknown value {text!r}; "
             f"expected one of {sorted(m.value for m in cls)}"
         )
-    return member
+    return _MEMBERS[cls][index]
 
 
 def _check_days(days_past_due, prefix=""):
@@ -151,15 +161,25 @@ class Obligor(_Record):
 
 _SLOT_SETTERS = tuple(vars(Obligor)[name].__set__ for name in Obligor.__slots__)
 
+# The enum of each field in Obligor.__slots__ order, None for a field
+# that is not one.
+_SLOT_ENUMS = (None, Rating, Segment, None, Guarantee, None, None, None)
+
 # Runs an iterator to its end at C level, keeping nothing.
 _exhaust = deque(maxlen=0).extend
+
+
+def _enum_columns(columns, tables):
+    """`columns` with each enum field looked up in `tables`, lazily."""
+    return [values if cls is None else map(tables[cls].__getitem__, values)
+            for cls, values in zip(_SLOT_ENUMS, columns)]
 
 
 def _obligors(columns):
     """The obligors of checked field columns, in Obligor.__slots__ order,
     built with C-level maps and without Obligor.__init__."""
     obligors = list(map(object.__new__, repeat(Obligor, len(columns[0]))))
-    for setter, values in zip(_SLOT_SETTERS, columns):
+    for setter, values in zip(_SLOT_SETTERS, _enum_columns(columns, _MEMBERS)):
         _exhaust(map(setter, obligors, values))
     return obligors
 
@@ -167,8 +187,9 @@ def _obligors(columns):
 class Portfolio(Sequence):
     """A read-only sequence of obligors, held as eight columns.
 
-    The columns are the obligors' fields in `Obligor.__slots__` order;
-    an `Obligor` is built only when an item is read.  A slice is a
+    The columns are the obligors' fields in `Obligor.__slots__` order,
+    each enum field as its member's index in definition order; an
+    `Obligor` is built only when an item is read.  A slice is a
     Portfolio, and a Portfolio equals another of equal columns, or a
     list or tuple of equal obligors.  `list(portfolio)` gives the
     obligors as a list.
@@ -184,17 +205,23 @@ class Portfolio(Sequence):
         self._columns = _field_columns(obligors)
 
     @classmethod
-    def _of_columns(cls, columns):
+    def _of_indices(cls, columns):
         portfolio = object.__new__(cls)
         portfolio._columns = columns
         return portfolio
+
+    @classmethod
+    def _of_columns(cls, columns):
+        # Columns of members, as __reduce__ gives them: a pickle holds the
+        # obligors' own fields, not the indices, and loads in any version.
+        return cls._of_indices(list(map(list, _enum_columns(columns, _INDEX_OF))))
 
     def __len__(self):
         return len(self._columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Portfolio._of_columns([column[index] for column in self._columns])
+            return Portfolio._of_indices([column[index] for column in self._columns])
         return _obligors([[column[index]] for column in self._columns])[0]
 
     def __iter__(self):
@@ -214,35 +241,44 @@ class Portfolio(Sequence):
         return f"Portfolio({list(self)!r})"
 
     def __reduce__(self):
-        return Portfolio._of_columns, (self._columns,)
+        return Portfolio._of_columns, (
+            list(map(list, _enum_columns(self._columns, _MEMBERS))),)
 
 
 def _field_columns(obligors):
     """The eight field columns of a sequence of obligors, in
-    Obligor.__slots__ order: a Portfolio's own, or any other's, read by
-    list comprehensions, whose slot loads 3.11 specialises."""
+    Obligor.__slots__ order with enum fields as member indices: a
+    Portfolio's own, or any other's, read by list comprehensions, whose
+    slot loads 3.11 specialises."""
     if type(obligors) is Portfolio:  # isinstance runs ABCMeta's Python hooks
         return obligors._columns
-    return [[o.id for o in obligors], [o.rating for o in obligors],
-            [o.segment for o in obligors], [o.ead for o in obligors],
-            [o.guarantee for o in obligors], [o.days_past_due for o in obligors],
+    # An enum field that is not a member of its enum is a KeyError.
+    ratings, segments, guarantees = (_INDEX_OF[Rating], _INDEX_OF[Segment],
+                                     _INDEX_OF[Guarantee])
+    return [[o.id for o in obligors], [ratings[o.rating] for o in obligors],
+            [segments[o.segment] for o in obligors], [o.ead for o in obligors],
+            [guarantees[o.guarantee] for o in obligors],
+            [o.days_past_due for o in obligors],
             [o.pd_override for o in obligors], [o.lgd_override for o in obligors]]
 
 
-# SFC consumer-portfolio PD matrix, (rating, segment) -> PD.
-SFC_PD_TABLE = {
-    (rating, segment): pd
-    for rating, row in {
-        # Automobiles, Other, CreditCard, CFCAutomobiles, CFCOther
-        Rating.AA: (0.0097, 0.0210, 0.0158, 0.0102, 0.0354),
-        Rating.A: (0.0312, 0.0388, 0.0535, 0.0288, 0.0719),
-        Rating.BB: (0.0748, 0.1268, 0.0953, 0.1234, 0.1586),
-        Rating.B: (0.1576, 0.1416, 0.1417, 0.2427, 0.3118),
-        Rating.CC: (0.3101, 0.2257, 0.1706, 0.4332, 0.4101),
-        Rating.DEFAULT: (1.0, 1.0, 1.0, 1.0, 1.0),
-    }.items()
-    for segment, pd in zip(Segment, row)
-}
+# SFC consumer-portfolio PD matrix: a row per rating, a PD per segment,
+# each in definition order, so a rating's index and then a segment's
+# index look a PD up.
+_PD_BY_RATING = (
+    # Automobiles, Other, CreditCard, CFCAutomobiles, CFCOther
+    (0.0097, 0.0210, 0.0158, 0.0102, 0.0354),  # AA
+    (0.0312, 0.0388, 0.0535, 0.0288, 0.0719),  # A
+    (0.0748, 0.1268, 0.0953, 0.1234, 0.1586),  # BB
+    (0.1576, 0.1416, 0.1417, 0.2427, 0.3118),  # B
+    (0.3101, 0.2257, 0.1706, 0.4332, 0.4101),  # CC
+    (1.0, 1.0, 1.0, 1.0, 1.0),                 # Default
+)
+
+# The same matrix, (rating, segment) -> PD.
+SFC_PD_TABLE = {(rating, segment): pd
+                for rating, row in zip(Rating, _PD_BY_RATING)
+                for segment, pd in zip(Segment, row)}
 
 # SFC loss-given-default schedule, guarantee -> (base LGD, tiers).  Tiers
 # are ordered (days threshold, lgd) pairs whose thresholds are inclusive
@@ -259,11 +295,6 @@ SFC_LGD_SCHEDULE = {
 }
 
 
-# rating -> segment -> PD: a nested lookup builds no (rating, segment) key
-_PD_BY_RATING = {rating: {segment: pd for (r, segment), pd in SFC_PD_TABLE.items()
-                          if r is rating}
-                 for rating in Rating}
-
 # The schedule's last threshold, from which on every guarantee's LGD is flat.
 _LAST_DAY = max(day for _, tiers in SFC_LGD_SCHEDULE.values() for day, _ in tiers)
 
@@ -277,8 +308,9 @@ def _lgd_by_day(base, tiers):
     return table
 
 
-# guarantee -> its LGD at each day up to _LAST_DAY, which later days share
-_LGD_BY_DAY = {g: _lgd_by_day(*schedule) for g, schedule in SFC_LGD_SCHEDULE.items()}
+# guarantee index -> its LGD at each day up to _LAST_DAY, which later
+# days share
+_LGD_BY_DAY = tuple(_lgd_by_day(*SFC_LGD_SCHEDULE[g]) for g in Guarantee)
 
 
 def pd_lookup(rating: Rating, segment: Segment) -> float:
@@ -290,7 +322,8 @@ def lgd_lookup(guarantee: Guarantee, days_past_due: int) -> float:
     """Loss given default for a guarantee class at the given delinquency."""
     _check_days(days_past_due)
     # the LGD of an obligor of EAD 1 and PD 1, over a total of 1
-    return _loss_rates([(None, None, 1.0, guarantee, days_past_due, 1.0, None)], 1.0)[0]
+    return _loss_rates([(None, None, 1.0, _INDEX_OF[Guarantee][guarantee],
+                         days_past_due, 1.0, None)], 1.0)[0]
 
 
 def expected_loss(o: Obligor) -> float:
@@ -536,7 +569,7 @@ def read_portfolio_csv(path) -> Portfolio:
                 f"not UTF-8 at byte offset {offset}: {err.reason}") from None
     if not columns[0]:
         raise ValueError("portfolio CSV contains no obligor rows")
-    return Portfolio._of_columns(columns)
+    return Portfolio._of_indices(columns)
 
 
 def _field_chunks(handle, width, picked):
@@ -586,8 +619,12 @@ def _field_chunks(handle, width, picked):
             if cells is None:
                 rows_left = filter(None, csv.reader(
                     chain(io.StringIO(text, newline=""), handle)))
+        strip_ids = True
         if cells is not None:
             cell_columns = list(map(cells.__getitem__, slices))
+            # Stripping an id changes it only if the block holds a
+            # character that str.strip() removes.
+            strip_ids = not text.isascii() or any(map(text.__contains__, _ASCII_STRIPPED))
         else:
             rows = []
             try:
@@ -604,7 +641,7 @@ def _field_chunks(handle, width, picked):
                 rows = [(row + [""] * width)[:width] for row in rows]
             # the columns, and one with no cells at the header's width
             cell_columns = list(map([*zip(*rows), ()].__getitem__, picked))
-        chunk = _column_fields(cell_columns)
+        chunk = _column_fields(cell_columns, strip_ids)
         if chunk is None:
             chunk = _field_columns(_row_obligors(cell_columns, row_num))
         if error is not None:
@@ -625,14 +662,19 @@ def _split_cells(text, width):
     return cells if fits else None
 
 
+# The ASCII characters that str.strip() removes, but "\n" and "\r", which
+# no cell of a split block holds.
+_ASCII_STRIPPED = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
 # The int of each canonical spelling "0" ... "999" of a day count.
 _DAY_BY_TEXT = dict(zip(map(str, range(1000)), range(1000)))
 
 
-def _column_fields(cell_columns):
+def _column_fields(cell_columns, strip_ids=True):
     """A chunk's eight obligor fields from its eight cell columns (an
     absent override column has no cells), converted column by column
-    with C-level maps; None when a cell fails a check.
+    with C-level maps; None when a cell fails a check.  The ids are
+    stripped if `strip_ids`.
     """
     (ids, rating_cells, segment_cells, ead_cells, guarantee_cells, days_cells,
      pd_cells, lgd_cells) = cell_columns
@@ -666,20 +708,20 @@ def _column_fields(cell_columns):
     if not (min(eads) >= 0.0 and (
             math.isfinite(sum(eads)) or all(map(math.isfinite, eads)))):
         return None
-    members = []
+    indices = []
     for texts, cls in zip((rating_cells, segment_cells, guarantee_cells),
                           (Rating, Segment, Guarantee)):
         try:
-            members.append(list(map(_ENUM_BY_TEXT[cls].__getitem__, texts)))
+            indices.append(list(map(_ENUM_BY_TEXT[cls].__getitem__, texts)))
         except KeyError:  # a padded or mixed-case spelling
             spellings = set(texts)  # each looked up once
-            by_text = dict(zip(spellings, _enum_members(cls, spellings)))
+            by_text = dict(zip(spellings, _enum_indices(cls, spellings)))
             if None in by_text.values():
                 return None
-            members.append(map(by_text.__getitem__, texts))
-    ratings, segments, guarantees = members
-    return (map(str.strip, ids), ratings, segments, eads, guarantees, days,
-            pd_overrides, lgd_overrides)
+            indices.append(map(by_text.__getitem__, texts))
+    ratings, segments, guarantees = indices
+    return (map(str.strip, ids) if strip_ids else ids, ratings, segments, eads,
+            guarantees, days, pd_overrides, lgd_overrides)
 
 
 def _override_column(texts, n):

@@ -88,10 +88,11 @@ def test_pd_table_golden():
 
 
 def test_nested_pd_table_is_the_pd_table():
-    # the rating -> segment -> PD table that the loss rates look up
-    nested = {(rating, segment): pd
-              for rating, row in credit._PD_BY_RATING.items()
-              for segment, pd in row.items()}
+    # the PD table that the loss rates look up, by the index of the
+    # rating and then of the segment, each in definition order
+    nested = {(list(Rating)[r], list(Segment)[s]): pd
+              for r, row in enumerate(credit._PD_BY_RATING)
+              for s, pd in enumerate(row)}
     assert nested == SFC_PD_TABLE and len(nested) == 30
 
 
@@ -136,10 +137,11 @@ TABLE_DAYS = [*range(1501), 10**30, True, np.int64(719), np.int64(720)]
 def test_lgd_tables_agree_with_the_tiers():
     # The by-day tables, lgd_lookup and the loss rates give the tier
     # lgds[bisect_right(thresholds, d)] at every day.
+    assert len(credit._LGD_BY_DAY) == len(Guarantee) == 8
     for guarantee, (base, tiers) in SFC_LGD_SCHEDULE.items():
         thresholds = [day for day, _ in tiers]
         lgds = [base, *(lgd for _, lgd in tiers)]
-        table = credit._LGD_BY_DAY[guarantee]
+        table = credit._LGD_BY_DAY[list(Guarantee).index(guarantee)]
         assert len(table) == credit._LAST_DAY + 1 == 721
         obligors = [Obligor("X", Rating.DEFAULT, Segment.OTHER, 1.0, guarantee, d)
                     for d in TABLE_DAYS]

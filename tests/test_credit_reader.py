@@ -14,7 +14,8 @@ from collections.abc import Sequence
 import pytest
 
 from betakotz import credit
-from betakotz.credit import Portfolio, loss_rates, period_report, read_portfolio_csv
+from betakotz.credit import (
+    Obligor, Portfolio, loss_rates, period_report, read_portfolio_csv)
 from csv_oracle import read_portfolio_csv as oracle_read_portfolio_csv
 
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "portfolio_synthetic.csv"
@@ -671,6 +672,32 @@ def test_plain_file_at_the_shipped_block_size(tmp_path, monkeypatch):
     assert len(chunks) == blocks and len(readers) == 1
 
 
+# The ASCII characters that str.strip() removes and that a quote-free
+# cell can hold (a "\n" or "\r" ends its line), and three non-ASCII ones.
+ID_PADS = [*(c for c in map(chr, range(128)) if not c.strip() and c not in "\r\n"),
+           "\x85", "\xa0", "\u3000"]
+
+
+@pytest.mark.parametrize("pad", ID_PADS, ids=repr)
+def test_ids_padded_in_one_block_are_stripped(tmp_path, monkeypatch, pad):
+    # A quote-free month of canonical cells, split throughout, in which
+    # a few ids of one block are padded with `pad` and nothing else in
+    # the file is: every id is str.strip() of its cell.
+    assert not pad.strip()
+    ids = [f"OBL-{k}" for k in range(3000)]
+    ids[1500:1504] = [pad + "OBL-a", "OBL-b" + pad, pad + "OBL-c" + pad, 2 * pad]
+    path = tmp_path / "p.csv"
+    path.write_text(",".join(COLUMNS) + "\n" + "".join(
+        f"{id_text},BB,Other,1000.5,NoGuarantee,{k % 1000},,\n"
+        for k, id_text in enumerate(ids)), encoding="utf-8", newline="")
+    assert path.stat().st_size > 3 * BLOCK
+    readers, reader = [], csv.reader
+    monkeypatch.setattr(credit.csv, "reader",
+                        lambda *args: readers.append(1) or reader(*args))
+    assert [o.id for o in read_portfolio_csv(path)] == [text.strip() for text in ids]
+    assert len(readers) == 1  # the header's
+
+
 # Day spellings that the table of canonical counts "0" ... "999" misses,
 # and that int() reads: leading zeros, padding, a sign, an underscore,
 # Unicode digits, blanks and counts of 1,000 and more.
@@ -770,19 +797,22 @@ def _route_chunk(rng):
 
 def test_column_and_row_routes_agree():
     # The column route refuses a chunk exactly when the row route raises
-    # for it, and otherwise gives the same fields, to the bit.
+    # for it, and otherwise gives the same fields, to the bit: its enum
+    # fields, held as member indices, are the members the rows hold.
     rng = random.Random(61)
     accepted = 0
     for _ in range(2000):
         cell_columns = _route_chunk(rng)
         fields = credit._column_fields(cell_columns)
         try:
-            expected = credit._field_columns(credit._row_obligors(cell_columns, 1))
+            obligors = credit._row_obligors(cell_columns, 1)
         except ValueError:
             assert fields is None, cell_columns
             continue
         assert fields is not None, cell_columns
-        assert repr([list(column) for column in fields]) == repr(expected), cell_columns
+        expected = [[getattr(o, name) for o in obligors] for name in Obligor.__slots__]
+        members = credit._enum_columns([list(column) for column in fields], credit._MEMBERS)
+        assert repr(list(map(list, members))) == repr(expected), cell_columns
         accepted += 1
     assert 200 < accepted < 1800  # both outcomes are well sampled
 
@@ -951,6 +981,15 @@ def test_portfolio_is_a_read_only_sequence():
     assert Portfolio(obligors) == portfolio and len(Portfolio()) == 0
     with pytest.raises(TypeError):
         Portfolio([*obligors, "OBL-0060"])
+    # an enum field that is not a member of its column's enum, as the
+    # loss rates of a list of such obligors refuse it
+    for fields, bad in ((("AA", credit.Segment.OTHER), "AA"),
+                        ((credit.Rating.AA, credit.Rating.AA), credit.Rating.AA)):
+        odd = Obligor("x", *fields, 1.0, credit.Guarantee.NO_GUARANTEE)
+        for refuse in (Portfolio, loss_rates):
+            with pytest.raises(KeyError) as refused:
+                refuse([*obligors, odd])
+            assert refused.value.args == (bad,)
     # read-only: no hash, no mutating method, nothing public but the
     # two Sequence methods
     assert Portfolio.__hash__ is None
@@ -972,6 +1011,37 @@ def test_portfolio_copies_and_pickles_round_trip():
     for copied in copies:
         assert type(copied) is Portfolio
         assert copied == portfolio and list(copied) == list(portfolio)
+
+
+# A Portfolio of two obligors, pickled with protocol 4 by a reader whose
+# Portfolio held its enum columns as members, not as member indices.
+MEMBER_COLUMNS_PICKLE = (
+    b"\x80\x04\x95+\x01\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c"
+    b"\x07getattr\x94\x93\x94\x8c\x0fbetakotz.credit\x94\x8c\tPortfolio"
+    b"\x94\x93\x94\x8c\x0b_of_columns\x94\x86\x94R\x94]\x94(]\x94(\x8c"
+    b"\x05OBL-1\x94\x8c\x05OBL-2\x94e]\x94(h\x03\x8c\x06Rating\x94\x93"
+    b"\x94\x8c\x02BB\x94\x85\x94R\x94h\x0f\x8c\x07Default\x94\x85\x94R"
+    b"\x94e]\x94(h\x03\x8c\x07Segment\x94\x93\x94\x8c\x05Other\x94\x85"
+    b"\x94R\x94h\x18\x8c\x08CFCOther\x94\x85\x94R\x94e]\x94(G@\x8fD\x00"
+    b"\x00\x00\x00\x00G@\x00\x00\x00\x00\x00\x00\x00e]\x94(h\x03\x8c\tGu"
+    b"arantee\x94\x93\x94\x8c\x0bNoGuarantee\x94\x85\x94R\x94h\"\x8c\x0b"
+    b"Receivables\x94\x85\x94R\x94e]\x94(K-K\x00e]\x94(NG?\xd0\x00\x00"
+    b"\x00\x00\x00\x00e]\x94(NNee\x85\x94R\x94.")
+
+
+def test_portfolio_pickles_as_its_members():
+    # A Portfolio pickles as its obligors' fields, members and all, so
+    # pickles written before its enum columns were held as indices load,
+    # and it pickles to the same bytes.
+    portfolio = Portfolio([
+        Obligor("OBL-1", credit.Rating.BB, credit.Segment.OTHER, 1000.5,
+                credit.Guarantee.NO_GUARANTEE, 45),
+        Obligor("OBL-2", credit.Rating.DEFAULT, credit.Segment.CFC_OTHER, 2.0,
+                credit.Guarantee.RECEIVABLES, 0, 0.25)])
+    loaded = pickle.loads(MEMBER_COLUMNS_PICKLE)
+    assert type(loaded) is Portfolio and loaded == portfolio
+    assert list(loaded) == list(portfolio) and loaded[1].rating is credit.Rating.DEFAULT
+    assert pickle.dumps(portfolio, 4) == MEMBER_COLUMNS_PICKLE
 
 
 def test_portfolio_equality():

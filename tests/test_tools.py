@@ -45,14 +45,14 @@ def test_time_credit_times_and_counts_each_run(child_env):
     lines = done.stdout.splitlines()
     assert lines[0] == "500 rows, min of 1 repeats"
     reads = ["read_portfolio_csv", "read(R-header)", "read(blank-2nd-line)",
-             "read(late-days)"]
+             "read(late-days)", "read(padded-ids)"]
     runs = [*reads, "period_report", "period_report(list)", "portfolio_op"]
     # time rows: name, ms, µs/row, rows/s
-    assert [line.split()[0] for line in lines[1:8]] == runs
-    assert all(float(line.split()[1]) > 0.0 for line in lines[1:8])
+    assert [line.split()[0] for line in lines[1:9]] == runs
+    assert all(float(line.split()[1]) > 0.0 for line in lines[1:9])
     calls, logarithms, chunks, str_counts, readers = {}, {}, {}, {}, {}
     transient, collections = {}, {}
-    for line in lines[8:]:
+    for line in lines[9:]:
         name, rest = line.split(": ", 1)
         if "Python-level calls per row" in rest:
             calls[name] = float(rest.split()[0])
@@ -115,21 +115,21 @@ def test_time_credit_compares_with_a_parent_tree(child_env):
     assert lines[0] == (f"500 rows, min of 2 repeats, alternating with the parent"
                         f" {root} (equal outputs)")
     # and the median and range of the two repeats' paired ratios
-    for line in lines[1:8]:
+    for line in lines[1:9]:
         found = re.fullmatch(r"\S+ +([\d.]+) ms .* parent +([\d.]+) ms  ratio ([\d.]+)"
                              r"  paired median ([\d.]+) range ([\d.]+)-([\d.]+)", line)
         assert found and all(float(value) > 0.0 for value in found.groups()), line
         median, low, high = map(float, found.groups()[3:])
         assert low <= median <= high, line
-    counts = lines[8:]
-    assert len(counts) == 28
-    ours, parents = counts[:14], counts[14:]
+    counts = lines[9:]
+    assert len(counts) == 32
+    ours, parents = counts[:16], counts[16:]
     assert parents[0::2] == ["parent " + line for line in ours[0::2]]
     for line, parent in zip(ours[1::2], parents[1::2]):
         assert parent.startswith("parent " + line.split(": ", 1)[0] + ": ")
     # csv.reader reads only the header of the generated month and of its
-    # three spellings, whose chunks are all split with str.split
-    for line in ours[0:8:2] + parents[0:8:2]:
+    # four spellings, whose chunks are all split with str.split
+    for line in ours[0:10:2] + parents[0:10:2]:
         assert line.split("; ")[-1] == f"{1 / 500:.4f} csv.reader rows per row"
 
 
