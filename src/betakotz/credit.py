@@ -336,39 +336,35 @@ def loss_rates(portfolio: Sequence[Obligor]) -> list[float]:
 
     The rates sum to the portfolio's total expected loss rate.
     """
+    return _loss_rates(*_rows_and_total(portfolio))
+
+
+def _rows_and_total(portfolio):
+    """`portfolio`'s rows for _loss_rates, and its total exposure, the
+    exact sum of its EADs: ValueError unless that is finite and > 0."""
     columns = _field_columns(portfolio)[1:]
-    total = _total_exposure(columns[2])
-    if not total > 0.0:
-        raise ValueError("total exposure must be positive to form loss rates")
-    return _loss_rates(zip(*columns), total)
-
-
-def _total_exposure(eads):
-    """The exact sum of the exposures, by math.fsum; ValueError when it
-    is not finite, as for finite exposures whose sum overflows."""
     try:
-        total = math.fsum(eads)
+        total = math.fsum(columns[2])
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
         raise ValueError(f"total exposure must be finite, got {total}")
-    return total
+    if not total > 0.0:
+        raise ValueError("total exposure must be positive")
+    return zip(*columns), total
 
 
 def _loss_rates(rows, total):
     """Each obligor's expected loss EAD x PD x LGD, in that order, divided
     by `total`, from its `_field_columns` but the id: the one definition
-    of an obligor's expected loss and of its LGD, with pd_lookup inlined
-    (a day is an integer >= 0: Obligor and the reader refuse any other)."""
-    rates = []
-    append = rates.append
-    for rating, segment, ead, guarantee, days, pd_value, lgd_value in rows:
-        if pd_value is None:
-            pd_value = _PD_BY_RATING[rating][segment]
-        if lgd_value is None:
-            lgd_value = _LGD_BY_DAY[guarantee][days if days < _LAST_DAY else _LAST_DAY]
-        append(ead * pd_value * lgd_value / total)
-    return rates
+    of an obligor's loss rate and of its LGD, with pd_lookup inlined (a
+    day is an integer >= 0: Obligor and the reader refuse any other)."""
+    # A comprehension over locals: no Python call, no global load per row.
+    pd_by_rating, lgd_by_day, last_day = _PD_BY_RATING, _LGD_BY_DAY, _LAST_DAY
+    return [ead * (pd_by_rating[rating][segment] if pd_value is None else pd_value)
+            * (lgd_by_day[guarantee][days if days < last_day else last_day]
+               if lgd_value is None else lgd_value) / total
+            for rating, segment, ead, guarantee, days, pd_value, lgd_value in rows]
 
 
 # The wire format of a PortfolioReport, as (key, format spec) in to_dict
@@ -430,39 +426,33 @@ def period_report(
     Obligors with zero expected loss stay in the exposure denominator
     but are excluded from the fitting sample (their rate has no
     log-likelihood and carries no tail information).  The fit reads only
-    the sample's mean and variance, taken in the pass that forms the
-    rates, so no log-sum is taken and no rate is kept.
+    the sample's mean and variance, taken as the rates are formed, so
+    no log-sum is taken and no rate list is kept.
     """
     if not portfolio:
         raise ValueError("portfolio must be non-empty")
-    columns = _field_columns(portfolio)[1:]
-    total = _total_exposure(columns[2])
-    if not total > 0.0:
-        raise ValueError("total exposure must be positive")
-    # Each rate formed as _loss_rates forms it (tests hold the two equal
-    # to the bit), and each rate > 0 fed straight into Welford's
-    # recurrence as estimation._moments runs it: no rate list is kept.  A rate lies in [0, 1] (EADs, PDs and LGDs
-    # are checked >= 0, no EAD exceeds their exact sum, and a -0.0 EAD
-    # gives a -0.0 rate), so the only positive rate outside (0, 1) is 1.0,
-    # which is counted, and refused once the count is.
+    rows, total = _rows_and_total(portfolio)
+    # The rates of a chunk of obligors at a time, each rate > 0 fed
+    # straight into Welford's recurrence as estimation._moments runs it:
+    # one chunk's list is alive at a time, and none per obligor.  A rate
+    # lies in [0, 1] (EADs, PDs and LGDs are checked >= 0, no EAD exceeds
+    # their exact sum, and a -0.0 EAD gives a -0.0 rate), so the only
+    # positive rate outside (0, 1) is 1.0, which is counted, and refused
+    # once the count is.
     n = 0
     mean = m2 = 0.0
     one_at = None  # the index, among rates > 0, of the first rate of 1.0
-    for rating, segment, ead, guarantee, days, pd_value, lgd_value in zip(*columns):
-        if pd_value is None:
-            pd_value = _PD_BY_RATING[rating][segment]
-        if lgd_value is None:
-            lgd_value = _LGD_BY_DAY[guarantee][days if days < _LAST_DAY else _LAST_DAY]
-        rate = ead * pd_value * lgd_value / total
-        if 0.0 < rate < 1.0:
-            n += 1
-            delta = rate - mean
-            mean += delta / n
-            m2 += delta * (rate - mean)
-        elif rate:
-            if one_at is None:
-                one_at = n
-            n += 1
+    for _ in range(0, len(portfolio), _CHUNK_ROWS):
+        for rate in _loss_rates(islice(rows, _CHUNK_ROWS), total):
+            if 0.0 < rate < 1.0:
+                n += 1
+                delta = rate - mean
+                mean += delta / n
+                m2 += delta * (rate - mean)
+            elif rate:
+                if one_at is None:
+                    one_at = n
+                n += 1
     if n < 2:
         raise ValueError(
             f"need at least 2 obligors with positive expected loss, got {n}")
@@ -502,8 +492,9 @@ _OPTIONAL_COLUMNS = ("pd_override", "lgd_override")
 # 10,000-row month, against 70 at 8 K, for 279 KB transient, not 92 KB.
 _BLOCK_CHARS = 32768
 
-# Non-blank rows per chunk once csv.reader reads the rest of a file, and
-# obligors per chunk of a Portfolio's iteration.
+# Non-blank rows per chunk once csv.reader reads the rest of a file,
+# obligors per chunk of a Portfolio's iteration, and rates per chunk
+# that period_report forms.
 _CHUNK_ROWS = 128
 
 

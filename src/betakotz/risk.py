@@ -301,9 +301,14 @@ def _density_cvar(p, a_level, q, tail):
     ln_tail = math.log1p(-q) if q < 0.5 else math.log(tail)
     lead = p.log_norm_const + p.b * ln_tail - math.log(p.b)
     excess = 0.0
-    for log_w, log_weight in _TANH_SINH:
-        gap = -tail * math.expm1(log_w * inv_b)
-        excess += gap * math.exp(lead + log_weight + am1 * math.log(q + gap))
+    try:
+        for log_w, log_weight in _TANH_SINH:
+            gap = -tail * math.expm1(log_w * inv_b)
+            excess += gap * math.exp(lead + log_weight + am1 * math.log(q + gap))
+    except OverflowError:
+        raise ValueError(
+            f"CVaR quadrature overflows a float for (a={p.a}, b={p.b}, "
+            f"alpha={a_level})") from None
     return q + excess / (1.0 - a_level)
 
 

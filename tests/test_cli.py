@@ -90,6 +90,16 @@ def test_measures_invalid_shapes(capsys):
     assert "shape" in err
 
 
+@pytest.mark.parametrize("alpha", ["1e-300", "0.5", "0.99"])
+def test_measures_density_overflow_is_an_input_error(capsys, alpha):
+    # One stderr line and exit 2, not an OverflowError traceback (exit 1).
+    code, out, err = run_cli(capsys, "measures", "--a", "1e30", "--b", "1e15",
+                             "--alpha", alpha)
+    assert code == EXIT_INPUT and out == ""
+    assert err == (f"error: CVaR quadrature overflows a float for "
+                   f"(a=1e+30, b=1000000000000000.0, alpha={float(alpha)})\n")
+
+
 def test_measures_inconsistency_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(risk, "var_closed", lambda p, alpha: 0.123)
     code, _, err = run_cli(capsys, "measures", "--a", "1", "--b", "2")

@@ -425,6 +425,16 @@ def test_report_refuses_saturated_quantile(a, b, alpha):
         report(BetaKotzParams(a, b), alpha)
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 0.5, 0.99])
+def test_report_refuses_density_overflow_by_name(alpha):
+    # At (1e30, 1e15) the density route's exp overflows at every level:
+    # a ValueError naming the shapes and the level, not an OverflowError.
+    with pytest.raises(ValueError) as err:
+        report(BetaKotzParams(1e30, 1e15), alpha)
+    assert str(err.value) == (f"CVaR quadrature overflows a float for "
+                              f"(a=1e+30, b=1000000000000000.0, alpha={alpha})")
+
+
 def test_report_lower_clamp_keeps_identity():
     # F(1e-15) is about 0.09 here, so the 1e-4 quantile lies far below
     # 1e-15 (mpmath: 9.7118236027201e-75); all tail mass but a sliver

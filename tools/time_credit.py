@@ -1,14 +1,16 @@
 """Time the credit layer per 10,000-row generated month.
 
 Writes one month with the portfolio-month workload's generator
-(`bench/workloads.py`, seeded), then times eight runs on it:
-`read_portfolio_csv`; the same read of four more spellings of the
+(`bench/workloads.py`, seeded), then times nine runs on it:
+`read_portfolio_csv`; the same read of five more spellings of the
 month, with every header name quoted as R's `write.csv` writes them
 (`read(R-header)`), with a blank second line (`read(blank-2nd-line)`),
 with every nonzero day count 1,000 more (`read(late-days)`, whose
-days the reader's table of spellings below 1,000 misses) and with a
+days the reader's table of spellings below 1,000 misses), with a
 leading space on every id (`read(padded-ids)`, whose ids the reader
-strips, as every block holds a space);
+strips, as every block holds a space) and with the rating, segment and
+guarantee cells upper-cased (`read(upper-enums)`, whose spellings the
+reader's table misses, so it looks each distinct spelling up once);
 `period_report` on the Portfolio that the read returns, and on a plain
 list of the same obligors; and the benchmark's whole portfolio-month op
 on the month (read, `period_report`, `report_to_json` and
@@ -87,16 +89,26 @@ def late_days(line):
     return ",".join(cells)
 
 
+def upper_enums(line):
+    """A generated month's data `line` with its rating, segment and
+    guarantee cells upper-cased."""
+    cells = line.split(",")
+    for k in (1, 2, 4):
+        cells[k] = cells[k].upper()
+    return ",".join(cells)
+
+
 def write_spellings(month, directory):
     """The paths, by run name, of `month` spelled with every header name
-    quoted, with a blank second line, with late days and with padded
-    ids, written to `directory`."""
+    quoted, with a blank second line, with late days, with padded ids and
+    with upper-case enum cells, written to `directory`."""
     head, body = Path(month.path).read_text(encoding="utf-8").split("\n", 1)
     lines = body.splitlines(keepends=True)
     spellings = {"R-header": '"' + head.replace(",", '","') + '"\n' + body,
                  "blank-2nd-line": head + "\n\n" + body,
                  "late-days": head + "\n" + "".join(map(late_days, lines)),
-                 "padded-ids": head + "\n" + "".join(" " + line for line in lines)}
+                 "padded-ids": head + "\n" + "".join(" " + line for line in lines),
+                 "upper-enums": head + "\n" + "".join(map(upper_enums, lines))}
     paths = {}
     for name, text in spellings.items():
         paths[f"read({name})"] = path = Path(directory) / f"{name}.csv"
@@ -105,7 +117,7 @@ def write_spellings(month, directory):
 
 
 def timed_runs(credit, month, spellings):
-    """The eight timed runs on `month` and its `spellings`, through the
+    """The nine timed runs on `month` and its `spellings`, through the
     module `credit`."""
     portfolio = credit.read_portfolio_csv(month.path)
     obligors = list(portfolio)
