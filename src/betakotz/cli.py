@@ -9,8 +9,9 @@ also be set through the BETAKOTZ_ALPHA environment variable, with the
 `credit`, `estimation` and `risk` are bound lazily: a layer's module is
 executed on the first use of one of its attributes, so a subcommand
 compiles only the layers it runs (`measures` and `tables` never run
-`credit` or `estimation`, `fit` never runs `credit` or `risk`).  The
-first use is not thread-safe on Python 3.11; the CLI is single-threaded.
+`credit` or `estimation`, `fit` never runs `credit` or `risk`, and
+`portfolio` never runs `estimation`).  The first use is not
+thread-safe on Python 3.11; the CLI is single-threaded.
 They are bound here, not imported inside the handlers, because
 `bench/tracer.py` reads all six layers from `sys.modules` after it
 imports `betakotz.cli`.

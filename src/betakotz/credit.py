@@ -22,8 +22,7 @@ from collections.abc import Sequence
 from itertools import chain, compress, islice, repeat, zip_longest
 
 from . import risk
-from .distribution import BetaKotzParams, ConfidenceLevel, _Record
-from .estimation import _moment_shapes
+from .distribution import BetaKotzParams, ConfidenceLevel, _moment_shapes, _Record
 
 __all__ = [
     "Rating",
@@ -433,7 +432,7 @@ def period_report(
         raise ValueError("portfolio must be non-empty")
     rows, total = _rows_and_total(portfolio)
     # The rates of a chunk of obligors at a time, each rate > 0 fed
-    # straight into Welford's recurrence as estimation._moments runs it:
+    # straight into Welford's recurrence as stats_from_samples runs it:
     # one chunk's list is alive at a time, and none per obligor.  A rate
     # lies in [0, 1] (EADs, PDs and LGDs are checked >= 0, no EAD exceeds
     # their exact sum, and a -0.0 EAD gives a -0.0 rate), so the only

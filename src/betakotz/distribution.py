@@ -2,8 +2,9 @@
 
 A Kotz-generator parameter set (n1, n2, t1, t2) maps to the shape pair
 (a, b) = (t1 + n1/2 - 1, t2 + n2/2 - 1); density, CDF and moments are
-those of a Beta-type law with those shapes.  All values are immutable
-and the operations are pure.
+those of a Beta-type law with those shapes, and a mean and variance
+invert to shapes in closed form.  All values are immutable and the
+operations are pure.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ class _Record:
     def __setstate__(self, state):
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
+
+
+class InfeasibleMomentsError(ValueError):
+    """Sample variance is incompatible with any Beta-Kotz shape pair."""
 
 
 class KotzGeneratorParams(_Record):
@@ -176,3 +181,16 @@ def variance(p: BetaKotzParams) -> float:
     """Var(X) = a b / ((a + b)^2 (a + b + 1))."""
     s = p.a + p.b
     return p.a * p.b / (s * s * (s + 1.0))
+
+
+def _moment_shapes(mean: float, variance: float) -> BetaKotzParams:
+    """The shapes whose mean and variance are those given, inverted in
+    closed form; InfeasibleMomentsError outside 0 < variance < mean(1-mean)."""
+    bound = mean * (1.0 - mean)
+    if variance <= 0.0 or variance >= bound:
+        raise InfeasibleMomentsError(
+            f"sample variance {variance} must lie in (0, "
+            f"{bound}) = (0, mean*(1-mean)) for a moment fit"
+        )
+    common = bound / variance - 1.0
+    return BetaKotzParams(mean * common, (1.0 - mean) * common)

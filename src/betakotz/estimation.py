@@ -14,7 +14,8 @@ import operator
 from collections.abc import Sequence
 from functools import reduce
 
-from .distribution import BetaKotzParams, _Record
+from .distribution import (BetaKotzParams, InfeasibleMomentsError,
+                           _moment_shapes, _Record)
 from .specfun import digamma, trigamma
 
 __all__ = [
@@ -31,10 +32,6 @@ __all__ = [
 _GRAD_TOL = 1e-10
 _MAX_ITERS = 100
 _MAX_HALVINGS = 30
-
-
-class InfeasibleMomentsError(ValueError):
-    """Sample variance is incompatible with any Beta-Kotz shape pair."""
 
 
 class StepFailureError(RuntimeError):
@@ -81,28 +78,6 @@ class FitResult(_Record):
         )
 
 
-def _moments(xs) -> tuple[int, float, float]:
-    """The count, mean and unbiased (n-1 divisor) variance of a sample,
-    by Welford's recurrence in one pass.  Values at or outside (0, 1)
-    are rejected with the offending index."""
-    n = 0
-    running_mean = 0.0
-    m2 = 0.0
-    for i, x in enumerate(xs):
-        # type() spares a float the isinstance call; the check is the same.
-        if not ((type(x) is float or isinstance(x, (int, float))) and 0.0 < x < 1.0):
-            raise ValueError(
-                f"sample value at index {i} must lie strictly in (0, 1), got {x!r}"
-            )
-        n += 1
-        delta = x - running_mean
-        running_mean += delta / n
-        m2 += delta * (x - running_mean)
-    if n < 2:
-        raise ValueError(f"need at least 2 observations, got {n}")
-    return n, running_mean, m2 / (n - 1)
-
-
 def stats_from_samples(xs: Sequence[float]) -> SampleStats:
     """Reduce a sample to SampleStats.
 
@@ -112,28 +87,28 @@ def stats_from_samples(xs: Sequence[float]) -> SampleStats:
     undefined there.
     """
     xs = list(xs)  # read twice; a generator is accepted
-    n, mean, variance = _moments(xs)
+    n = 0
+    mean = m2 = 0.0
+    for i, x in enumerate(xs):
+        # type() spares a float the isinstance call; the check is the same.
+        if not ((type(x) is float or isinstance(x, (int, float))) and 0.0 < x < 1.0):
+            raise ValueError(
+                f"sample value at index {i} must lie strictly in (0, 1), got {x!r}"
+            )
+        n += 1
+        delta = x - mean
+        mean += delta / n
+        m2 += delta * (x - mean)
+    if n < 2:
+        raise ValueError(f"need at least 2 observations, got {n}")
     # reduce adds in order with no compensation, unlike sum() from 3.12 on
     return SampleStats(
         n=n,
         mean=mean,
-        variance=variance,
+        variance=m2 / (n - 1),
         sum_log_x=reduce(operator.add, map(math.log, xs), 0.0),
         sum_log_1mx=reduce(operator.add, map(math.log1p, map(operator.neg, xs)), 0.0),
     )
-
-
-def _moment_shapes(mean: float, variance: float) -> BetaKotzParams:
-    """The shapes whose mean and variance are those given, inverted in
-    closed form; InfeasibleMomentsError outside 0 < variance < mean(1-mean)."""
-    bound = mean * (1.0 - mean)
-    if variance <= 0.0 or variance >= bound:
-        raise InfeasibleMomentsError(
-            f"sample variance {variance} must lie in (0, "
-            f"{bound}) = (0, mean*(1-mean)) for a moment fit"
-        )
-    common = bound / variance - 1.0
-    return BetaKotzParams(mean * common, (1.0 - mean) * common)
 
 
 def fit_moments(stats: SampleStats) -> BetaKotzParams:

@@ -449,6 +449,20 @@ def test_portfolio_zero_total_exposure(capsys, tmp_path):
     assert err == "portfolio pipeline failed: total exposure must be positive\n"
 
 
+def test_portfolio_of_equal_rates_is_numeric_failure(capsys, tmp_path):
+    # Two identical obligors: their rates' variance 0 has no moment fit.
+    path = tmp_path / "twins.csv"
+    path.write_text(
+        "id,rating,segment,ead,guarantee,days_past_due\n"
+        "a,AA,Other,100,NoGuarantee,0\n"
+        "a,AA,Other,100,NoGuarantee,0\n"
+    )
+    code, out, err = run_cli(capsys, "portfolio", str(path))
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == ("portfolio pipeline failed: sample variance 0.0 must lie in"
+                   " (0, 0.007812984375) = (0, mean*(1-mean)) for a moment fit\n")
+
+
 def test_portfolio_overflowing_total_exposure(capsys, tmp_path):
     # Two finite exposures whose sum overflows: a refusal that says so,
     # not an OverflowError traceback.
@@ -473,13 +487,18 @@ def test_portfolio_byte_that_is_not_utf8_names_its_offset(capsys, tmp_path):
     assert err == "error: not UTF-8 at byte offset 2000: invalid start byte\n"
 
 
-@pytest.mark.parametrize("row", [1, 3])
+@pytest.mark.parametrize("row", [1, 3, 2 + credit._CHUNK_ROWS])
 def test_portfolio_field_over_the_csv_limit_names_the_row(capsys, tmp_path, row):
     # csv.reader refuses a field over csv.field_size_limit(): an input
-    # error naming the row, not a traceback.
+    # error naming the row, not a traceback.  Past row 3, a quoted first
+    # row sends the file to csv.reader, and the malformed line is the
+    # first line of its second chunk, which then has no row before it.
     lines = ["id,rating,segment,ead,guarantee,days_past_due",
              "a,AA,Other,1000,NoGuarantee,0",
              "b,AA,Other,500,NoGuarantee,0"]
+    if row > 3:
+        lines[1] = '"a",AA,Other,1000,NoGuarantee,0'
+        lines += lines[2:] * (row - 3)
     lines[row - 1] += "," + "5" * 200_000
     path = tmp_path / "huge.csv"
     path.write_text("\n".join(lines) + "\n")
@@ -627,8 +646,7 @@ print(" ".join(sorted(k[len("betakotz."):] for k, m in sys.modules.items()
     (("measures", "--a", "1.2", "--b", "11.4"), "cli distribution risk specfun"),
     (("tables", "analytic"), "cli distribution risk specfun"),
     (("fit", "SAMPLE"), "cli distribution estimation specfun"),
-    (("portfolio", str(FIXTURE)),
-     "cli credit distribution estimation risk specfun"),
+    (("portfolio", str(FIXTURE)), "cli credit distribution risk specfun"),
 ], ids=("import", "measures", "tables", "fit", "portfolio"))
 def test_subcommand_executes_only_its_layers(child_env, beta_2_5_file, argv, layers):
     # Each process compiles only the layers its subcommand runs.

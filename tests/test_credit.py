@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import betakotz
 from betakotz import credit
 from betakotz.credit import (
     Guarantee,
@@ -478,18 +479,22 @@ def test_period_report_fit_is_the_moment_fit_bit_for_bit(source, tmp_path):
 def test_period_report_refusals_and_their_order():
     # A rate of 1.0 (a Default obligor of LGD 1 and nearly all the
     # exposure) is outside (0, 1), but too few positive rates are
-    # refused first, and it is counted among them.
+    # refused first, and it is counted among them.  Positive rates that
+    # are all equal have variance 0, which no shape pair has.
     whole = make_obligor(id="whole", rating=Rating.DEFAULT, ead=1e300,
                          lgd_override=1.0)
     cases = [
-        ([whole, make_obligor(pd_override=0.0)],
+        ([whole, make_obligor(pd_override=0.0)], ValueError,
          "need at least 2 obligors with positive expected loss, got 1"),
-        ([whole, make_obligor(rating=Rating.DEFAULT, ead=1e-20)],
+        ([whole, make_obligor(rating=Rating.DEFAULT, ead=1e-20)], ValueError,
          "sample value at index 0 must lie strictly in (0, 1), got 1.0"),
+        ([make_obligor(id="a"), make_obligor(id="b")], betakotz.InfeasibleMomentsError,
+         "sample variance 0.0 must lie in (0, 0.00626031) = (0, mean*(1-mean))"
+         " for a moment fit"),
     ]
-    for obligors, message in cases:
+    for obligors, kind, message in cases:
         for portfolio in (Portfolio(obligors), obligors):
-            with pytest.raises(ValueError) as err:
+            with pytest.raises(kind) as err:
                 period_report("m", portfolio)
             assert str(err.value) == message
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betakotz import estimation
+import betakotz
+from betakotz import distribution, estimation
 from betakotz.distribution import BetaKotzParams, mean, pdf, variance
 from betakotz.estimation import (
     InfeasibleMomentsError,
@@ -138,15 +139,24 @@ def test_stats_match_the_one_pass_loop_bit_for_bit(xs):
 @given(unit_samples)
 def test_moment_fit_reads_only_the_mean_and_variance(xs):
     stats = stats_from_samples(xs)
-    n, mean_, variance_ = estimation._moments(iter(xs))
+    n, mean_, variance_ = one_pass_stats(xs)[:3]
     assert (n, mean_, variance_) == (stats.n, stats.mean, stats.variance)
     try:
         expected = fit_moments(stats)
     except InfeasibleMomentsError as err:
         with pytest.raises(InfeasibleMomentsError, match=re.escape(str(err))):
-            estimation._moment_shapes(mean_, variance_)
+            distribution._moment_shapes(mean_, variance_)
     else:
-        assert estimation._moment_shapes(mean_, variance_) == expected
+        assert distribution._moment_shapes(mean_, variance_) == expected
+
+
+def test_infeasible_moments_error_is_one_class_defined_in_distribution():
+    # The moment inversion lives beside mean and variance; estimation and
+    # the package root name the same class.
+    assert InfeasibleMomentsError is distribution.InfeasibleMomentsError
+    assert betakotz.InfeasibleMomentsError is InfeasibleMomentsError
+    assert estimation._moment_shapes is distribution._moment_shapes
+    assert InfeasibleMomentsError.__module__ == "betakotz.distribution"
 
 
 def test_sample_stats_validation():

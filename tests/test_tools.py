@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 COMPILE_COST = TOOLS / "compile_cost.py"
 TIME_CREDIT = TOOLS / "time_credit.py"
@@ -33,7 +35,7 @@ def test_compile_cost_reports_each_subcommand(child_env):
     assert executed == {
         "measures": common | {"risk"},
         "fit": common | {"estimation"},
-        "portfolio": set(sizes),
+        "portfolio": common | {"credit", "risk"},
         "tables": common | {"risk"},
     }
 
@@ -190,3 +192,20 @@ def test_risk_sweep_counts_outcomes_and_kernel_work(child_env):
         r" over (\d+) of 32 months \((\d+) mpmath betainc did not converge\): "
         + stats, line) for line in lines))
     assert int(months[1]) + int(months[2]) == 32 and float(months[5]) <= 2e-15
+
+
+@pytest.mark.parametrize("tool, args", [
+    (COMPILE_COST, ["--repeats", "1"]),
+    (TIME_CREDIT, ["--rows", "500", "--repeats", "1"]),
+    (RISK_SWEEP, ["--size", "16"]),
+], ids=["compile_cost", "time_credit", "risk_sweep"])
+def test_tool_exits_quietly_when_its_reader_leaves(child_env, tool, args):
+    # As under `| head -1`: the reader closes the pipe after the first
+    # line, and the next write ends the tool with exit 1, not a traceback.
+    env = {**child_env, "PYTHONUNBUFFERED": "1"}  # each line written at once
+    with subprocess.Popen([sys.executable, str(tool), *args], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (1, "")

@@ -33,6 +33,7 @@ in another checkout sweeps that checkout.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import tempfile
 from collections import Counter
@@ -219,4 +220,11 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader left early (`| head`): send the rest to devnull so
+        # the flush at exit cannot raise again, and exit 1 as on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -52,6 +52,7 @@ import gc
 import importlib
 import importlib.util
 import math
+import os
 import random
 import statistics
 import sys
@@ -284,4 +285,11 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader left early (`| head`): send the rest to devnull so
+        # the flush at exit cannot raise again, and exit 1 as on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
