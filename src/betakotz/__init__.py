@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _LAYER_OF = {
     **dict.fromkeys((
         "BetaKotzParams", "ConfidenceLevel", "KotzGeneratorParams", "from_kotz",
-        "pdf", "cdf", "moment", "mean", "variance",
+        "pdf", "cdf", "moment", "mean", "variance", "InfeasibleMomentsError",
     ), "distribution"),
     **dict.fromkeys((
         "RiskReport", "SolveMethod", "InternalConsistencyError", "var_numeric",
@@ -27,7 +27,7 @@ _LAYER_OF = {
         "cvar_normal", "var_student", "cvar_student",
     ), "risk"),
     **dict.fromkeys((
-        "SampleStats", "FitResult", "InfeasibleMomentsError", "StepFailureError",
+        "SampleStats", "FitResult", "StepFailureError",
         "stats_from_samples", "fit_moments", "fit_mle", "log_likelihood",
     ), "estimation"),
     "ConvergenceError": "specfun",

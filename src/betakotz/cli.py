@@ -15,11 +15,19 @@ thread-safe on Python 3.11; the CLI is single-threaded.
 They are bound here, not imported inside the handlers, because
 `bench/tracer.py` reads all six layers from `sys.modules` after it
 imports `betakotz.cli`.
+
+A process enters through `console_main`, the console script and
+`python -m betakotz.cli` alike.  Once the command has returned it
+freezes the heap, so the full collections that the interpreter runs at
+exit scan none of the objects the process still holds; they are freed
+by reference counting as before.  `main` itself leaves the collector
+as it was, as the tests and the benchmark's tracer call it in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -292,5 +300,13 @@ def main(argv=None) -> int:
         return EXIT_INCONSISTENT
 
 
+def console_main() -> int:
+    """The process entry: `main()`, then the heap frozen for exit."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -1,8 +1,10 @@
 """CLI tests: subcommand output, exit codes, env overrides, determinism."""
 
 import argparse
+import gc
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -424,14 +426,19 @@ def test_portfolio_empty_csv(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
-def test_portfolio_pipeline_failure(capsys, tmp_path):
+@pytest.fixture()
+def one_positive_loss_file(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text(
         "id,rating,segment,ead,guarantee,days_past_due,pd_override,lgd_override\n"
         "a,AA,Other,1000,NoGuarantee,0,,\n"
         "b,AA,Other,500,NoGuarantee,0,0.0,\n"
     )
-    code, _, err = run_cli(capsys, "portfolio", str(path))
+    return path
+
+
+def test_portfolio_pipeline_failure(capsys, one_positive_loss_file):
+    code, _, err = run_cli(capsys, "portfolio", str(one_positive_loss_file))
     assert code == EXIT_NUMERIC
     assert "pipeline" in err
 
@@ -656,6 +663,24 @@ def test_subcommand_executes_only_its_layers(child_env, beta_2_5_file, argv, lay
     assert done.stdout.strip() == layers
 
 
+def test_infeasible_moments_error_executes_only_its_layer(child_env):
+    # The class is defined in `distribution`, beside the moment inversion
+    # that raises it: naming it through the package root leaves
+    # `estimation` unexecuted, and it is the class `estimation` imports.
+    code = """
+import sys, types, betakotz
+error = betakotz.InfeasibleMomentsError
+print(" ".join(sorted(k[len("betakotz."):] for k, m in sys.modules.items()
+                      if k.startswith("betakotz.")
+                      and type(m) is types.ModuleType)))
+import betakotz.estimation
+print(error is betakotz.estimation.InfeasibleMomentsError)
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=child_env)
+    assert done.stdout.splitlines() == ["distribution specfun", "True"]
+
+
 def test_layers_are_reachable_as_the_tracer_reads_them(child_env):
     # What the benchmark's tracer relies on: after `import betakotz.cli`
     # every layer is in sys.modules, and vars() of it holds its public
@@ -681,3 +706,74 @@ assert betakotz.estimation.fit_mle is betakotz.fit_mle
 assert betakotz.specfun.ConvergenceError is betakotz.ConvergenceError
 """
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env)
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+# ---------------------------------------------------------------------------
+
+def run_process(child_env, *argv):
+    """`python -m betakotz.cli <argv>` in a fresh interpreter, as cli-mix
+    runs it: (exit code, stdout, stderr)."""
+    env = {k: v for k, v in child_env.items() if k != cli.ALPHA_ENV_VAR}
+    done = subprocess.run([sys.executable, "-m", "betakotz.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("fit", "SAMPLE"), EXIT_OK),
+    (("measures", "--a", "1", "--b", "2", "--alpha", "2"), EXIT_INPUT),
+    (("portfolio", "ONE_POSITIVE_LOSS"), EXIT_NUMERIC),
+], ids=("fit", "input-error", "numeric-failure"))
+def test_process_gives_what_main_gives(capsys, monkeypatch, child_env, beta_2_5_file,
+                                       one_positive_loss_file, argv, expected):
+    files = {"SAMPLE": str(beta_2_5_file), "ONE_POSITIVE_LOSS": str(one_positive_loss_file)}
+    argv = [files.get(a, a) for a in argv]
+    monkeypatch.delenv(cli.ALPHA_ENV_VAR, raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected and (out if code == EXIT_OK else err)
+    assert run_process(child_env, *argv) == (code, out, err)
+
+
+def test_main_leaves_the_collector_as_it_was(capsys):
+    # Only the process entry freezes the heap: in-process callers (these
+    # tests, the benchmark's tracer) keep collecting every later cycle.
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "measures", "--a", "1.2", "--b", "11.4")[0] == EXIT_OK
+    assert run_cli(capsys, "measures", "--a", "1", "--b", "2", "--alpha", "2")[0] == EXIT_INPUT
+    with pytest.raises(SystemExit):
+        main(["measures"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+# Run in a fresh interpreter: at exit, whether the heap is frozen and the
+# tracked objects left for the interpreter's exit-time collections.
+_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0, len(gc.get_objects()),
+                              file=sys.stderr))
+"""
+
+
+def test_console_script_and_module_run_the_same_entry(child_env):
+    # The console script named in pyproject.toml and `python -m
+    # betakotz.cli` both run `console_main`, which freezes the heap once
+    # the command returns: the exit collections then have next to nothing
+    # left to scan, where an unfrozen process leaves about 12,000 objects.
+    pyproject = (FIXTURE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    (entry,) = re.findall(r'^betakotz = "(.+)"$', pyproject, flags=re.MULTILINE)
+    assert entry == "betakotz.cli:console_main"
+    module, name = entry.split(":")
+    argv = ["measures", "--a", "1.2", "--b", "11.4"]
+    outputs = set()
+    for run in ("import runpy\nrunpy._run_module_as_main('betakotz.cli')",  # as `-m`
+                f"from {module} import {name}\nsys.exit({name}())"):  # as the script
+        done = subprocess.run([sys.executable, "-c", _AT_EXIT + run, *argv],
+                              capture_output=True, text=True, check=True,
+                              env=child_env)
+        frozen, left = done.stderr.split()
+        assert frozen == "True" and int(left) < 100, run
+        outputs.add(done.stdout)
+    assert len(outputs) == 1

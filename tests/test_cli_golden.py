@@ -9,6 +9,8 @@ from the repository root.
 import contextlib
 import io
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -53,6 +55,18 @@ def test_cli_output_matches_golden(name, monkeypatch):
     monkeypatch.delenv(cli.ALPHA_ENV_VAR, raising=False)
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert render(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", ["measures_1.2_11.4", "tables_analytic",
+                                  "portfolio_json"])
+def test_cli_process_output_matches_golden(name, child_env):
+    # The path that users and the cli-mix benchmark take: one
+    # `python -m betakotz.cli` process per command.
+    env = {k: v for k, v in child_env.items() if k != cli.ALPHA_ENV_VAR}
+    done = subprocess.run([sys.executable, "-m", "betakotz.cli", *CASES[name]],
+                          capture_output=True, env=env)
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
+    assert (done.returncode, done.stdout, done.stderr) == (cli.EXIT_OK, expected, b"")
 
 
 if __name__ == "__main__":

@@ -14,13 +14,15 @@ TIME_CREDIT = TOOLS / "time_credit.py"
 RISK_SWEEP = TOOLS / "risk_sweep.py"
 
 
-def test_compile_cost_reports_each_subcommand(child_env):
-    done = subprocess.run([sys.executable, str(COMPILE_COST), "--repeats", "1"],
-                          capture_output=True, text=True, check=True, env=child_env)
-    modules, subcommands = done.stdout.split("\n\n")
+def compile_tables(modules, subcommands, prefix=""):
+    """The bytecode size of each module and the modules each subcommand
+    executes, from compile_cost's two tables."""
     # module rows: name, lines, compile ms, bytecode B
-    sizes = {line.split()[0]: int(line.split()[3].replace(",", ""))
-             for line in modules.splitlines()[2:]}
+    sizes = {}
+    for line in modules.splitlines()[-8:]:
+        assert line.startswith(prefix), line
+        fields = line[len(prefix):].split()
+        sizes[fields[0]] = int(fields[3].replace(",", ""))
     total = sizes.pop("total")
     assert set(sizes) == {"__init__", "cli", "credit", "distribution",
                           "estimation", "risk", "specfun"}
@@ -28,7 +30,8 @@ def test_compile_cost_reports_each_subcommand(child_env):
     # subcommand rows: name, compile ms, bytecode B, modules executed
     executed = {}
     for line in subcommands.splitlines()[1:]:
-        name, _, size, *stems = line.split()
+        assert line.startswith(prefix), line
+        name, _, size, *stems = line[len(prefix):].split()
         assert int(size.replace(",", "")) == sum(sizes[s] for s in stems), line
         executed[name] = set(stems)
     common = {"__init__", "cli", "distribution", "specfun"}
@@ -38,6 +41,57 @@ def test_compile_cost_reports_each_subcommand(child_env):
         "portfolio": common | {"credit", "risk"},
         "tables": common | {"risk"},
     }
+    return sizes
+
+
+SUBCOMMANDS = ["measures", "fit", "portfolio", "tables"]
+
+
+def test_compile_cost_reports_each_subcommand(child_env):
+    done = subprocess.run([sys.executable, str(COMPILE_COST), "--repeats", "2"],
+                          capture_output=True, text=True, check=True, env=child_env)
+    modules, subcommands, processes = done.stdout.split("\n\n")
+    compile_tables(modules, subcommands)
+    # process rows: name, min ms, median ms, exit objects.  The process
+    # entry freezes the heap, so the exit collections find next to
+    # nothing to scan, where an unfrozen process leaves about 12,000.
+    lines = processes.splitlines()
+    assert lines[0] == "python -m betakotz.cli, min and median of 2 processes"
+    assert [line.split()[0] for line in lines[2:]] == SUBCOMMANDS
+    for line in lines[2:]:
+        found = re.fullmatch(r"\w+ +([\d.]+) +([\d.]+) +([\d,]+)", line)
+        assert found, line
+        assert 0.0 < float(found[1]) <= float(found[2]), line
+        assert int(found[3].replace(",", "")) < 100, line
+
+
+def test_compile_cost_compares_with_a_parent_tree(child_env):
+    # Its own tree as the parent: the parent's tables repeat this tree's
+    # counts under the `parent` prefix, the two trees give equal outputs,
+    # and each process row carries the parent's times, its exit-time
+    # objects and the paired ratios.
+    root = TOOLS.parent
+    done = subprocess.run([sys.executable, str(COMPILE_COST), "--repeats", "2",
+                           "--parent", str(root)],
+                          capture_output=True, text=True, check=True, env=child_env)
+    modules, subcommands, parent_modules, parent_subcommands, processes = (
+        done.stdout.split("\n\n"))
+    assert (compile_tables(modules, subcommands)
+            == compile_tables(parent_modules, parent_subcommands, "parent "))
+    lines = processes.splitlines()
+    assert lines[0] == ("python -m betakotz.cli, min and median of 2 processes,"
+                        f" alternating with the parent {root} (equal outputs)")
+    assert [line.split()[0] for line in lines[2:]] == SUBCOMMANDS
+    for line in lines[2:]:
+        found = re.fullmatch(r"\w+ +[\d.]+ +[\d.]+ +([\d,]+)  parent ([\d.]+) / ([\d.]+)"
+                             r" ms ([\d,]+) objects  paired median ([\d.]+)"
+                             r" range ([\d.]+)-([\d.]+)", line)
+        assert found, line
+        ours, parents = (int(found[k].replace(",", "")) for k in (1, 4))
+        assert ours == parents < 100, line
+        assert 0.0 < float(found[2]) <= float(found[3]), line
+        median, low, high = map(float, found.groups()[4:])
+        assert 0.0 < low <= median <= high, line
 
 
 def test_time_credit_times_and_counts_each_run(child_env):
