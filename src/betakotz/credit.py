@@ -570,11 +570,10 @@ def _field_chunks(handle, width, picked):
     A block is split into cells with one str.split when that reads it as
     csv.reader would: when it has no quote, every line has the header's
     width, and none has a \\r other than in a "\\r\\n" line end, a NUL, or
-    a field over csv.field_size_limit().  Blank lines are not rows: a
-    block that fails only for them is split without them, and one of
-    only blank lines gives no chunk.  From the first block that is not
-    split on, one csv.reader reads it and the rest of the file,
-    _CHUNK_ROWS non-blank rows a chunk.  Either way `_column_fields`
+    a field over csv.field_size_limit().  From the first block that is
+    not split on (a blank line, too, has not the header's width), one
+    csv.reader reads it and the rest of the file, _CHUNK_ROWS non-blank
+    rows a chunk; blank lines are not rows.  Either way `_column_fields`
     converts the cells, and `_row_obligors` names the first faulty row
     of a chunk that it refuses.
     """
@@ -600,12 +599,6 @@ def _field_chunks(handle, width, picked):
                     if text[-1] != "\n":  # the file's last line
                         text += "\n"
                     cells = _split_cells(text, width)
-                    # Only a block that fails is scanned for blank lines.
-                    if cells is None and ("\n\n" in text or text[0] == "\n"):
-                        text = "\n".join(filter(None, text.split("\n"))) + "\n"
-                        if text == "\n":
-                            continue
-                        cells = _split_cells(text, width)
             if cells is None:
                 rows_left = filter(None, csv.reader(
                     chain(io.StringIO(text, newline=""), handle)))
@@ -670,17 +663,12 @@ def _column_fields(cell_columns, strip_ids=True):
      pd_cells, lgd_cells) = cell_columns
     try:
         # A day column of canonical counts below 1,000, as months are
-        # written, is looked up whole; any other spelling goes to int().
-        # int() and float() skip surrounding whitespace other than
-        # \x1c-\x1f, which strip() also removes: only a column they refuse
-        # is stripped, and a blank day then reads as 0.
+        # written, is looked up whole; any other column is stripped cell
+        # by cell for int(), and a blank day reads as 0.
         try:
             days = list(map(_DAY_BY_TEXT.__getitem__, days_cells))
         except KeyError:
-            try:
-                days = list(map(int, days_cells))
-            except ValueError:
-                days = [int(text or 0) for text in map(str.strip, days_cells)]
+            days = [int(text or 0) for text in map(str.strip, days_cells)]
             # _DAY_BY_TEXT holds 0 ... 999 only: int() alone can give < 0.
             if min(days) < 0:
                 return None

@@ -411,9 +411,8 @@ def _quoted_header(text):
     return '"' + head.replace(",", '","') + '"\n' + body
 
 
-# Spellings of a plain file that are split throughout: the line ends,
-# a blank last line, a blank second line, a first block of only blank
-# lines, and a quoted header.
+# Spellings of a plain file: the line ends, a blank last line, a blank
+# second line, a first block of only blank lines, and a quoted header.
 PLAIN_SPELLINGS = {
     **{f"plain-{name}": edit for name, edit in LINE_ENDS.items()},
     "plain-blank-last-line": lambda text: text + "\n",
@@ -426,22 +425,21 @@ PLAIN_SPELLINGS = {
 
 @pytest.mark.parametrize("source, readers", [
     ("plain-lf", 1), ("plain-crlf", 1), ("plain-no-final-newline", 1),
-    ("plain-blank-last-line", 1), ("quoted-header", 1), ("blank-second-line", 1),
-    ("blank-first-block", 1),
+    ("plain-blank-last-line", 2), ("quoted-header", 1), ("blank-second-line", 2),
+    ("blank-first-block", 2),
     ("quote-free-chunked", 2), ("chunked", 2)])
 def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
                                                 readers):
     monkeypatch.setattr(credit, "_BLOCK_CHARS", SMALL_BLOCK)
     # csv.reader reads the header, and no block of a plain file, with
-    # "\n" or "\r\n" line ends or none after the last line, with blank
-    # lines, or with a quoted header.  A block that the split cannot read
-    # hands itself and the rest of the file to one more csv.reader.  The
-    # chunked files' first block (about 139 lines, 8,192 characters and
-    # the rest of a line) holds the blank lines before row CHUNK and the
-    # short row, so the second csv.reader reads every line after the
-    # header: without the first block's two blank lines, which the split
-    # drops first, when the block is quote-free, and with them when it
-    # holds the quoted extra cell of the long row.
+    # "\n" or "\r\n" line ends or none after the last line, or with a
+    # quoted header.  A block that the split cannot read, as it holds a
+    # blank line, a short or long row or a quote, hands itself and the
+    # rest of the file to one more csv.reader, which yields its blank
+    # lines too.  The chunked files' first block (about 139 lines, 8,192
+    # characters and the rest of a line) holds the two blank lines before
+    # row CHUNK and the short row, so the second csv.reader reads every
+    # line after the header.
     path = tmp_path / "p.csv"
     if source.endswith("chunked"):
         rows = _chunked_rows()
@@ -468,9 +466,14 @@ def test_quote_free_chunks_take_the_split_route(tmp_path, monkeypatch, source,
     monkeypatch.setattr(credit.csv, "reader", counting_reader)
     assert read_portfolio_csv(path) == expected and len(expected) == ROWS
     assert len(lines_read) == readers and lines_read[0] == 1
-    if source == "quote-free-chunked":
-        assert lines_read[1] == ROWS + 2  # and the two blank lines of the fourth chunk
-    elif source == "chunked":
+    if source == "plain-blank-last-line":
+        assert lines_read[1] == 3 + 1  # the last block's three rows, and the blank line
+    elif source == "blank-second-line":
+        assert lines_read[1] == ROWS + 1
+    elif source == "blank-first-block":
+        # the first block's SMALL_BLOCK + 1 blank lines
+        assert lines_read[1] == ROWS + SMALL_BLOCK + 1
+    elif source.endswith("chunked"):
         assert lines_read[1] == ROWS + 4  # and the four blank lines
     assert credit._BLOCK_CHARS == 8192  # the block edges the counts assume
 

@@ -101,14 +101,14 @@ def test_time_credit_times_and_counts_each_run(child_env):
     lines = done.stdout.splitlines()
     assert lines[0] == "500 rows, min of 1 repeats"
     reads = ["read_portfolio_csv", "read(R-header)", "read(blank-2nd-line)",
-             "read(late-days)", "read(padded-ids)", "read(upper-enums)"]
+             "read(late-days)", "read(padded-ids)", "read(upper-enums)", "read(CRLF)"]
     runs = [*reads, "period_report", "period_report(list)", "portfolio_op"]
     # time rows: name, ms, µs/row, rows/s
-    assert [line.split()[0] for line in lines[1:10]] == runs
-    assert all(float(line.split()[1]) > 0.0 for line in lines[1:10])
+    assert [line.split()[0] for line in lines[1:11]] == runs
+    assert all(float(line.split()[1]) > 0.0 for line in lines[1:11])
     calls, logarithms, chunks, str_counts, readers = {}, {}, {}, {}, {}
     transient, collections = {}, {}
-    for line in lines[10:]:
+    for line in lines[11:]:
         name, rest = line.split(": ", 1)
         if "Python-level calls per row" in rest:
             calls[name] = float(rest.split()[0])
@@ -142,11 +142,14 @@ def test_time_credit_times_and_counts_each_run(child_env):
     # "\r" is not counted, and the splitter knows its lines from its commas.
     assert set(str_counts.values()) == {0}
     assert 1 <= chunks["read_portfolio_csv"] == chunks["portfolio_op"] < 500 // 50
-    # Each spelling of the month is read as the plain one: in chunks that
-    # are all split, with no logarithm, and csv.reader reads only the header.
+    # Each spelling of the month is read in a few chunks, with no
+    # logarithm.  All but the one with a blank line are split throughout,
+    # as the plain one is, and csv.reader reads only the header; the blank
+    # line hands the whole body to csv.reader, which yields it too.
     for name in reads:
         assert logarithms[name] == 0.0 and 1 <= chunks[name] < 500 // 50
-        assert readers[name] == f"{1 / 500:.4f} csv.reader rows per row"
+        lines_read = 1 + 500 + 1 if name == "read(blank-2nd-line)" else 1
+        assert readers[name] == f"{lines_read / 500:.4f} csv.reader rows per row"
 
 
 def test_time_credit_counts_the_str_count_calls(child_env):
@@ -171,22 +174,24 @@ def test_time_credit_compares_with_a_parent_tree(child_env):
     assert lines[0] == (f"500 rows, min of 2 repeats, alternating with the parent"
                         f" {root} (equal outputs)")
     # and the median and range of the two repeats' paired ratios
-    for line in lines[1:10]:
+    for line in lines[1:11]:
         found = re.fullmatch(r"\S+ +([\d.]+) ms .* parent +([\d.]+) ms  ratio ([\d.]+)"
                              r"  paired median ([\d.]+) range ([\d.]+)-([\d.]+)", line)
         assert found and all(float(value) > 0.0 for value in found.groups()), line
         median, low, high = map(float, found.groups()[3:])
         assert low <= median <= high, line
-    counts = lines[10:]
-    assert len(counts) == 36
-    ours, parents = counts[:18], counts[18:]
+    counts = lines[11:]
+    assert len(counts) == 40
+    ours, parents = counts[:20], counts[20:]
     assert parents[0::2] == ["parent " + line for line in ours[0::2]]
     for line, parent in zip(ours[1::2], parents[1::2]):
         assert parent.startswith("parent " + line.split(": ", 1)[0] + ": ")
-    # csv.reader reads only the header of the generated month and of its
-    # five spellings, whose chunks are all split with str.split
-    for line in ours[0:12:2] + parents[0:12:2]:
-        assert line.split("; ")[-1] == f"{1 / 500:.4f} csv.reader rows per row"
+    # csv.reader reads only the header of the generated month and of five
+    # of its six spellings, whose chunks are all split with str.split, and
+    # the whole of the one with a blank second line
+    for line in ours[0:14:2] + parents[0:14:2]:
+        lines_read = 1 + 500 + 1 if "read(blank-2nd-line)" in line else 1
+        assert line.split("; ")[-1] == f"{lines_read / 500:.4f} csv.reader rows per row"
 
 
 def test_risk_sweep_samples_the_pool_not_the_successes(child_env):
@@ -263,3 +268,21 @@ def test_tool_exits_quietly_when_its_reader_leaves(child_env, tool, args):
         child.stdout.close()
         err = child.stderr.read()
     assert (child.returncode, err) == (1, "")
+
+
+@pytest.mark.parametrize("tool, option", [
+    (COMPILE_COST, "--repeats"),
+    (TIME_CREDIT, "--rows"),
+    (TIME_CREDIT, "--repeats"),
+    (RISK_SWEEP, "--size"),
+], ids=["compile_cost-repeats", "time_credit-rows", "time_credit-repeats",
+        "risk_sweep-size"])
+def test_tool_refuses_an_empty_run(child_env, tool, option):
+    # A run of nothing is refused when the options are parsed, with
+    # argparse's usage error and exit 2, not a traceback from the run.
+    done = subprocess.run([sys.executable, str(tool), option, "0"],
+                          capture_output=True, text=True, env=child_env)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: ")
+    assert f"error: {option} must be at least 1" in done.stderr
+    assert "Traceback" not in done.stderr

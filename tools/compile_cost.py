@@ -168,6 +168,8 @@ def main(argv=None):
     parser.add_argument("--parent", type=Path, metavar="DIR",
                         help="a checkout to measure alongside this one")
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     trees = {"this": ROOT}
     if args.parent is not None:
         trees["parent"] = args.parent.resolve()

@@ -159,6 +159,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--size", type=int, default=1024)
     args = parser.parse_args(argv)
+    if args.size < 1:
+        parser.error("--size must be at least 1")
 
     pool = risk_pool(args.seed, args.size, None)
     outcomes, examples, cf_calls, answered = Counter(), {}, 0, []

@@ -1,16 +1,19 @@
 """Time the credit layer per 10,000-row generated month.
 
 Writes one month with the portfolio-month workload's generator
-(`bench/workloads.py`, seeded), then times nine runs on it:
-`read_portfolio_csv`; the same read of five more spellings of the
+(`bench/workloads.py`, seeded), then times ten runs on it:
+`read_portfolio_csv`; the same read of six more spellings of the
 month, with every header name quoted as R's `write.csv` writes them
-(`read(R-header)`), with a blank second line (`read(blank-2nd-line)`),
-with every nonzero day count 1,000 more (`read(late-days)`, whose
-days the reader's table of spellings below 1,000 misses), with a
-leading space on every id (`read(padded-ids)`, whose ids the reader
-strips, as every block holds a space) and with the rating, segment and
-guarantee cells upper-cased (`read(upper-enums)`, whose spellings the
-reader's table misses, so it looks each distinct spelling up once);
+(`read(R-header)`), with a blank second line (`read(blank-2nd-line)`,
+which the reader hands to `csv.reader` whole), with every nonzero day
+count 1,000 more (`read(late-days)`, whose days the reader's table of
+spellings below 1,000 misses, so it strips each day cell for `int()`),
+with a leading space on every id (`read(padded-ids)`, whose ids the
+reader strips, as every block holds a space), with the rating, segment
+and guarantee cells upper-cased (`read(upper-enums)`, whose spellings
+the reader's table misses, so it looks each distinct spelling up once)
+and with "\\r\\n" line ends (`read(CRLF)`, whose blocks the reader
+rewrites to "\\n" line ends before it splits them);
 `period_report` on the Portfolio that the read returns, and on a plain
 list of the same obligors; and the benchmark's whole portfolio-month op
 on the month (read, `period_report`, `report_to_json` and
@@ -101,15 +104,17 @@ def upper_enums(line):
 
 def write_spellings(month, directory):
     """The paths, by run name, of `month` spelled with every header name
-    quoted, with a blank second line, with late days, with padded ids and
-    with upper-case enum cells, written to `directory`."""
+    quoted, with a blank second line, with late days, with padded ids,
+    with upper-case enum cells and with "\\r\\n" line ends, written to
+    `directory`."""
     head, body = Path(month.path).read_text(encoding="utf-8").split("\n", 1)
     lines = body.splitlines(keepends=True)
     spellings = {"R-header": '"' + head.replace(",", '","') + '"\n' + body,
                  "blank-2nd-line": head + "\n\n" + body,
                  "late-days": head + "\n" + "".join(map(late_days, lines)),
                  "padded-ids": head + "\n" + "".join(" " + line for line in lines),
-                 "upper-enums": head + "\n" + "".join(map(upper_enums, lines))}
+                 "upper-enums": head + "\n" + "".join(map(upper_enums, lines)),
+                 "CRLF": head + "\r\n" + body.replace("\n", "\r\n")}
     paths = {}
     for name, text in spellings.items():
         paths[f"read({name})"] = path = Path(directory) / f"{name}.csv"
@@ -118,7 +123,7 @@ def write_spellings(month, directory):
 
 
 def timed_runs(credit, month, spellings):
-    """The nine timed runs on `month` and its `spellings`, through the
+    """The ten timed runs on `month` and its `spellings`, through the
     module `credit`."""
     portfolio = credit.read_portfolio_csv(month.path)
     obligors = list(portfolio)
@@ -243,6 +248,9 @@ def main(argv=None):
     parser.add_argument("--parent", type=Path, metavar="DIR",
                         help="a checkout to time alongside this one")
     args = parser.parse_args(argv)
+    for name in ("rows", "repeats"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be at least 1")
     credits = {"this": this_credit}
     if args.parent is not None:
         credits["parent"] = load_credit(args.parent, "betakotz_parent")
