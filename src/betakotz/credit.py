@@ -17,9 +17,8 @@ import json
 import math
 import operator
 import sys
-from collections import deque
 from collections.abc import Sequence
-from itertools import chain, compress, islice, repeat, zip_longest
+from itertools import chain, compress, islice, zip_longest
 
 from . import risk
 from .distribution import BetaKotzParams, ConfidenceLevel, _moment_shapes, _Record
@@ -158,14 +157,9 @@ class Obligor(_Record):
                            pd_override, lgd_override))
 
 
-_SLOT_SETTERS = tuple(vars(Obligor)[name].__set__ for name in Obligor.__slots__)
-
 # The enum of each field in Obligor.__slots__ order, None for a field
 # that is not one.
 _SLOT_ENUMS = (None, Rating, Segment, None, Guarantee, None, None, None)
-
-# Runs an iterator to its end at C level, keeping nothing.
-_exhaust = deque(maxlen=0).extend
 
 
 def _enum_columns(columns, tables):
@@ -174,21 +168,12 @@ def _enum_columns(columns, tables):
             for cls, values in zip(_SLOT_ENUMS, columns)]
 
 
-def _obligors(columns):
-    """The obligors of checked field columns, in Obligor.__slots__ order,
-    built with C-level maps and without Obligor.__init__."""
-    obligors = list(map(object.__new__, repeat(Obligor, len(columns[0]))))
-    for setter, values in zip(_SLOT_SETTERS, _enum_columns(columns, _MEMBERS)):
-        _exhaust(map(setter, obligors, values))
-    return obligors
-
-
 class Portfolio(Sequence):
     """A read-only sequence of obligors, held as eight columns.
 
     The columns are the obligors' fields in `Obligor.__slots__` order,
-    each enum field as its member's index in definition order; an
-    `Obligor` is built only when an item is read.  A slice is a
+    each enum field as its member's index in definition order; an item
+    is built by `Obligor(...)` only when it is read.  A slice is a
     Portfolio, and a Portfolio equals another of equal columns, or a
     list or tuple of equal obligors.  `list(portfolio)` gives the
     obligors as a list.
@@ -221,13 +206,11 @@ class Portfolio(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return Portfolio._of_indices([column[index] for column in self._columns])
-        return _obligors([[column[index]] for column in self._columns])[0]
+        return next(map(Obligor, *_enum_columns(
+            [[column[index]] for column in self._columns], _MEMBERS)))
 
     def __iter__(self):
-        # A chunk of obligors at a time: as fast as building all at once.
-        for start in range(0, len(self), _CHUNK_ROWS):
-            yield from _obligors([column[start:start + _CHUNK_ROWS]
-                                  for column in self._columns])
+        return map(Obligor, *_enum_columns(self._columns, _MEMBERS))
 
     def __eq__(self, other):
         if isinstance(other, Portfolio):
@@ -491,9 +474,8 @@ _OPTIONAL_COLUMNS = ("pd_override", "lgd_override")
 # 10,000-row month, against 70 at 8 K, for 279 KB transient, not 92 KB.
 _BLOCK_CHARS = 32768
 
-# Non-blank rows per chunk once csv.reader reads the rest of a file,
-# obligors per chunk of a Portfolio's iteration, and rates per chunk
-# that period_report forms.
+# Non-blank rows per chunk once csv.reader reads the rest of a file, and
+# rates per chunk that period_report forms.
 _CHUNK_ROWS = 128
 
 

@@ -144,9 +144,11 @@ def _score_and_hessian(a, b, stats):
 def fit_mle(stats: SampleStats) -> FitResult:
     """Maximum-likelihood shapes by damped Newton-Raphson on the scores.
 
-    Starts from the moment fit, or from (1, 1) when the moments are
-    infeasible.  Convergence is declared on the per-observation-scaled
-    score, max(|g1|, |g2|)/n <= 1e-10.  Steps that would leave
+    Starts from the moment fit, or from (1, 1) when the sample is
+    over-dispersed (variance >= mean(1-mean)).  A sample with no spread
+    has an unbounded likelihood and no maximum: InfeasibleMomentsError.
+    Convergence is declared on the per-observation-scaled score,
+    max(|g1|, |g2|)/n <= 1e-10.  Steps that would leave
     (0, inf)^2 or lower the likelihood are halved (up to 30 times); an
     exhausted budget of 100 iterations returns converged=False rather
     than raising.
@@ -154,6 +156,10 @@ def fit_mle(stats: SampleStats) -> FitResult:
     try:
         init = fit_moments(stats)
     except InfeasibleMomentsError:
+        if not stats.variance > 0.0:
+            raise InfeasibleMomentsError(
+                f"sample variance is {stats.variance}: a sample with no spread "
+                f"has no maximum-likelihood fit") from None
         init = BetaKotzParams(1.0, 1.0)
     a, b = init.a, init.b
     ll = log_likelihood(init, stats)

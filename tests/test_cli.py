@@ -387,6 +387,15 @@ def test_fit_infeasible_moments_is_numeric_failure(capsys, tmp_path):
     assert "variance" in err
 
 
+def test_fit_mle_of_a_sample_with_no_spread_is_numeric_failure(capsys, tmp_path):
+    path = tmp_path / "flat.txt"
+    path.write_text("0.5\n0.5\n")
+    code, out, err = run_cli(capsys, "fit", str(path))
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == ("fit failed: sample variance is 0.0: a sample with no spread "
+                   "has no maximum-likelihood fit\n")
+
+
 # ---------------------------------------------------------------------------
 # portfolio
 # ---------------------------------------------------------------------------

@@ -1006,6 +1006,34 @@ def test_portfolio_is_a_read_only_sequence():
         "count", "index"}
 
 
+@pytest.mark.parametrize("read, built", [
+    (list, 3), (lambda p: p[1], 1), (lambda p: p[-1], 1), (lambda p: p[1:], 0)],
+    ids=["list", "index", "negative-index", "slice"])
+def test_portfolio_builds_each_obligor_it_hands_out_by_init(monkeypatch, read, built):
+    # Obligor.__init__ is the one definition of a valid obligor: every
+    # obligor that iteration or an index hands out is built through it.
+    obligors = oracle_read_portfolio_csv(FIXTURE)[:3]
+    portfolio = Portfolio(obligors)
+    calls = []
+    init = credit.Obligor.__init__
+    monkeypatch.setattr(credit.Obligor, "__init__",
+                        lambda self, *args: calls.append(1) or init(self, *args))
+    got = read(portfolio)
+    assert len(calls) == built
+    assert got == read(obligors)
+
+
+def test_portfolio_refuses_a_field_that_obligor_refuses():
+    # a column that no valid obligor has, as a hand-written pickle holds it
+    portfolio = Portfolio._of_columns(
+        [["x"], [credit.Rating.AA], [credit.Segment.OTHER], [-1.0],
+         [credit.Guarantee.NO_GUARANTEE], [0], [None], [None]])
+    for read in (list, lambda p: p[0]):
+        with pytest.raises(ValueError,
+                           match=r"^obligor 'x': ead must be >= 0, got -1\.0$"):
+            read(portfolio)
+
+
 def test_portfolio_copies_and_pickles_round_trip():
     portfolio = read_portfolio_csv(FIXTURE)
     copies = [copy.copy(portfolio), copy.deepcopy(portfolio), *(

@@ -344,6 +344,18 @@ def test_fit_mle_infeasible_moments_start_from_unit_shapes():
     assert r.params.b == pytest.approx(0.24418732506, abs=1e-10)
 
 
+@pytest.mark.parametrize("xs", [[0.5, 0.5], [0.3, 0.3, 0.3]])
+def test_fit_mle_refuses_a_sample_with_no_spread(xs):
+    # Equal values have a likelihood that grows without bound as a and b
+    # do at a fixed mean, so there is no maximum to report.
+    s = stats_from_samples(xs)
+    assert s.variance == 0.0
+    with pytest.raises(InfeasibleMomentsError, match=(
+            r"^sample variance is 0\.0: a sample with no spread has no "
+            r"maximum-likelihood fit$")):
+        fit_mle(s)
+
+
 def test_fit_mle_budget_exhaustion_returns_unconverged(monkeypatch):
     s = stats_from_samples(seeded_beta_sample(2.0, 5.0, 2000, seed=3))
     monkeypatch.setattr(estimation, "fit_moments",
