@@ -21,7 +21,8 @@ from collections.abc import Sequence
 from itertools import chain, compress, islice, zip_longest
 
 from . import risk
-from .distribution import BetaKotzParams, ConfidenceLevel, _moment_shapes, _Record
+from .distribution import (BetaKotzParams, ConfidenceLevel, _moment_shapes, _Record,
+                           _sample_moments)
 
 __all__ = [
     "Rating",
@@ -113,16 +114,16 @@ def _parse_enum(cls, text, column, row_num):
     return _MEMBERS[cls][index]
 
 
-def _check_days(days_past_due, prefix=""):
-    """ValueError, led by `prefix`, unless `days_past_due` is an integer
-    (of a type that operator.index takes, as bool and NumPy's) >= 0."""
+def _check_days(days_past_due):
+    """ValueError unless `days_past_due` is an integer (of a type that
+    operator.index takes, as bool and NumPy's) >= 0."""
     try:
         if operator.index(days_past_due) >= 0:
             return
     except TypeError:
         raise ValueError(
-            f"{prefix}days_past_due is not an integer: {days_past_due!r}") from None
-    raise ValueError(f"{prefix}days_past_due must be >= 0, got {days_past_due}")
+            f"days_past_due is not an integer: {days_past_due!r}") from None
+    raise ValueError(f"days_past_due must be >= 0, got {days_past_due}")
 
 
 class Obligor(_Record):
@@ -135,24 +136,22 @@ class Obligor(_Record):
                  guarantee: Guarantee, days_past_due: int = 0,
                  pd_override: float | None = None,
                  lgd_override: float | None = None):
-        if not 0.0 <= ead <= sys.float_info.max:
-            if isinstance(ead, int) and abs(ead) > sys.float_info.max:
-                # Described, not printed: it can have more digits than
-                # the interpreter converts to text.
-                raise ValueError(
-                    f"obligor {id!r}: ead must be >= 0 and at most the largest "
-                    f"float, {sys.float_info.max}, got an int larger in magnitude")
-            raise ValueError(f"obligor {id!r}: ead must be >= 0, got {ead}")
-        _check_days(days_past_due, f"obligor {id!r}: ")
-        if pd_override is not None and not 0.0 <= pd_override <= 1.0:
-            raise ValueError(
-                f"obligor {id!r}: pd_override must lie in [0, 1], got {pd_override}"
-            )
-        if lgd_override is not None and not 0.0 <= lgd_override <= 1.0:
-            raise ValueError(
-                f"obligor {id!r}: lgd_override must lie in [0, 1], "
-                f"got {lgd_override}"
-            )
+        try:  # the id is formatted only for a refusal
+            if not 0.0 <= ead <= sys.float_info.max:
+                if isinstance(ead, int) and abs(ead) > sys.float_info.max:
+                    # Described, not printed: it can have more digits than
+                    # the interpreter converts to text.
+                    raise ValueError(
+                        "ead must be >= 0 and at most the largest float, "
+                        f"{sys.float_info.max}, got an int larger in magnitude")
+                raise ValueError(f"ead must be >= 0, got {ead}")
+            _check_days(days_past_due)
+            if pd_override is not None and not 0.0 <= pd_override <= 1.0:
+                raise ValueError(f"pd_override must lie in [0, 1], got {pd_override}")
+            if lgd_override is not None and not 0.0 <= lgd_override <= 1.0:
+                raise ValueError(f"lgd_override must lie in [0, 1], got {lgd_override}")
+        except ValueError as err:
+            raise ValueError(f"obligor {id!r}: {err}") from None
         self.__setstate__((id, rating, segment, ead, guarantee, days_past_due,
                            pd_override, lgd_override))
 
@@ -408,55 +407,36 @@ def period_report(
     Obligors with zero expected loss stay in the exposure denominator
     but are excluded from the fitting sample (their rate has no
     log-likelihood and carries no tail information).  The fit reads only
-    the sample's mean and variance, taken as the rates are formed, so
-    no log-sum is taken and no rate list is kept.
+    the sample's mean and variance, taken as stats_from_samples takes
+    them while the rates are formed: no log-sum, and no rate list kept.
     """
     if not portfolio:
         raise ValueError("portfolio must be non-empty")
     rows, total = _rows_and_total(portfolio)
-    # The rates of a chunk of obligors at a time, each rate > 0 fed
-    # straight into Welford's recurrence as stats_from_samples runs it:
-    # one chunk's list is alive at a time, and none per obligor.  A rate
-    # lies in [0, 1] (EADs, PDs and LGDs are checked >= 0, no EAD exceeds
-    # their exact sum, and a -0.0 EAD gives a -0.0 rate), so the only
-    # positive rate outside (0, 1) is 1.0, which is counted, and refused
-    # once the count is.
-    n = 0
-    mean = m2 = 0.0
-    one_at = None  # the index, among rates > 0, of the first rate of 1.0
-    for _ in range(0, len(portfolio), _CHUNK_ROWS):
-        for rate in _loss_rates(islice(rows, _CHUNK_ROWS), total):
-            if 0.0 < rate < 1.0:
-                n += 1
-                delta = rate - mean
-                mean += delta / n
-                m2 += delta * (rate - mean)
-            elif rate:
-                if one_at is None:
-                    one_at = n
-                n += 1
+    # The rates of a chunk of obligors at a time, the positive ones read
+    # by _sample_moments as stats_from_samples has a sample read: no list
+    # per obligor.  A rate lies in [0, 1] (EADs, PDs and LGDs are >= 0, no
+    # EAD exceeds their exact sum, a -0.0 EAD gives a -0.0 rate), and one
+    # of 1.0 is counted, then refused.  The rates sum to at most 1 (and
+    # a rounding), so they are formed again to look for one only if their
+    # sum, n * mean, is over 1/2.
+    n, mean, m2 = _sample_moments(filter(None, chain.from_iterable(
+        _loss_rates(islice(rows, _CHUNK_ROWS), total)
+        for _ in range(0, len(portfolio), _CHUNK_ROWS))))
     if n < 2:
         raise ValueError(
             f"need at least 2 obligors with positive expected loss, got {n}")
-    if one_at is not None:
-        raise ValueError(
-            f"sample value at index {one_at} must lie strictly in (0, 1), got 1.0")
+    rates = list(filter(None, loss_rates(portfolio))) if n * mean > 0.5 else ()
+    if 1.0 in rates:
+        raise ValueError(f"sample value at index {rates.index(1.0)} must lie "
+                         "strictly in (0, 1), got 1.0")
     fitted = _moment_shapes(mean, m2 / (n - 1))
     measures = risk.report(fitted, alpha)
-    el = measures.mean * total
-    var_cur = measures.var * total
-    cvar_cur = measures.cvar * total
+    el, var_cur = measures.mean * total, measures.var * total
     return PortfolioReport(
-        label=label,
-        total_exposure=total,
-        expected_loss=el,
-        var=var_cur,
-        ec=var_cur - el,
-        cvar=cvar_cur,
-        fitted=fitted,
-        alpha=measures.alpha,
-        obligor_count=len(portfolio),
-    )
+        label=label, total_exposure=total, expected_loss=el, var=var_cur,
+        ec=var_cur - el, cvar=measures.cvar * total, fitted=fitted,
+        alpha=measures.alpha, obligor_count=len(portfolio))
 
 
 # ---------------------------------------------------------------------------

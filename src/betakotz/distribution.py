@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import islice
 
 from .specfun import ln_beta, reg_inc_beta
 
@@ -194,3 +195,25 @@ def _moment_shapes(mean: float, variance: float) -> BetaKotzParams:
         )
     common = bound / variance - 1.0
     return BetaKotzParams(mean * common, (1.0 - mean) * common)
+
+
+_MOMENT_CHUNK = 128  # values per chunk of _sample_moments
+
+
+def _sample_moments(values):
+    """The count, mean and sum of squared deviations of `values`, floats:
+    each chunk of _MOMENT_CHUNK values takes its mean from math.fsum and
+    its squared deviations from math.dist, and the chunks merge by Chan,
+    Golub and LeVeque's pairwise update (1983).  A chunk whose sum rounds
+    as k times its first value does takes that value as its mean: exact
+    for a constant chunk, whose deviations are then 0.0, and as close as
+    fsum / k for any other."""
+    values, n, mean, m2 = iter(values), 0, 0.0, 0.0
+    while chunk := list(islice(values, _MOMENT_CHUNK)):
+        k, first, total = len(chunk), chunk[0], math.fsum(chunk)
+        m = float(first) if total == k * first else total / k
+        n += k
+        delta = m - mean
+        mean += delta * (k / n)
+        m2 += math.dist(chunk, [m] * k) ** 2 + delta * delta * ((n - k) * k / n)
+    return n, mean, m2

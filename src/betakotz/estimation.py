@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from functools import reduce
 
 from .distribution import (BetaKotzParams, InfeasibleMomentsError,
-                           _moment_shapes, _Record)
+                           _moment_shapes, _Record, _sample_moments)
 from .specfun import digamma, trigamma
 
 __all__ = [
@@ -81,24 +81,20 @@ class FitResult(_Record):
 def stats_from_samples(xs: Sequence[float]) -> SampleStats:
     """Reduce a sample to SampleStats.
 
-    Welford's recurrence for mean/variance (unbiased, n-1 divisor), then
-    the log-sums, each added left to right.  Values at or outside (0, 1)
-    are rejected with the offending index, since the log-likelihood is
-    undefined there.
+    Mean and variance (n-1 divisor) come from distribution._sample_moments,
+    within 4u M and 8u (V + u M^2) of the exact M and V (u = 2**-53) above
+    the subnormals; the log-sums are each added left to right.  A value
+    at or outside (0, 1), where the log-likelihood is undefined, is
+    refused with its index.
     """
-    xs = list(xs)  # read twice; a generator is accepted
-    n = 0
-    mean = m2 = 0.0
+    xs = list(xs)  # read more than once; a generator is accepted
     for i, x in enumerate(xs):
         # type() spares a float the isinstance call; the check is the same.
         if not ((type(x) is float or isinstance(x, (int, float))) and 0.0 < x < 1.0):
             raise ValueError(
                 f"sample value at index {i} must lie strictly in (0, 1), got {x!r}"
             )
-        n += 1
-        delta = x - mean
-        mean += delta / n
-        m2 += delta * (x - mean)
+    n, mean, m2 = _sample_moments(xs)
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
     # reduce adds in order with no compensation, unlike sum() from 3.12 on

@@ -370,6 +370,26 @@ def test_obligor_ead_beyond_the_largest_float_is_described_not_printed():
             "1.7976931348623157e+308, got an int larger in magnitude")
 
 
+def test_obligor_formats_its_id_only_to_refuse():
+    # A valid obligor never renders its id; a refused one names it once.
+    class CountingId(str):
+        reprs = 0
+
+        def __repr__(self):
+            CountingId.reprs += 1
+            return super().__repr__()
+
+    make_obligor(id=CountingId("O1"), days_past_due=45)
+    assert CountingId.reprs == 0
+    for days, reason in [(-3, "days_past_due must be >= 0, got -3"),
+                         (5.0, "days_past_due is not an integer: 5.0")]:
+        CountingId.reprs = 0
+        with pytest.raises(ValueError) as err:
+            make_obligor(id=CountingId("O1"), days_past_due=days)
+        assert (str(err.value), CountingId.reprs) == (f"obligor 'O1': {reason}", 1)
+        assert err.value.__cause__ is None and err.value.__suppress_context__
+
+
 # ---------------------------------------------------------------------------
 # period report
 # ---------------------------------------------------------------------------
@@ -497,6 +517,20 @@ def test_period_report_refusals_and_their_order():
             with pytest.raises(kind) as err:
                 period_report("m", portfolio)
             assert str(err.value) == message
+
+
+def test_period_report_refuses_a_rate_of_one_from_an_int_ead():
+    # An int EAD above 2**53 rounds to the total exposure that its own
+    # exact sum with a tiny one rounds to, though the two are not equal:
+    # its rate is still 1.0, and still refused.
+    portfolio = [make_obligor(id="whale", rating=Rating.DEFAULT, ead=2**53 + 3,
+                              lgd_override=1.0),
+                 make_obligor(id="tiny", rating=Rating.DEFAULT, ead=1e-20)]
+    assert loss_rates(portfolio)[0] == 1.0
+    with pytest.raises(ValueError) as err:
+        period_report("m", portfolio)
+    assert str(err.value) == (
+        "sample value at index 0 must lie strictly in (0, 1), got 1.0")
 
 
 def test_period_report_keeps_no_list_per_obligor():

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -194,6 +195,37 @@ def test_time_credit_compares_with_a_parent_tree(child_env):
         assert line.split("; ")[-1] == f"{lines_read / 500:.4f} csv.reader rows per row"
 
 
+def test_time_credit_times_a_parent_whose_outputs_differ(child_env, tmp_path):
+    # A parent whose reports carry another label: each run whose outputs
+    # differ prints both, every run is still timed, and the exit is 1.
+    shutil.copytree(TOOLS.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    credit = tmp_path / "src" / "betakotz" / "credit.py"
+    source = credit.read_text(encoding="utf-8")
+    assert source.count("label=label,") == 1
+    credit.write_text(source.replace("label=label,", "label=label + '!',"),
+                      encoding="utf-8")
+    done = subprocess.run([sys.executable, str(TIME_CREDIT), "--rows", "500",
+                           "--repeats", "1", "--parent", str(tmp_path)],
+                          capture_output=True, text=True, env=child_env)
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == (f"500 rows, min of 1 repeats, alternating with the parent"
+                        f" {tmp_path} (outputs differ in 3 of 10 runs)")
+    for k, name in enumerate(["period_report", "period_report(list)", "portfolio_op"]):
+        heading, ours, parents = lines[1 + 3 * k:4 + 3 * k]
+        assert heading == f"{name}: outputs differ"
+        assert ours.startswith("  this   ") and "M!" not in ours
+        assert parents.startswith("  parent ") and "M!" in parents
+    timed = lines[10:20]
+    assert [line.split()[0] for line in timed] == [
+        "read_portfolio_csv", "read(R-header)", "read(blank-2nd-line)",
+        "read(late-days)", "read(padded-ids)", "read(upper-enums)", "read(CRLF)",
+        "period_report", "period_report(list)", "portfolio_op"]
+    assert all(" parent " in line and " ratio " in line for line in timed)
+    assert len(lines[20:]) == 40
+
+
 def test_risk_sweep_samples_the_pool_not_the_successes(child_env):
     # The mpmath sample is every 8th triple of a 1,024-triple pool, less
     # the refused: answering or refusing any other triple leaves it as it is.
@@ -233,6 +265,12 @@ def test_risk_sweep_counts_outcomes_and_kernel_work(child_env):
     (per_op,) = filter(None, per_op)
     (per_month,) = filter(None, per_month)
     assert 1.0 < float(per_op[1]) < 50.0 and 1.0 < float(per_month[1]) < 50.0
+    # each month's fitted shapes against the moment fit of its exact
+    # moments: 9.6e-16 at most, where Welford's recurrence gave 2.4e-14
+    (fits,) = filter(None, (re.fullmatch(
+        r"portfolio_pool\(1, 32\) fitted shapes: relative error vs the exact moment"
+        r" fit over 32 months: p50 (\S+)  p99 (\S+)  max (\S+)", line) for line in lines))
+    assert float(fits[1]) <= float(fits[2]) <= float(fits[3]) <= 2e-15
     # CVaR: the cross-check residual of every answer, within report()'s
     # gate, and the mpmath errors of both routes and of the returned value
     stats = r"p50 (\S+)  p99 (\S+)  max (\S+)"

@@ -9,8 +9,9 @@ and prints:
   example each;
 - the VaR error of the successes in the smaller of x and 1 - x: the
   relative error of whichever of VaR and 1 - VaR the solver carries
-  below 1/2, against `scipy.special.betaincinv` on that side (skipped
-  when scipy is not installed);
+  below 1/2, against `scipy.special.betaincinv` on the x side and
+  `betainccinv`, which takes alpha unrounded, on the 1 - x side
+  (skipped when scipy is not installed);
 - the CVaR cross-check residual |density - elementary| of the
   successes, the figure `report()` gates at 1e-8 and then drops;
 - the relative error against mpmath, at the same VaR, of the density
@@ -22,7 +23,9 @@ and prints:
   machine-independent count of incomplete-beta work, over the pool and
   over the fitted shapes of the portfolio-month pool
   (`portfolio_pool(1, 32)`) at each month's level, and the relative
-  error of the returned CVaR against mpmath over those shapes.
+  error of the returned CVaR against mpmath over those shapes;
+- the relative error of those fitted shapes against the moment fit of
+  each month's exact (rational) loss-rate mean and variance.
 
     python tools/risk_sweep.py [--seed 7] [--size 1024]
 
@@ -37,6 +40,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from itertools import compress
 from pathlib import Path
 
@@ -62,13 +66,14 @@ def counted_report(params, alpha):
 
 def var_error(a, b, alpha):
     """Relative error of the carried smaller side of the VaR against scipy."""
-    from scipy.special import betaincinv
+    from scipy.special import betainccinv, betaincinv
 
     q, tail = risk._var_pair(BetaKotzParams(a, b), alpha)
     if q <= tail:
         got, ref = q, betaincinv(a, b, alpha)
     else:
-        got, ref = tail, betaincinv(b, a, 1.0 - alpha)
+        # 1 - alpha would round: betainccinv takes alpha as the upper tail
+        got, ref = tail, betainccinv(b, a, alpha)
     return abs(got - ref) / ref
 
 
@@ -146,12 +151,33 @@ def quantiles(values, probs=(0.5, 0.99, 1.0)):
     return [ordered[min(int(p * len(ordered)), len(ordered) - 1)] for p in probs]
 
 
+def exact_moment_fit(xs):
+    """The moment-fit shapes (a, b) of the exact mean and variance (n - 1
+    divisor) of the floats `xs`, as Fractions, in integer arithmetic:
+    each float is a whole multiple of 2**-1074."""
+    ints = [num * (2**1074 // den) for num, den in map(float.as_integer_ratio, xs)]
+    n, total = len(ints), sum(ints)
+    mean = Fraction(total, n * 2**1074)
+    variance = Fraction(n * sum(i * i for i in ints) - total * total,
+                        n * (n - 1) * 2**2148)
+    common = mean * (1 - mean) / variance - 1
+    return mean * common, (1 - mean) * common
+
+
 def fitted_shapes():
-    """(fitted params, alpha) of every month of portfolio_pool(1, 32)."""
+    """(fitted params, alpha, fit error) of every month of
+    portfolio_pool(1, 32): the fit error is the larger relative error of
+    the fitted a and b against the exact moment fit of the month's
+    positive loss rates."""
+    months = []
     with tempfile.TemporaryDirectory() as tmp:
-        return [(credit.period_report(m.label, credit.read_portfolio_csv(m.path),
-                                      alpha=m.alpha).fitted, m.alpha)
-                for m in portfolio_pool(1, 32, tmp)]
+        for m in portfolio_pool(1, 32, tmp):
+            portfolio = credit.read_portfolio_csv(m.path)
+            fitted = credit.period_report(m.label, portfolio, alpha=m.alpha).fitted
+            exact = exact_moment_fit([r for r in credit.loss_rates(portfolio) if r > 0.0])
+            months.append((fitted, m.alpha, max(
+                map(relative_error, map(Fraction, (fitted.a, fitted.b)), exact))))
+    return months
 
 
 def main(argv=None):
@@ -206,7 +232,12 @@ def main(argv=None):
             p50, p99, worst = quantiles(route)
             print(f"  {name:<20} p50 {p50:.2g}  p99 {p99:.2g}  max {worst:.2g}")
 
-    shapes = fitted_shapes()
+    months = fitted_shapes()
+    shapes = [(p, alpha) for p, alpha, _ in months]
+    p50, p99, worst = quantiles([error for _, _, error in months])
+    print(f"portfolio_pool(1, 32) fitted shapes: relative error vs the exact "
+          f"moment fit over {len(months)} months: p50 {p50:.2g}  p99 {p99:.2g}  "
+          f"max {worst:.2g}")
     month_calls = sum(counted_report(p, alpha)[1] for p, alpha in shapes)
     print(f"portfolio_pool(1, 32) fitted shapes: {month_calls / len(shapes):.2f} "
           f"_beta_contfrac evaluations per report() over {len(shapes)} months")

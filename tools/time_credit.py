@@ -39,11 +39,13 @@ imports `DIR/src/betakotz` under another package name and times both
 in the one process, the two trees taking turns within each repeat, as
 the host's speed drifts too much between processes for two separate
 runs to compare.  It checks that both trees give equal outputs (by
-repr) and prints, next to each time, the parent's time, the ratio of
-this tree's minimum to the parent's, and the median and the range of
-the paired ratios: this tree's time over the parent's in each repeat,
-the two timed back to back.  A host that slows for part of a run shows
-as a wide range.  The parent's counts follow this tree's.
+repr); where a run's outputs differ, it prints both, times both trees
+all the same, and exits 1 at the end.  Next to each time it prints the
+parent's time, the ratio of this tree's minimum to the parent's, and
+the median and the range of the paired ratios: this tree's time over
+the parent's in each repeat, the two timed back to back.  A host that
+slows for part of a run shows as a wide range.  The parent's counts
+follow this tree's.
 """
 
 from __future__ import annotations
@@ -219,6 +221,11 @@ def collections(run) -> list[int]:
     return [g["collections"] - b for g, b in zip(gc.get_stats(), before)]
 
 
+def shortened(text):
+    """`text`, or its first 300 characters and its length."""
+    return text if len(text) <= 300 else f"{text[:300]}... ({len(text):,} characters)"
+
+
 def _line(name, seconds, rows):
     return (f"{name:<20} {seconds * 1e3:8.2f} ms  {seconds * 1e6 / rows:6.2f} µs/row"
             f"  {rows / seconds:9,.0f} rows/s")
@@ -262,9 +269,11 @@ def main(argv=None):
         runs = {tree: timed_runs(credit, month, spellings)
                 for tree, credit in credits.items()}
         names = list(runs["this"])
+        differing = {}  # run name -> each tree's output, where they differ
         for name in names:
-            if len({repr(tree_runs[name]()) for tree_runs in runs.values()}) != 1:
-                sys.exit(f"{name}: the outputs of this tree and the parent differ")
+            outputs = {tree: repr(tree_runs[name]()) for tree, tree_runs in runs.items()}
+            if len(set(outputs.values())) != 1:
+                differing[name] = outputs
         times = {tree: {name: [] for name in names} for tree in runs}
         order = list(runs)
         for _ in range(args.repeats):
@@ -274,8 +283,14 @@ def main(argv=None):
             order.reverse()  # each tree goes first in every other repeat
         heading = f"{args.rows:,} rows, min of {args.repeats} repeats"
         if args.parent is not None:
-            heading += f", alternating with the parent {args.parent} (equal outputs)"
+            heading += f", alternating with the parent {args.parent} " + (
+                f"(outputs differ in {len(differing)} of {len(names)} runs)"
+                if differing else "(equal outputs)")
         print(heading)
+        for name, outputs in differing.items():
+            print(f"{name}: outputs differ")
+            for tree, output in outputs.items():
+                print(f"  {tree:<6} {shortened(output)}")
         for name in names:
             ours = times["this"][name]
             line = _line(name, min(ours), args.rows)
@@ -290,12 +305,14 @@ def main(argv=None):
         for tree, tree_runs in runs.items():
             print_counts("parent " if tree == "parent" else "", credits[tree],
                          tree_runs, args.rows)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
     try:
-        main()
+        status = main()
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        sys.exit(status)
     except BrokenPipeError:
         # The reader left early (`| head`): send the rest to devnull so
         # the flush at exit cannot raise again, and exit 1 as on EPIPE.
